@@ -113,8 +113,9 @@ def cmd_critical(args) -> int:
     if not args.pairs:
         cyls = critical.enumerate_critical_cylinders(p, table)
         print(f"critical cylinders: {len(cyls)}")
+        res = residuation.Residuator(p, table)
         for cyl in cyls:
-            v = critical.check_cylinder(cyl, p, table)
+            v = critical.check_cylinder(cyl, p, table, res=res)
             tops = "-" if v.top is None else str(len(v.top.cells))
             print(
                 f"  {p.fmt_step(cyl.f)} | {p.fmt_instance(cyl.base)} "
@@ -276,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CohpresError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

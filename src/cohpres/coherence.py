@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     CellTrace,
@@ -21,6 +22,7 @@ from .core import (
     WeightSpec,
     instance_sides,
     tensor_ctx,
+    trace_tensor_ctx,
 )
 from .critical import (
     CriticalCylinder,
@@ -278,33 +280,105 @@ def check_a2(
 # A3 / A3': cylinder property
 
 
-def _sampled_base_records(
-    p: Presentation,
-    table: ResidualTable,
-    max_cells: int = 8,
-    budget: int = 20_000,
-):
-    """Residuation data for the trivially completable equational-base
-    coincidences: (vertical, base, top trace, vertical residual)."""
-    from . import oracle
+BaseRecord = tuple[RewriteStep, RelationInstance, CellTrace | None, Path | None]
 
-    res = Residuator(p, table)
-    records = []
-    for f, inst in trivial_equational_base_samples(p):
+
+class CheckContext:
+    """What one ``check_all`` run computes at most once and shares between
+    the assumption checks and the attempts of an opposite probe: the
+    residual table and, on first use, the critical pairs and cylinders, one
+    memoizing ``Residuator`` and the sampled equational-base records.
+
+    A base record ``(f, inst, top, fg)`` holds, for a sampled trivially
+    completable coincidence of the vertical ``f`` with the equational-sided
+    base ``inst``, the vertical residual ``fg`` along the base's second side
+    and the top trace joining the two residuals of the base's sides (``None``
+    when residuation fails or the search runs out).  The samples are
+    whiskerings x·(f' | inst')·y of far fewer cores, so each core is computed
+    once and whiskered back.  This is exact because every step of the
+    computation commutes with whiskering: the residual of x·g·y after x·f·y is
+    x·(g/f)·y (equality, disjointness, retyping and tile lookup only see the
+    positions relative to the shared context), and the top-trace search from
+    x·l·y to x·r·y visits the whiskerings of the states it visits from l to r,
+    move for move and in the same order, so it returns the whiskered trace
+    and runs out of ``max_cells`` or ``budget`` exactly when the core search
+    does.  The search needs one condition for this: every side of every
+    relation has a step with empty left context and one with empty right
+    context.  A side whose outer letters no step touches (an identity side
+    above all) can match with its window reaching into the context, a move
+    the core does not have, so a presentation with such a side is sampled
+    without stripping.  The shared ``Residuator`` spends its budget across
+    the whole run rather than per call, and memo hits cost nothing.
+    """
+
+    def __init__(self, p: Presentation, table: ResidualTable | None = None):
+        self.p = p
+        self.table = derive_residual_table(p) if table is None else table
+
+    @cached_property
+    def pairs(self) -> list[CriticalPair]:
+        return enumerate_critical_pairs(self.p, self.table)
+
+    @cached_property
+    def cylinders(self) -> list[CriticalCylinder]:
+        return enumerate_critical_cylinders(self.p, self.table)
+
+    @cached_property
+    def residuator(self) -> Residuator:
+        return Residuator(self.p, self.table)
+
+    @cached_property
+    def base_records(self) -> list[BaseRecord]:
+        p = self.p
+        strip = all(
+            any(not s.left for s in side.steps) and any(not s.right for s in side.steps)
+            for r in p.relations
+            for side in (r.lhs, r.rhs)
+        )
+        cores: dict[tuple[RewriteStep, RelationInstance], tuple] = {}
+        records = []
+        for f, inst in trivial_equational_base_samples(p):
+            # x and y: the context f and inst share on the left and the right
+            nl = min(len(f.left), len(inst.left)) if strip else 0
+            nr = min(len(f.right), len(inst.right)) if strip else 0
+            x, y = f.left[:nl], f.right[len(f.right) - nr :]
+            core = (
+                RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr]),
+                RelationInstance(
+                    inst.left[nl:],
+                    inst.right[: len(inst.right) - nr],
+                    inst.forward,
+                    inst.name,
+                    inst.exch,
+                ),
+            )
+            if core not in cores:
+                cores[core] = self._base_core(*core)
+            top, fg = cores[core]
+            if top is not None:
+                top = trace_tensor_ctx(p, x, top, y)
+            if fg is not None:
+                fg = tensor_ctx(p, x, fg, y)
+            records.append((f, inst, top, fg))
+        return records
+
+    def _base_core(
+        self, f: RewriteStep, inst: RelationInstance, max_cells: int = 8, budget: int = 20_000
+    ) -> tuple[CellTrace | None, Path | None]:
+        """(top, fg) for the coincidence of ``f`` with ``inst``."""
+        from . import oracle
+
+        p = self.p
         lhs, rhs = instance_sides(p, inst)
         fpath = Path(lhs.source, (f,))
         try:
-            _, l_res = res.pair(fpath, lhs)
-            fg, r_res = res.pair(fpath, rhs)
+            _, l_res = self.residuator.pair(fpath, lhs)
+            fg, r_res = self.residuator.pair(fpath, rhs)
         except ResiduationError:
-            records.append((f, inst, None, None))
-            continue
+            return None, None
         if l_res == r_res:
-            top = CellTrace(l_res, ())
-        else:
-            top = oracle.search_trace(p, l_res, r_res, max_cells=max_cells, budget=budget)
-        records.append((f, inst, top, fg))
-    return records
+            return CellTrace(l_res, ()), fg
+        return oracle.search_trace(p, l_res, r_res, max_cells=max_cells, budget=budget), fg
 
 
 def check_a3(
@@ -314,15 +388,19 @@ def check_a3(
     mode: str = "strict",
     max_cells: int = 12,
     budget: int = 50_000,
-    base_records=None,
+    ctx: CheckContext | None = None,
 ) -> tuple[Verdict, list[tuple[CriticalCylinder, CylinderVerdict]]]:
+    if ctx is None:
+        ctx = CheckContext(p, table)
     if cylinders is None:
-        cylinders = enumerate_critical_cylinders(p, table)
+        cylinders = ctx.cylinders
     results: list[tuple[CriticalCylinder, CylinderVerdict]] = []
     failures: list[str] = []
     open_questions: list[str] = []
     for cyl in cylinders:
-        v = check_cylinder(cyl, p, table, max_cells=max_cells, budget=budget)
+        v = check_cylinder(
+            cyl, p, table, max_cells=max_cells, budget=budget, res=ctx.residuator
+        )
         results.append((cyl, v))
         label = f"cylinder ({p.fmt_step(cyl.f)} | {p.fmt_instance(cyl.base)})"
         ok = ("equal",) if mode == "strict" else ("equal", "exchange_equal")
@@ -347,9 +425,7 @@ def check_a3(
                     f"residual of exchange base {p.fmt_instance(cyl.base)} uses "
                     "non-exchange cells"
                 )
-        if base_records is None:
-            base_records = _sampled_base_records(p, table)
-        for f, inst, top, _ in base_records:
+        for f, inst, top, _ in ctx.base_records:
             if inst.exch is None:
                 continue
             if top is None:
@@ -381,9 +457,10 @@ def check_a4(
     strong: bool = False,
     w2v: WeightSpec | None = None,
     w2b: WeightSpec | None = None,
-    base_records=None,
     table: ResidualTable | None = None,
+    ctx: CheckContext | None = None,
 ) -> Verdict:
+    """``table`` or ``ctx`` enables the sampled equational-base checks."""
     if not p.equational_names:
         return Verdict("pass", [], "vacuous: no equational generators")
     if w2v is None:
@@ -414,10 +491,10 @@ def check_a4(
                 witnesses.append(
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
-        if w2b is not None and table is not None:
-            if base_records is None:
-                base_records = _sampled_base_records(p, table)
-            for f, inst, top, rv in base_records:
+        if ctx is None and table is not None:
+            ctx = CheckContext(p, table)
+        if w2b is not None and ctx is not None:
+            for f, inst, top, rv in ctx.base_records:
                 if top is None:
                     inconclusive_notes.append(
                         f"sample after {p.fmt_step(f)}: residual not reconstructed"
@@ -466,59 +543,20 @@ def check_all(
     presentation for the faithful-embedding conclusion."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    table = derive_residual_table(p)
-    pairs = enumerate_critical_pairs(p, table)
-    a1 = check_a1(p, table, pairs, term_budget=term_budget, max_len=max_len)
+    ctx = CheckContext(p)
+    a1 = check_a1(p, ctx.table, ctx.pairs, term_budget=term_budget, max_len=max_len)
     timings["a1"] = time.perf_counter() - t0
 
-    cylinders = enumerate_critical_cylinders(p, table)
-    results: list[tuple[CriticalCylinder, CylinderVerdict | None]] = [
-        (c, None) for c in cylinders
-    ]
-    if a1.status != "pass":
+    if a1.status == "pass":
+        t0 = time.perf_counter()
+        a2 = check_a2(p, ctx.table)
+        timings["a2"] = time.perf_counter() - t0
+        a3, results, a4 = _check_a3_a4(ctx, a3_mode, strong, max_cells, budget, timings)
+        assumptions = {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
+    else:
         skip = Verdict("inconclusive", [], "skipped: A1 did not pass")
         assumptions = {"a1": a1, "a2": skip, "a3": skip, "a4": skip}
-        coherent = "fail" if a1.status == "fail" else "inconclusive"
-        report = CheckReport(
-            p.mode, a3_mode, strong, assumptions, pairs, results, coherent, "", timings=timings
-        )
-        _fill_faithful(report, p, a3_mode, strong, run_opposite, term_budget, max_len)
-        return report
-
-    t0 = time.perf_counter()
-    a2 = check_a2(p, table)
-    timings["a2"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    # the up-to-exchange A3 needs the sampled equational-base residuals; in
-    # strict mode they are only needed if A4 runs, so defer them
-    base_records = (
-        _sampled_base_records(p, table)
-        if (p.mode == "monoidal" and a3_mode == "up_to_exchange")
-        else None
-    )
-    a3, cyl_results = check_a3(
-        p,
-        table,
-        cylinders,
-        mode=a3_mode,
-        max_cells=max_cells,
-        budget=budget,
-        base_records=base_records,
-    )
-    results = list(cyl_results)
-    timings["a3"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if a3.status == "pass":
-        a4 = check_a4(
-            p, cyl_results, strong=strong, base_records=base_records, table=table
-        )
-    else:
-        a4 = Verdict("inconclusive", [], "skipped: A3 did not pass")
-    timings["a4"] = time.perf_counter() - t0
-
-    assumptions = {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
+        results = [(c, None) for c in ctx.cylinders]
     statuses = [v.status for v in assumptions.values()]
     if all(s == "pass" for s in statuses):
         coherent = "pass"
@@ -527,10 +565,36 @@ def check_all(
     else:
         coherent = "inconclusive"
     report = CheckReport(
-        p.mode, a3_mode, strong, assumptions, pairs, results, coherent, "", timings=timings
+        p.mode, a3_mode, strong, assumptions, ctx.pairs, results, coherent, "", timings=timings
     )
     _fill_faithful(report, p, a3_mode, strong, run_opposite, term_budget, max_len)
     return report
+
+
+def _check_a3_a4(
+    ctx: CheckContext,
+    a3_mode: str,
+    strong: bool,
+    max_cells: int,
+    budget: int,
+    timings: dict[str, float],
+) -> tuple[Verdict, list[tuple[CriticalCylinder, CylinderVerdict]], Verdict]:
+    """The A3 and A4 verdicts and the cylinder results; only these depend on
+    ``(a3_mode, strong)``."""
+    p = ctx.p
+    t0 = time.perf_counter()
+    a3, results = check_a3(
+        p, ctx.table, ctx.cylinders, mode=a3_mode, max_cells=max_cells, budget=budget, ctx=ctx
+    )
+    timings["a3"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    if a3.status == "pass":
+        a4 = check_a4(p, results, strong=strong, ctx=ctx)
+    else:
+        a4 = Verdict("inconclusive", [], "skipped: A3 did not pass")
+    timings["a4"] = time.perf_counter() - t0
+    return a3, results, a4
 
 
 def _fill_faithful(
@@ -542,6 +606,8 @@ def _fill_faithful(
     term_budget: int,
     max_len: int,
 ) -> None:
+    """Check the opposite presentation with one context: A1 and A2 once, then
+    A3 and A4 for each ``(a3_mode, strong)`` attempt until one passes."""
     if not run_opposite:
         report.faithful_embedding = "inconclusive"
         report.faithful_note = "opposite presentation not checked"
@@ -550,30 +616,21 @@ def _fill_faithful(
 
     op = opposite(p)
     t0 = time.perf_counter()
-    attempts = [("strict", False), (a3_mode, strong), ("up_to_exchange", True)]
-    attempts = list(dict.fromkeys(attempts))
-    last = None
-    for mode, strg in attempts:
-        rep = check_all(
-            op,
-            a3_mode=mode,
-            strong=strg,
-            term_budget=term_budget,
-            max_len=max_len,
-            run_opposite=False,
-        )
-        last = rep
-        if rep.coherent == "pass":
-            report.faithful_embedding = "pass"
-            report.faithful_note = f"opposite presentation coherent ({mode}"
-            report.faithful_note += ", strong)" if strg else ")"
-            report.timings["opposite"] = time.perf_counter() - t0
-            return
-        if rep.assumptions["a1"].status == "fail":
-            break  # structural failure; weight-independent, no retry helps
+    ctx = CheckContext(op)
+    a1 = check_a1(op, ctx.table, ctx.pairs, term_budget=term_budget, max_len=max_len)
+    if a1.status == "pass" and check_a2(op, ctx.table).status == "pass":
+        attempts = [("strict", False), (a3_mode, strong), ("up_to_exchange", True)]
+        for mode, strg in dict.fromkeys(attempts):
+            # the opposite keeps the default search bounds
+            a3, _, a4 = _check_a3_a4(ctx, mode, strg, max_cells=12, budget=50_000, timings={})
+            if a3.status == a4.status == "pass":
+                report.faithful_embedding = "pass"
+                report.faithful_note = f"opposite presentation coherent ({mode}"
+                report.faithful_note += ", strong)" if strg else ")"
+                report.timings["opposite"] = time.perf_counter() - t0
+                return
     report.timings["opposite"] = time.perf_counter() - t0
-    assert last is not None
-    if last.assumptions["a1"].status == "fail":
+    if a1.status == "fail":
         report.faithful_embedding = "fail"
         report.faithful_note = "opposite presentation fails convergence (A1)"
     else:

@@ -26,7 +26,7 @@ from .core import (
 )
 from .objects import equational_successors, normalize
 from .oracle import cells_equal
-from .residuation import ResidualTable, Residuator
+from .residuation import ResidualTable, ResiduationError, Residuator
 
 
 class TietzeRefusal(CohpresError):
@@ -509,7 +509,7 @@ def check_left_fractions(
                     gu, ug = res.pair(g, u)
                     if p.path_target(compose(p, u, gu)) != p.path_target(compose(p, g, ug)):
                         c3_fail = f"residuals of ({p.fmt_path(u)}, {p.fmt_path(g)}) not cofinal"
-                except Exception:
+                except ResiduationError:
                     found = _bounded_completion(p, u, g, bound, cell_budget)
                     if not found:
                         c3_fail = (

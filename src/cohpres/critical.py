@@ -252,12 +252,15 @@ def check_cylinder(
     table: ResidualTable,
     max_cells: int = 12,
     budget: int = 50_000,
+    res: Residuator | None = None,
 ) -> CylinderVerdict:
     """Compare the vertical's residuals along the base's two sides and search
-    for the cylinder top connecting the sides' residuals."""
+    for the cylinder top connecting the sides' residuals.  ``res`` lets
+    several checks share one memo."""
     from . import oracle
 
-    res = Residuator(p, table)
+    if res is None:
+        res = Residuator(p, table)
     g1, g2 = instance_sides(p, c.base)
     fpath = Path(g1.source, (c.f,))
     try:

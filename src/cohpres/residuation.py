@@ -458,17 +458,6 @@ class ResidualWitness:
     trace: CellTrace
 
 
-def path_residual(g: Path, f: Path, table: ResidualTable, p: Presentation) -> Path:
-    """The residual g/f of g after f (f or g entirely equational)."""
-    return Residuator(p, table).pair(g, f)[0]
-
-
-def residual_pair(
-    g: Path, f: Path, table: ResidualTable, p: Presentation
-) -> tuple[Path, Path]:
-    return Residuator(p, table).pair(g, f)
-
-
 def residual_witness(
     f: Path, g: Path, table: ResidualTable, p: Presentation
 ) -> ResidualWitness:

@@ -171,3 +171,25 @@ def test_compare_ds2_cli(capsys):
     assert code == 0
     assert "comparison (monoidal mode): equal" in out
     assert "fraction agreement:" in out
+
+
+def test_deep_residual_exits_2(capsys):
+    from cohpres.core import parse_presentation
+    from cohpres.objects import normalize
+
+    ds2 = parse_presentation((CORPUS / "ds2.cp").read_text(encoding="utf-8"))
+    nf_path = normalize(("b",) * 40 + ("a",) * 40, ds2).path
+    assert len(nf_path.steps) == 1600
+    code = main(
+        [
+            "residual",
+            str(CORPUS / "ds2.cp"),
+            "--of",
+            "[n]" + "b" * 38 + "a" * 40,
+            "--after",
+            ds2.fmt_path(nf_path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

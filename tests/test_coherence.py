@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from cohpres import coherence
 from cohpres.coherence import (
+    CheckContext,
     WeightSpec,
     check_a1,
     check_a2,
@@ -14,8 +18,11 @@ from cohpres.coherence import (
     weight_less,
     weight_of_path,
 )
-from cohpres.core import parse_path
-from cohpres.residuation import derive_residual_table
+from cohpres.constructions import opposite
+from cohpres.core import CellTrace, Path, instance_sides, parse_path, parse_presentation
+from cohpres.critical import trivial_equational_base_samples
+from cohpres.oracle import search_trace
+from cohpres.residuation import ResiduationError, Residuator, derive_residual_table
 
 
 def test_eval_weight_examples(ds2):
@@ -191,3 +198,73 @@ def test_pointwise_order():
     assert weight_less(spec, (0, 1), (1, 1))
     assert not weight_less(spec, (0, 2), (1, 1))
     assert not weight_less(spec, (1, 1), (1, 1))
+
+
+def _per_sample_base_records(p, table):
+    """The sampled base records computed directly on every whiskered sample."""
+    res = Residuator(p, table)
+    records = []
+    for f, inst in trivial_equational_base_samples(p):
+        lhs, rhs = instance_sides(p, inst)
+        fpath = Path(lhs.source, (f,))
+        try:
+            _, l_res = res.pair(fpath, lhs)
+            fg, r_res = res.pair(fpath, rhs)
+        except ResiduationError:
+            records.append((f, inst, None, None))
+            continue
+        if l_res == r_res:
+            top = CellTrace(l_res, ())
+        else:
+            top = search_trace(p, l_res, r_res, max_cells=8, budget=20_000)
+        records.append((f, inst, top, fg))
+    return records
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "opposite"])
+@pytest.mark.parametrize("name", ["ds2", "ds2op", "huet", "deltas"])
+def test_context_base_records_match_per_sample(request, name, dual):
+    p = request.getfixturevalue(name)
+    if dual:
+        p = opposite(p)
+    ctx = CheckContext(p)
+    expected = _per_sample_base_records(p, ctx.table)
+    got = ctx.base_records
+    assert len(got) == len(expected)
+    for i, (g, e) in enumerate(zip(got, expected)):
+        assert g == e, f"record {i} of {name}{' (opposite)' if dual else ''}"
+
+
+# Every side leaves its leading c's untouched, so a search on a sample
+# whiskered by c can apply Q where the search on its stripped core can only
+# apply P: stripping the shared context would change the top.
+PADDED = """
+mode monoidal
+objects a c
+eqgen u : a a -> a
+rel Q : cc[u]a ; cc[u] => cca[u] ; cc[u]
+rel P : c[u]a ; c[u] => ca[u] ; c[u]
+"""
+
+
+def test_context_base_records_keep_padded_contexts():
+    p = parse_presentation(PADDED)
+    ctx = CheckContext(p)
+    assert ctx.base_records == _per_sample_base_records(p, ctx.table)
+
+
+def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
+    sampled = []
+    real = coherence.trivial_equational_base_samples
+
+    def counting(p, *args, **kwargs):
+        sampled.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "trivial_equational_base_samples", counting)
+    rep = check_all(ds2op, "up_to_exchange", strong=True)
+    assert rep.coherent == "pass"
+    op = opposite(ds2op)
+    assert sampled.count(ds2op) == 1
+    assert sampled.count(op) <= 1
+    assert len(sampled) == sampled.count(ds2op) + sampled.count(op)
