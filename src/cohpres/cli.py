@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on pass/success, 1 on a failed check or unequal comparison,
-2 on usage or parse errors.  Every failing check prints machine-parseable
+2 on usage or parse errors and on runs that could not finish (input too deep
+or too large, output pipe closed).  Every failing check prints machine-parseable
 ``WITNESS:`` lines.  Output is deterministic for identical invocations.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -280,6 +282,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader went away; send what is still buffered to devnull so the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
         return 2
 
 

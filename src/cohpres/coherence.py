@@ -33,7 +33,7 @@ from .critical import (
     enumerate_critical_pairs,
     trivial_equational_base_samples,
 )
-from .objects import check_equational_termination, transposition_number
+from .objects import check_equational_termination, transposition_number, words_upto
 from .residuation import (
     ResidualTable,
     ResiduationError,
@@ -186,15 +186,6 @@ def check_a1(
 # A2: one-dimensional termination weight
 
 
-def _context_words(p: Presentation, max_len: int) -> list[tuple]:
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (o,) for w in frontier for o in p.objects]
-        words.extend(frontier)
-    return words
-
-
 def check_a2(
     p: Presentation,
     table: ResidualTable,
@@ -214,6 +205,7 @@ def check_a2(
         if not weight_less(w1, res_w, orig_w):
             witnesses.append(f"omega1 not decreasing on {what}: {res_w} !< {orig_w}")
 
+    contexts = words_upto(p, ctx_len)
     try:
         entries = sorted(table.entries.items(), key=lambda kv: str(kv[0]))
         for _, e in entries:
@@ -227,8 +219,8 @@ def check_a2(
             if p.mode != "monoidal":
                 continue
             # context compatibility, sampled over whiskering contexts
-            for x in _context_words(p, ctx_len):
-                for y in _context_words(p, ctx_len):
+            for x in contexts:
+                for y in contexts:
                     if not x and not y:
                         continue
                     wres = weight_of_path(
@@ -252,7 +244,7 @@ def check_a2(
                 if not e.equational:
                     continue
                 for h in p.generators:
-                    for mid in _context_words(p, mid_len):
+                    for mid in words_upto(p, mid_len):
                         for e_left in (True, False):
                             if e_left:
                                 f = RewriteStep((), e.name, mid + h.source)
@@ -457,10 +449,9 @@ def check_a4(
     strong: bool = False,
     w2v: WeightSpec | None = None,
     w2b: WeightSpec | None = None,
-    table: ResidualTable | None = None,
     ctx: CheckContext | None = None,
 ) -> Verdict:
-    """``table`` or ``ctx`` enables the sampled equational-base checks."""
+    """``ctx`` enables the sampled equational-base checks."""
     if not p.equational_names:
         return Verdict("pass", [], "vacuous: no equational generators")
     if w2v is None:
@@ -491,8 +482,6 @@ def check_a4(
                 witnesses.append(
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
-        if ctx is None and table is not None:
-            ctx = CheckContext(p, table)
         if w2b is not None and ctx is not None:
             for f, inst, top, rv in ctx.base_records:
                 if top is None:

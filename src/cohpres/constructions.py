@@ -24,8 +24,8 @@ from .core import (
     tensor_ctx,
     validate,
 )
-from .objects import equational_successors, normalize
-from .oracle import cells_equal
+from .objects import normalize, paths_from, words_upto
+from .oracle import search_trace
 from .residuation import ResidualTable, ResiduationError, Residuator
 
 
@@ -223,8 +223,7 @@ def tietze_apply(
             name, lt, rt = m.groups()
             lhs = parse_path(lt, cur)
             rhs = parse_path(rt, cur)
-            status, _ = cells_equal(lhs, rhs, cur, budget=budget, max_cells=max_cells)
-            if status != "equal":
+            if search_trace(cur, lhs, rhs, max_cells=max_cells, budget=budget) is None:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable within budget; refusing to add"
                 )
@@ -241,8 +240,7 @@ def tietze_apply(
             if rel is None:
                 raise TypeCheckError(f"tietze line {ln}: unknown relation '{name}'")
             rest = _without_relation(cur, name)
-            status, _ = cells_equal(rel.lhs, rel.rhs, rest, budget=budget, max_cells=max_cells)
-            if status != "equal":
+            if search_trace(rest, rel.lhs, rel.rhs, max_cells=max_cells, budget=budget) is None:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable from the others within budget; "
                     "refusing to remove"
@@ -327,21 +325,6 @@ def fraction_compose(
     return Fraction(compose(p, phi1.num, h), compose(p, phi2.den, w))
 
 
-def _equational_extensions(p: Presentation, start: Word, max_steps: int) -> list[Path]:
-    out = [Path(start, ())]
-    frontier = [Path(start, ())]
-    for _ in range(max_steps):
-        nxt = []
-        for q in frontier:
-            w = p.path_target(q)
-            for s in equational_successors(w, p):
-                nq = Path(start, q.steps + (s,))
-                nxt.append(nq)
-                out.append(nq)
-        frontier = nxt
-    return out
-
-
 def fraction_equal(
     phi1: Fraction,
     phi2: Fraction,
@@ -365,46 +348,23 @@ def fraction_equal(
     if coherent:
         n1 = nf_functor_apply(phi1.num, p, table)
         n2 = nf_functor_apply(phi2.num, p, table)
-        status, _ = cells_equal(n1, n2, p, budget=cell_budget)
-        return "equal" if status == "equal" else "unequal"
+        return "equal" if search_trace(p, n1, n2, budget=cell_budget) is not None else "unequal"
     i1 = p.path_target(phi1.den)
     i2 = p.path_target(phi2.den)
-    w1s = _equational_extensions(p, i1, budget)
-    w2s = _equational_extensions(p, i2, budget)
+    w1s = paths_from(p, i1, budget, equational=True)
+    w2s = paths_from(p, i2, budget, equational=True)
     by_target: dict[Word, list[Path]] = {}
     for w2 in w2s:
         by_target.setdefault(p.path_target(w2), []).append(w2)
     for w1 in w1s:
         for w2 in by_target.get(p.path_target(w1), []):
-            den_ok, _ = cells_equal(
-                compose(p, phi1.den, w1), compose(p, phi2.den, w2), p, budget=cell_budget
-            )
-            if den_ok != "equal":
+            den1, den2 = compose(p, phi1.den, w1), compose(p, phi2.den, w2)
+            if search_trace(p, den1, den2, budget=cell_budget) is None:
                 continue
-            num_ok, _ = cells_equal(
-                compose(p, phi1.num, w1), compose(p, phi2.num, w2), p, budget=cell_budget
-            )
-            if num_ok == "equal":
+            num1, num2 = compose(p, phi1.num, w1), compose(p, phi2.num, w2)
+            if search_trace(p, num1, num2, budget=cell_budget) is not None:
                 return "equal"
     return "unequal"
-
-
-def _paths_from(p: Presentation, x: Word, bound: int) -> list[Path]:
-    paths = [Path(x, ())]
-    frontier = [Path(x, ())]
-    for _ in range(bound):
-        nxt = []
-        for q in frontier:
-            w = p.path_target(q)
-            for g in p.generators:
-                k = len(g.source)
-                for pos in range(len(w) - k + 1):
-                    if w[pos : pos + k] == g.source:
-                        nq = Path(x, q.steps + (RewriteStep(w[:pos], g.name, w[pos + k :]),))
-                        nxt.append(nq)
-                        paths.append(nq)
-        frontier = nxt
-    return paths
 
 
 def sample_fraction_agreement(
@@ -416,22 +376,18 @@ def sample_fraction_agreement(
 ) -> dict:
     """Compare the mediating-pair search against normal-form image equality
     on sampled parallel fraction pairs."""
-    small: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(4):
-        frontier = [w + (o,) for w in frontier for o in p.objects]
-        small.extend(frontier)
+    small = words_upto(p, 4)
     srcs = [w for w in small if 3 <= len(w) <= 4][:12]
     if not srcs:
         srcs = [w for w in normals if len(w) <= 3][:4]
     dens_by_target: dict[Word, list[Path]] = {}
     for y in small:
-        for u in _equational_extensions(p, y, 2):
+        for u in paths_from(p, y, 2, equational=True):
             dens_by_target.setdefault(p.path_target(u), []).append(u)
     samples: list[tuple[Fraction, Fraction]] = []
     for x in srcs:
         fractions: list[Fraction] = []
-        for num in _paths_from(p, x, min(bound, 3)):
+        for num in paths_from(p, x, min(bound, 3)):
             for den in dens_by_target.get(p.path_target(num), []):
                 fractions.append(Fraction(num, den))
         by_sig: dict[tuple[Word, Word], list[Fraction]] = {}
@@ -477,32 +433,11 @@ def check_left_fractions(
         "condition2": "pass (identities are equational)",
     }
     res = Residuator(p, table)
-    words: list[Word]
-    if p.mode == "path":
-        words = [(o,) for o in p.objects]
-    else:
-        words = []
-        frontier: list[Word] = [()]
-        for _ in range(3):
-            frontier = [w + (o,) for w in frontier for o in p.objects]
-            words.extend(frontier)
+    words = words_upto(p, 1 if p.mode == "path" else 3)[1:]
     c3_fail = None
     for w in words:
-        us = [u for u in _equational_extensions(p, w, bound) if u.steps]
-        gs = []
-        frontier_p = [Path(w, ())]
-        for _ in range(bound):
-            nxt = []
-            for q in frontier_p:
-                ww = p.path_target(q)
-                for g in p.generators:
-                    k = len(g.source)
-                    for pos in range(len(ww) - k + 1):
-                        if ww[pos : pos + k] == g.source:
-                            nq = Path(w, q.steps + (RewriteStep(ww[:pos], g.name, ww[pos + k :]),))
-                            nxt.append(nq)
-                            gs.append(nq)
-            frontier_p = nxt
+        us = paths_from(p, w, bound, equational=True)[1:]
+        gs = paths_from(p, w, bound)[1:]
         for u in us:
             for g in gs:
                 try:
@@ -536,79 +471,38 @@ def check_left_fractions(
 
 def _bounded_completion(p: Presentation, u: Path, g: Path, bound: int, cell_budget: int) -> bool:
     """Search cofinal (v equational, h) with v.g <=>* h.u."""
-    vs = _equational_extensions(p, p.path_target(g), bound)
-    hs = []
-    start = p.path_target(u)
-    frontier = [Path(start, ())]
-    hs.append(frontier[0])
-    for _ in range(bound):
-        nxt = []
-        for q in frontier:
-            ww = p.path_target(q)
-            for gen in p.generators:
-                k = len(gen.source)
-                for pos in range(len(ww) - k + 1):
-                    if ww[pos : pos + k] == gen.source:
-                        nq = Path(start, q.steps + (RewriteStep(ww[:pos], gen.name, ww[pos + k :]),))
-                        nxt.append(nq)
-                        hs.append(nq)
-        frontier = nxt
+    vs = paths_from(p, p.path_target(g), bound, equational=True)
     by_target: dict[Word, list[Path]] = {}
-    for h in hs:
+    for h in paths_from(p, p.path_target(u), bound):
         by_target.setdefault(p.path_target(h), []).append(h)
     for v in vs:
         for h in by_target.get(p.path_target(v), []):
-            status, _ = cells_equal(
-                compose(p, g, v), compose(p, u, h), p, budget=cell_budget
-            )
-            if status == "equal":
+            if search_trace(p, compose(p, g, v), compose(p, u, h), budget=cell_budget) is not None:
                 return True
     return False
 
 
 def _check_condition4(p: Presentation, words: list[Word], bound: int, cell_budget: int) -> str:
     for w in words[: min(len(words), 6)]:
-        us = [u for u in _equational_extensions(p, w, min(bound, 2)) if u.steps]
-        for u in us:
-            y = p.path_target(u)
-            fs = []
-            frontier = [Path(y, ())]
-            for _ in range(min(bound, 2)):
-                nxt = []
-                for q in frontier:
-                    ww = p.path_target(q)
-                    for gen in p.generators:
-                        k = len(gen.source)
-                        for pos in range(len(ww) - k + 1):
-                            if ww[pos : pos + k] == gen.source:
-                                nq = Path(
-                                    y, q.steps + (RewriteStep(ww[:pos], gen.name, ww[pos + k :]),)
-                                )
-                                nxt.append(nq)
-                                fs.append(nq)
-                frontier = nxt
+        for u in paths_from(p, w, min(bound, 2), equational=True)[1:]:
             by_tgt: dict[Word, list[Path]] = {}
-            for f in fs:
+            for f in paths_from(p, p.path_target(u), min(bound, 2))[1:]:
                 by_tgt.setdefault(p.path_target(f), []).append(f)
             for group in by_tgt.values():
                 for i in range(len(group)):
                     for j in range(i + 1, len(group)):
                         f1, f2 = group[i], group[j]
-                        eq, _ = cells_equal(
-                            compose(p, u, f1), compose(p, u, f2), p, budget=cell_budget
-                        )
-                        if eq != "equal":
+                        uf1, uf2 = compose(p, u, f1), compose(p, u, f2)
+                        if search_trace(p, uf1, uf2, budget=cell_budget) is None:
                             continue
-                        vs = _equational_extensions(p, p.path_target(f1), min(bound, 2))
-                        ok = False
-                        for v in vs:
-                            s, _ = cells_equal(
-                                compose(p, f1, v), compose(p, f2, v), p, budget=cell_budget
+                        vs = paths_from(p, p.path_target(f1), min(bound, 2), equational=True)
+                        if not any(
+                            search_trace(
+                                p, compose(p, f1, v), compose(p, f2, v), budget=cell_budget
                             )
-                            if s == "equal":
-                                ok = True
-                                break
-                        if not ok:
+                            is not None
+                            for v in vs
+                        ):
                             return (
                                 "fail: no equalizing v for "
                                 f"({p.fmt_path(f1)}, {p.fmt_path(f2)}) after {p.fmt_path(u)}"

@@ -22,6 +22,7 @@ from .core import (
     Word,
     instance_sides,
 )
+from .objects import steps_on, words_upto
 from .residuation import (
     PairKey,
     ResidualTable,
@@ -295,29 +296,11 @@ def trivial_equational_base_samples(
     """Sampled (vertical step, equational-sided base) coincidences of the
     trivially completable shape: the vertical does not touch both exchanged
     factors (for exchange bases) or is disjoint/nested (for named bases)."""
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_ctx):
-        frontier = [w + (o,) for w in frontier for o in p.objects]
-        words.extend(frontier)
-    mids: list[Word] = [()]
-    frontier = [()]
-    for _ in range(max_mid):
-        frontier = [w + (o,) for w in frontier for o in p.objects]
-        mids.extend(frontier)
-
-    eq_gens = [g for g in p.generators if g.equational]
     out: list[tuple[RewriteStep, RelationInstance]] = []
     if p.mode != "monoidal":
         return out
-
-    def verticals(word: Word):
-        for g in p.generators:
-            k = len(g.source)
-            for pos in range(len(word) - k + 1):
-                if word[pos : pos + k] == g.source:
-                    yield RewriteStep(word[:pos], g.name, word[pos + k :])
-
+    words, mids = words_upto(p, max_ctx), words_upto(p, max_mid)
+    eq_gens = [g for g in p.generators if g.equational]
     for e1 in eq_gens:
         for e2 in eq_gens:
             for mid in mids:
@@ -329,7 +312,7 @@ def trivial_equational_base_samples(
                         word = x + span + y
                         inst = RelationInstance(x, y, True, exch=(e1.name, mid, e2.name))
                         lhs, rhs = instance_sides(p, inst)
-                        for f in verticals(word):
+                        for f in steps_on(word, p):
                             a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
                             c1 = (len(x) + i1[0], len(x) + i1[1])
                             c2 = (len(x) + i2[0], len(x) + i2[1])
@@ -353,7 +336,7 @@ def trivial_equational_base_samples(
                 inst = RelationInstance(x, y, True, name=rel.name)
                 lhs, rhs = instance_sides(p, inst)
                 heads = tuple(s.steps[0] for s in (lhs, rhs) if s.steps)
-                for f in verticals(word):
+                for f in steps_on(word, p):
                     a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
                     if _proper_overlap(a, b, len(x), len(x) + len(window)):
                         continue  # critical, not trivial

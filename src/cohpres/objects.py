@@ -5,6 +5,22 @@ reachability questions about that system: which steps apply to a word,
 whether the system terminates on the explored universe, and what the chosen
 normalization path of a word is (leftmost step, ties broken by generator
 declaration order).
+
+It also holds the three enumerators every bounded construction is built on:
+
+- ``steps_on(w, p)`` lists the steps that apply to ``w`` in generator
+  declaration order, then by left-context length.  With
+  ``equational=True`` it keeps only equational steps, ordered by
+  left-context length and then declaration order, so element 0 is the next
+  step of the normalization strategy.  Both orders are observable (they fix
+  witness order and the cycle ``check_equational_termination`` reports).
+- ``words_upto(p, n)`` lists every word of length at most ``n``, by length,
+  then in object order; element 0 is the empty word.  It ignores the mode:
+  in path mode, where words are single objects, callers take
+  ``words_upto(p, 1)[1:]``.
+- ``paths_from(p, x, bound)`` lists every path from ``x`` of at most
+  ``bound`` steps, shortest first, extending each path by ``steps_on`` of
+  its target; element 0 is the empty path.
 """
 
 from __future__ import annotations
@@ -33,22 +49,43 @@ class BudgetExhausted(CohpresError):
     pass
 
 
-def equational_successors(w: Word, p: Presentation) -> list[RewriteStep]:
-    """All equational steps applicable to ``w``.
-
-    Ordered by (left-context length, generator declaration order) so the
-    first element is the canonical next step of the normalization strategy.
-    """
-    out: list[tuple[int, int, RewriteStep]] = []
-    for gi, g in enumerate(p.generators):
-        if not g.equational:
+def steps_on(w: Word, p: Presentation, equational: bool = False) -> list[RewriteStep]:
+    """Every step applicable to ``w``, in the order the module docstring fixes."""
+    out: list[RewriteStep] = []
+    for g in p.generators:
+        if equational and not g.equational:
             continue
         k = len(g.source)
         for pos in range(len(w) - k + 1):
             if w[pos : pos + k] == g.source:
-                out.append((pos, gi, RewriteStep(w[:pos], g.name, w[pos + k :])))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [s for _, _, s in out]
+                out.append(RewriteStep(w[:pos], g.name, w[pos + k :]))
+    if equational:
+        out.sort(key=lambda s: len(s.left))
+    return out
+
+
+def words_upto(p: Presentation, n: int) -> list[Word]:
+    """Every word of length at most ``n``, by length, then in object order."""
+    words: list[Word] = [()]
+    frontier: list[Word] = [()]
+    for _ in range(n):
+        frontier = [w + (o,) for w in frontier for o in p.objects]
+        words.extend(frontier)
+    return words
+
+
+def paths_from(p: Presentation, x: Word, bound: int, equational: bool = False) -> list[Path]:
+    """Every path from ``x`` of at most ``bound`` steps, shortest first."""
+    frontier = [Path(x, ())]
+    paths = list(frontier)
+    for _ in range(bound):
+        frontier = [
+            Path(x, q.steps + (s,))
+            for q in frontier
+            for s in steps_on(p.path_target(q), p, equational)
+        ]
+        paths.extend(frontier)
+    return paths
 
 
 def _seed_words(p: Presentation, max_len: int) -> list[Word]:
@@ -66,20 +103,8 @@ def _seed_words(p: Presentation, max_len: int) -> list[Word]:
     for r in p.relations:
         add(r.lhs.source)
         add(p.path_target(r.lhs))
-    if p.mode == "path":
-        for o in p.objects:
-            add((o,))
-    else:
-        frontier: list[Word] = [()]
-        add(())
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                for o in p.objects:
-                    ww = w + (o,)
-                    nxt.append(ww)
-                    add(ww)
-            frontier = nxt
+    for w in words_upto(p, 1)[1:] if p.mode == "path" else words_upto(p, max_len):
+        add(w)
     return seeds
 
 
@@ -108,7 +133,7 @@ def check_equational_termination(
         while chain:
             w = chain[-1]
             if w not in succs:
-                succs[w] = [p.step_target(s) for s in equational_successors(w, p)]
+                succs[w] = [p.step_target(s) for s in steps_on(w, p, equational=True)]
             kids = succs[w]
             if cursor[-1] < len(kids):
                 child = kids[cursor[-1]]
@@ -137,7 +162,7 @@ def normalize(w: Word, p: Presentation, max_steps: int = 10_000) -> Normalizatio
     cur = w
     steps: list[RewriteStep] = []
     for _ in range(max_steps):
-        nxt = equational_successors(cur, p)
+        nxt = steps_on(cur, p, equational=True)
         if not nxt:
             return NormalizationResult(w, cur, Path(w, tuple(steps)))
         steps.append(nxt[0])

@@ -27,6 +27,7 @@ from .core import (
     trace_concat,
     trace_invert,
 )
+from .objects import steps_on, words_upto
 
 
 class ExplosionError(CohpresError):
@@ -280,17 +281,6 @@ def search_trace(
     return None
 
 
-def cells_equal(
-    p1: Path, p2: Path, p: Presentation, budget: int = 20_000, max_cells: int = 12
-) -> tuple[str, CellTrace | None]:
-    """Decide p1 <=>* p2 within a budget: ('equal', witness) or
-    ('unequal_at_budget', None)."""
-    trace = search_trace(p, p1, p2, max_cells=max_cells, budget=budget)
-    if trace is None:
-        return "unequal_at_budget", None
-    return "equal", trace
-
-
 # ---------------------------------------------------------------------------
 # hom-set enumeration
 
@@ -305,16 +295,6 @@ class HomClasses:
     @property
     def count(self) -> int:
         return len(self.classes)
-
-
-def _all_steps(p: Presentation, w: Word) -> list[RewriteStep]:
-    out = []
-    for g in p.generators:
-        k = len(g.source)
-        for pos in range(len(w) - k + 1):
-            if w[pos : pos + k] == g.source:
-                out.append(RewriteStep(w[:pos], g.name, w[pos + k :]))
-    return out
 
 
 class _UnionFind:
@@ -345,7 +325,7 @@ def enumerate_hom_classes(
         nxt: list[Path] = []
         for path in frontier:
             w = p.path_target(path)
-            for s in _all_steps(p, w):
+            for s in steps_on(w, p):
                 generated += 1
                 if generated > guard:
                     raise ExplosionError(
@@ -492,26 +472,8 @@ def oracle_residual_pair(
 
 
 def normal_words(p: Presentation, max_word: int) -> list[Word]:
-    from .objects import equational_successors
-
-    out: list[Word] = []
-    frontier: list[Word] = [()]
-    if p.mode == "path":
-        return [
-            (o,) for o in p.objects if not equational_successors((o,), p)
-        ]
-    if not equational_successors((), p):
-        out.append(())
-    for _ in range(max_word):
-        nxt = []
-        for w in frontier:
-            for o in p.objects:
-                ww = w + (o,)
-                nxt.append(ww)
-                if not equational_successors(ww, p):
-                    out.append(ww)
-        frontier = nxt
-    return out
+    words = words_upto(p, 1)[1:] if p.mode == "path" else words_upto(p, max_word)
+    return [w for w in words if not steps_on(w, p, equational=True)]
 
 
 def compare_constructions(

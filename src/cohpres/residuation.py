@@ -272,14 +272,6 @@ def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: Rewrite
     )
 
 
-def step_residual(
-    f: RewriteStep, g: RewriteStep, table: ResidualTable, p: Presentation
-) -> tuple[Path, Path]:
-    """(g/f, f/g) for coinitial steps, at least one of them equational."""
-    gf, fg, _ = _step_pair(p, table, f, g)
-    return gf, fg
-
-
 # ---------------------------------------------------------------------------
 # path residuals
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cohpres.cli import main
@@ -193,3 +196,31 @@ def test_deep_residual_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ds2op_a3x_witness_order(capsys):
+    # pins the step order of the sampled base checks: a position-major order
+    # passes every verdict test but prints these verticals in another order
+    _, out = run(capsys, "check", CORPUS / "ds2op.cp", "--assumption", "a3x")
+    witnesses = [l for l in out.splitlines() if l.startswith("WITNESS:")][:4]
+    head = "WITNESS: omega2((exch(g,0,g))) = (0, 0) !> (0, 0) = omega2(residual) [vertical "
+    assert witnesses == [head + v + "]" for v in ("[m]bab", "ab[m]b", "a[n]ab", "aba[n]")]
+
+
+def test_closed_pipe_exits_2():
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # about 290 KB of stdout, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohpres.cli", "check", str(CORPUS / "ds2op.cp"), "--assumption", "a3x"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"a1: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1

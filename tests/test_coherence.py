@@ -121,18 +121,18 @@ def test_a3_exchange_fails_condition2_on_ds2(ds2, ds2_table):
 
 def test_a4_pass_ds2(ds2, ds2_table):
     _, results = check_a3(ds2, ds2_table, mode="strict")
-    v = check_a4(ds2, results, strong=False, table=ds2_table)
+    v = check_a4(ds2, results, strong=False, ctx=CheckContext(ds2, ds2_table))
     assert v.status == "pass"
 
 
 def test_a4_ds2op_strong_vs_nonstrong(ds2op, ds2op_table):
     _, results = check_a3(ds2op, ds2op_table, mode="up_to_exchange")
-    weak = check_a4(ds2op, results, strong=False, table=ds2op_table)
+    weak = check_a4(ds2op, results, strong=False, ctx=CheckContext(ds2op, ds2op_table))
     assert weak.status == "fail"
     assert any(
         "(0, 1)" in w and "(0, 2)" in w and "ab(exch(g,0,g))" in w for w in weak.witnesses
     )
-    strong = check_a4(ds2op, results, strong=True, table=ds2op_table)
+    strong = check_a4(ds2op, results, strong=True, ctx=CheckContext(ds2op, ds2op_table))
     assert strong.status == "pass"
 
 

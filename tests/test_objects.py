@@ -3,26 +3,53 @@ from __future__ import annotations
 from cohpres.core import parse_presentation
 from cohpres.objects import (
     check_equational_termination,
-    equational_successors,
     normalize,
+    paths_from,
+    steps_on,
     transposition_number,
+    words_upto,
 )
 
 from conftest import all_words
+from conftest import paths_from as reference_paths_from
 
 
 def test_successors_bbaa(ds2):
-    succ = equational_successors(tuple("bbaa"), ds2)
+    succ = steps_on(tuple("bbaa"), ds2, equational=True)
     assert [ds2.fmt_step(s) for s in succ] == ["b[g]a"]
 
 
 def test_successors_normal_form_empty(ds2):
-    assert equational_successors(tuple("aabb"), ds2) == []
+    assert steps_on(tuple("aabb"), ds2, equational=True) == []
 
 
 def test_successors_baba_ordering(ds2):
-    succ = equational_successors(tuple("baba"), ds2)
+    succ = steps_on(tuple("baba"), ds2, equational=True)
     assert [ds2.fmt_step(s) for s in succ] == ["[g]ba", "ba[g]"]
+
+
+def test_steps_on_order(ds2):
+    # all steps: generator declaration order, then left-context length
+    baa = tuple("baa")
+    assert [ds2.fmt_step(s) for s in steps_on(baa, ds2)] == ["b[m]", "[g]a"]
+    assert [ds2.fmt_step(s) for s in steps_on(baa, ds2, equational=True)] == ["[g]a"]
+    # equational steps: left-context length, then declaration order
+    p = parse_presentation(
+        "mode monoidal\nobjects a b c\neqgen e : b c -> c b\neqgen d : a b -> b a\n"
+    )
+    abc = tuple("abc")
+    assert [p.fmt_step(s) for s in steps_on(abc, p)] == ["a[e]", "[d]c"]
+    assert [p.fmt_step(s) for s in steps_on(abc, p, equational=True)] == ["[d]c", "a[e]"]
+
+
+def test_words_and_paths_match_references(ds2):
+    assert words_upto(ds2, 4) == all_words(ds2, 4)
+    for w in all_words(ds2, 3):
+        ref = reference_paths_from(ds2, w, 3)
+        assert paths_from(ds2, w, 3) == ref
+        # ds2 has one equational generator, so the equational order is the filtered one
+        eq = [q for q in ref if ds2.is_equational_path(q)]
+        assert paths_from(ds2, w, 3, equational=True) == eq
 
 
 def test_termination_ds2(ds2):
@@ -71,7 +98,7 @@ def test_normal_forms_are_sorted_words(ds2):
 def test_transposition_strictly_decreases_along_steps(ds2):
     for w in all_words(ds2, 6):
         before = transposition_number(w, "b", "a")
-        for s in equational_successors(w, ds2):
+        for s in steps_on(w, ds2, equational=True):
             after = transposition_number(ds2.step_target(s), "b", "a")
             assert after < before
 
@@ -81,7 +108,7 @@ def test_strategy_independence_of_normal_forms(ds2):
     def endpoints(w, memo):
         if w in memo:
             return memo[w]
-        succ = equational_successors(w, ds2)
+        succ = steps_on(w, ds2, equational=True)
         if not succ:
             memo[w] = {w}
             return memo[w]

@@ -6,7 +6,6 @@ from cohpres.core import check_trace, parse_path
 from cohpres.oracle import (
     ExplosionError,
     canonical_with_trace,
-    cells_equal,
     compare_constructions,
     enumerate_hom_classes,
     exchange_canonical,
@@ -45,8 +44,8 @@ def test_mon_res_residuals_not_exchange_equal_but_star_equal(ds2, ds2_table):
     r1 = res.pair(parse_path("[n]aa ; b[m]", ds2), bga)[0]
     r2 = res.pair(parse_path("bb[m] ; [n]a", ds2), bga)[0]
     assert exchange_canonical(r1, ds2) != exchange_canonical(r2, ds2)
-    status, trace = cells_equal(r1, r2, ds2, budget=50_000, max_cells=10)
-    assert status == "equal"
+    trace = search_trace(ds2, r1, r2, budget=50_000, max_cells=10)
+    assert trace is not None
     assert trace.source == r1 and check_trace(ds2, trace) == r2
 
 
@@ -92,15 +91,15 @@ def test_exchange_canonical_idempotent_and_fibers(ds2):
 def test_cells_equal_alpha(ds2):
     p1 = parse_path("[m]a ; [m]", ds2)
     p2 = parse_path("a[m] ; [m]", ds2)
-    status, trace = cells_equal(p1, p2, ds2)
-    assert status == "equal"
+    trace = search_trace(ds2, p1, p2)
+    assert trace is not None
     assert len(trace.cells) == 1 and trace.cells[0].inst.name == "alpha"
 
 
 def test_cells_equal_self(ds2):
     p1 = parse_path("[m]a ; [m]", ds2)
-    status, trace = cells_equal(p1, p1, ds2)
-    assert status == "equal" and trace.cells == ()
+    trace = search_trace(ds2, p1, p1)
+    assert trace is not None and trace.cells == ()
 
 
 def test_cells_equal_insensitive_to_exchange_variants(ds2):
@@ -111,15 +110,13 @@ def test_cells_equal_insensitive_to_exchange_variants(ds2):
 
     q1 = tensor_ctx(ds2, ("b",), p1, ("b",))
     q2 = tensor_ctx(ds2, ("b",), p2, ("b",))
-    status, _ = cells_equal(q1, q2, ds2)
-    assert status == "equal"
+    assert search_trace(ds2, q1, q2) is not None
 
 
 def test_cells_equal_budget_negative(huet):
     loc_gg = parse_path("[g] ; [g']", huet)
     idx = huet.identity(("x",))
-    status, trace = cells_equal(loc_gg, idx, huet, budget=5_000, max_cells=8)
-    assert status == "unequal_at_budget" and trace is None
+    assert search_trace(huet, loc_gg, idx, budget=5_000, max_cells=8) is None
 
 
 def test_hom_classes_counts(ds2):
@@ -159,8 +156,7 @@ def test_search_trace_requires_parallel(ds2):
         search_trace(ds2, p1, parse_path("[m]a ; [m]", ds2))
     # the parallel single steps realize different surjections: no relation
     # merges them (this is why hom(aaa, aa) has two classes)
-    status, _ = cells_equal(p1, p2, ds2)
-    assert status == "unequal_at_budget"
+    assert search_trace(ds2, p1, p2) is None
 
 
 def test_oracle_residual_unit_cases(ds2, ds2_table):
@@ -201,8 +197,7 @@ def test_cells_equal_stable_under_exchange_variants(ds2):
     ]
     assert variants
     for q in variants:
-        status, _ = cells_equal(p1, q, ds2, budget=20_000)
-        assert status == "equal"
+        assert search_trace(ds2, p1, q, budget=20_000) is not None
 
 
 def test_identity_on_empty_word(ds2):

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from cohpres.core import check_trace, compose, parse_path
+from cohpres.core import Path, check_trace, compose, parse_path
 from cohpres.oracle import oracle_residual_pair
 from cohpres.residuation import (
     ResiduationError,
     Residuator,
     derive_residual_table,
     residual_witness,
-    step_residual,
 )
 
 from conftest import all_words, paths_from
@@ -49,17 +48,20 @@ def test_huet_table(huet, huet_table):
 def test_step_residual_cases(ds2, ds2_table):
     f = parse_path("[g]a", ds2).steps[0]
     g = parse_path("b[m]", ds2).steps[0]
-    gf, fg = step_residual(f, g, ds2_table, ds2)
+    src = ds2.step_source(f)
+    gf, fg = Residuator(ds2, ds2_table).pair(Path(src, (g,)), Path(src, (f,)))
     assert ds2.fmt_path(gf) == "a[g] ; [m]b"
     assert ds2.fmt_path(fg) == "[g]"
     # equal steps
     s = parse_path("b[g]a", ds2).steps[0]
-    gf, fg = step_residual(s, s, ds2_table, ds2)
+    src = ds2.step_source(s)
+    gf, fg = Residuator(ds2, ds2_table).pair(Path(src, (s,)), Path(src, (s,)))
     assert gf.steps == () and fg.steps == ()
     # disjoint steps commute by exchange
     f2 = parse_path("[g]ba", ds2).steps[0]
     g2 = parse_path("ba[g]", ds2).steps[0]
-    gf, fg = step_residual(f2, g2, ds2_table, ds2)
+    src = ds2.step_source(f2)
+    gf, fg = Residuator(ds2, ds2_table).pair(Path(src, (g2,)), Path(src, (f2,)))
     assert ds2.fmt_path(gf) == "ab[g]"
     assert ds2.fmt_path(fg) == "[g]ab"
 
@@ -68,7 +70,8 @@ def test_step_residual_context_peeling(ds2, ds2_table):
     # delta entry wrapped in right context a, on bbaa
     f = parse_path("b[g]a", ds2).steps[0]
     g = parse_path("[n]aa", ds2).steps[0]
-    gf, fg = step_residual(f, g, ds2_table, ds2)
+    src = ds2.step_source(f)
+    gf, fg = Residuator(ds2, ds2_table).pair(Path(src, (g,)), Path(src, (f,)))
     assert ds2.fmt_path(gf) == "[g]ba ; a[n]a"
     assert ds2.fmt_path(fg) == "[g]a"
 
@@ -87,7 +90,8 @@ eqgen g : b a -> a b
     f = parse_path("[g]a", p).steps[0]
     g = parse_path("b[m]", p).steps[0]
     with pytest.raises(ResiduationError):
-        step_residual(f, g, table, p)
+        src = p.step_source(f)
+        Residuator(p, table).pair(Path(src, (g,)), Path(src, (f,)))
 
 
 def test_path_residual_mon_res(ds2, ds2_table):
@@ -284,8 +288,9 @@ def test_equational_equational_tile():
     table = derive_residual_table(pres)
     u = parse_path("[u]", pres).steps[0]
     v = parse_path("[v]", pres).steps[0]
-    vu, uv = step_residual(u, v, table, pres)
+    src = pres.step_source(u)
+    vu, uv = Residuator(pres, table).pair(Path(src, (v,)), Path(src, (u,)))
     assert pres.fmt_path(vu) == "[p]" and pres.fmt_path(uv) == "[q]"
     # querying with the roles swapped flips the answer
-    uv2, vu2 = step_residual(v, u, table, pres)
+    uv2, vu2 = Residuator(pres, table).pair(Path(src, (u,)), Path(src, (v,)))
     assert (uv2, vu2) == (uv, vu)
