@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on pass/success, 1 on a failed check or unequal comparison,
-2 on usage or parse errors and on runs that could not finish (input too deep
-or too large, output pipe closed).  Every failing check prints machine-parseable
-``WITNESS:`` lines.  Output is deterministic for identical invocations.
+2 on usage or parse errors and on runs that could not finish (unreadable
+input, input too deep or too large, output pipe closed).  Every failing check
+prints machine-parseable ``WITNESS:`` lines.  Output is deterministic for
+identical invocations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from pathlib import Path as FsPath
 
-from . import coherence, constructions, critical, objects, oracle, residuation
+from . import coherence, constructions, objects, oracle, residuation
 from .core import (
     CohpresError,
     Presentation,
@@ -103,21 +104,17 @@ def cmd_residual(args) -> int:
 
 def cmd_critical(args) -> int:
     p = _load(args.file)
-    table = residuation.derive_residual_table(p)
+    ctx = coherence.CheckContext(p)
     if not args.cylinders:
-        pairs = critical.enumerate_critical_pairs(p, table)
-        print(f"critical pairs: {len(pairs)}")
-        for cp in pairs:
+        print(f"critical pairs: {len(ctx.pairs)}")
+        for cp in ctx.pairs:
             status = "resolved" if cp.resolved else "UNRESOLVED"
             print(
                 f"  {p.fmt_word(cp.word)}: {p.fmt_step(cp.f)} vs {p.fmt_step(cp.g)} [{status}]"
             )
     if not args.pairs:
-        cyls = critical.enumerate_critical_cylinders(p, table)
-        print(f"critical cylinders: {len(cyls)}")
-        res = residuation.Residuator(p, table)
-        for cyl in cyls:
-            v = critical.check_cylinder(cyl, p, table, res=res)
+        print(f"critical cylinders: {len(ctx.cylinders)}")
+        for cyl, v in ctx.cylinder_verdicts:
             tops = "-" if v.top is None else str(len(v.top.cells))
             print(
                 f"  {p.fmt_step(cyl.f)} | {p.fmt_instance(cyl.base)} "
@@ -193,6 +190,13 @@ def cmd_tietze(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cohpres",
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--strong", action="store_true", help="strong-confluence exemption in A4")
     c.add_argument("--report", help="write the structured JSON report here")
     c.add_argument("--timings", action="store_true", help="include timings in the report")
-    c.add_argument("--term-budget", type=int, default=10_000)
+    c.add_argument("--term-budget", type=positive_int, default=10_000)
     c.add_argument("--max-word-len", type=int, default=6)
     c.add_argument("--depth", type=int, default=12, help="top-trace search depth")
     c.add_argument("--budget", type=int, default=50_000)
@@ -274,20 +278,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader went away; send what is still buffered to devnull so the
+        # flush at interpreter exit does not raise again.  This clause must
+        # stay ahead of the OSError one below, which would also match.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
         return 2
-    except CohpresError as exc:
+    except (OSError, UnicodeDecodeError, CohpresError) as exc:
+        # unreadable input (missing, a directory, not UTF-8) or a parse error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # The reader went away; send what is still buffered to devnull so the
-        # flush at interpreter exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output pipe closed", file=sys.stderr)
         return 2
 
 

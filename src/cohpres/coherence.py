@@ -35,7 +35,6 @@ from .critical import (
 )
 from .objects import check_equational_termination, transposition_number, words_upto
 from .residuation import (
-    ResidualTable,
     ResiduationError,
     Residuator,
     derive_residual_table,
@@ -145,141 +144,23 @@ def omega2_base(p: Presentation) -> WeightSpec | None:
 
 
 # ---------------------------------------------------------------------------
-# A1: residuation tiles + equational termination
-
-
-def check_a1(
-    p: Presentation,
-    table: ResidualTable,
-    pairs: list[CriticalPair] | None = None,
-    term_budget: int = 10_000,
-    max_len: int = 6,
-) -> Verdict:
-    if pairs is None:
-        pairs = enumerate_critical_pairs(p, table)
-    witnesses: list[str] = []
-    for cp in pairs:
-        if cp.resolved is None:
-            witnesses.append(
-                f"unresolved critical pair ({p.fmt_step(cp.f)}, {p.fmt_step(cp.g)}) "
-                f"on {p.fmt_word(cp.word)}"
-            )
-    for msg in table.conflicts:
-        witnesses.append(msg)
-    term = check_equational_termination(p, budget=term_budget, max_len=max_len)
-    if term.status == "cycle":
-        witnesses.append(
-            "equational cycle: " + " -> ".join(p.fmt_word(w) for w in term.cycle)
-        )
-    if witnesses:
-        return Verdict("fail", witnesses)
-    if term.status == "budget_exhausted":
-        return Verdict(
-            "inconclusive",
-            [],
-            f"termination exploration exhausted its budget of {term.budget} words",
-        )
-    return Verdict("pass", [], f"{len(pairs)} critical pairs resolved; terminating")
-
-
-# ---------------------------------------------------------------------------
-# A2: one-dimensional termination weight
-
-
-def check_a2(
-    p: Presentation,
-    table: ResidualTable,
-    w1: WeightSpec | None = None,
-    mid_len: int = 2,
-    ctx_len: int = 3,
-) -> Verdict:
-    if not p.equational_names:
-        return Verdict("pass", [], "vacuous: no equational generators")
-    if w1 is None:
-        w1 = omega1(p)
-    if w1 is None:
-        return Verdict("inconclusive", [], "no omega1 weight block supplied")
-    witnesses: list[str] = []
-
-    def strict(res_w, orig_w, what: str) -> None:
-        if not weight_less(w1, res_w, orig_w):
-            witnesses.append(f"omega1 not decreasing on {what}: {res_w} !< {orig_w}")
-
-    contexts = words_upto(p, ctx_len)
-    try:
-        entries = sorted(table.entries.items(), key=lambda kv: str(kv[0]))
-        for _, e in entries:
-            if p.is_equational_step(e.second):
-                continue
-            strict(
-                weight_of_path(w1, e.second_after_first, p),
-                eval_weight(w1, e.second, p),
-                f"tile residual {p.fmt_path(e.second_after_first)} of {p.fmt_step(e.second)}",
-            )
-            if p.mode != "monoidal":
-                continue
-            # context compatibility, sampled over whiskering contexts
-            for x in contexts:
-                for y in contexts:
-                    if not x and not y:
-                        continue
-                    wres = weight_of_path(
-                        w1, tensor_ctx(p, x, e.second_after_first, y), p
-                    )
-                    worig = eval_weight(
-                        w1, RewriteStep(x + e.second.left, e.second.gen, e.second.right + y), p
-                    )
-                    if not weight_less(w1, wres, worig):
-                        witnesses.append(
-                            f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "
-                            f"of tile for {p.fmt_step(e.second)}: {wres} !< {worig}"
-                        )
-                        break
-                else:
-                    continue
-                break
-        # exchange residuals: all generator pairs, middle words up to mid_len
-        if p.mode == "monoidal":
-            for e in p.generators:
-                if not e.equational:
-                    continue
-                for h in p.generators:
-                    for mid in words_upto(p, mid_len):
-                        for e_left in (True, False):
-                            if e_left:
-                                f = RewriteStep((), e.name, mid + h.source)
-                                g = RewriteStep(e.source + mid, h.name, ())
-                            else:
-                                f = RewriteStep(h.source + mid, e.name, ())
-                                g = RewriteStep((), h.name, mid + e.source)
-                            if not steps_disjoint(p, f, g):
-                                continue
-                            res = retype_step(p, g, f)
-                            strict(
-                                eval_weight(w1, res, p),
-                                eval_weight(w1, g, p),
-                                f"exchange residual {p.fmt_step(res)} of {p.fmt_step(g)} "
-                                f"after {p.fmt_step(f)}",
-                            )
-    except WeightError as exc:
-        return Verdict("inconclusive", [], str(exc))
-    if witnesses:
-        return Verdict("fail", witnesses)
-    return Verdict("pass", [], "strict decrease on tiles and sampled exchange residuals")
-
-
-# ---------------------------------------------------------------------------
-# A3 / A3': cylinder property
+# the per-run check context
 
 
 BaseRecord = tuple[RewriteStep, RelationInstance, CellTrace | None, Path | None]
 
 
 class CheckContext:
-    """What one ``check_all`` run computes at most once and shares between
-    the assumption checks and the attempts of an opposite probe: the
-    residual table and, on first use, the critical pairs and cylinders, one
-    memoizing ``Residuator`` and the sampled equational-base records.
+    """One presentation under one set of bounds: the only input of the
+    assumption checks.  It derives the residual table and computes, on first
+    use and at most once, everything that does not depend on
+    ``(a3_mode, strong)``: the critical pairs and cylinders, one memoizing
+    ``Residuator``, the verdict of each critical cylinder and the sampled
+    equational-base records.  The attempts of an opposite probe and
+    ``cohpres critical`` share them.
+
+    ``term_budget`` and ``max_len`` bound the termination exploration of A1;
+    ``max_cells`` and ``budget`` bound each cylinder's top-trace search.
 
     A base record ``(f, inst, top, fg)`` holds, for a sampled trivially
     completable coincidence of the vertical ``f`` with the equational-sided
@@ -293,7 +174,7 @@ class CheckContext:
     positions relative to the shared context), and the top-trace search from
     x·l·y to x·r·y visits the whiskerings of the states it visits from l to r,
     move for move and in the same order, so it returns the whiskered trace
-    and runs out of ``max_cells`` or ``budget`` exactly when the core search
+    and runs out of its cell or node budget exactly when the core search
     does.  The search needs one condition for this: every side of every
     relation has a step with empty left context and one with empty right
     context.  A side whose outer letters no step touches (an identity side
@@ -303,9 +184,20 @@ class CheckContext:
     the whole run rather than per call, and memo hits cost nothing.
     """
 
-    def __init__(self, p: Presentation, table: ResidualTable | None = None):
+    def __init__(
+        self,
+        p: Presentation,
+        term_budget: int = 10_000,
+        max_len: int = 6,
+        max_cells: int = 12,
+        budget: int = 50_000,
+    ):
         self.p = p
-        self.table = derive_residual_table(p) if table is None else table
+        self.term_budget = term_budget
+        self.max_len = max_len
+        self.max_cells = max_cells
+        self.budget = budget
+        self.table = derive_residual_table(p)
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
@@ -318,6 +210,13 @@ class CheckContext:
     @cached_property
     def residuator(self) -> Residuator:
         return Residuator(self.p, self.table)
+
+    @cached_property
+    def cylinder_verdicts(self) -> list[tuple[CriticalCylinder, CylinderVerdict]]:
+        return [
+            (c, check_cylinder(c, self.residuator, self.max_cells, self.budget))
+            for c in self.cylinders
+        ]
 
     @cached_property
     def base_records(self) -> list[BaseRecord]:
@@ -355,7 +254,7 @@ class CheckContext:
         return records
 
     def _base_core(
-        self, f: RewriteStep, inst: RelationInstance, max_cells: int = 8, budget: int = 20_000
+        self, f: RewriteStep, inst: RelationInstance
     ) -> tuple[CellTrace | None, Path | None]:
         """(top, fg) for the coincidence of ``f`` with ``inst``."""
         from . import oracle
@@ -370,32 +269,132 @@ class CheckContext:
             return None, None
         if l_res == r_res:
             return CellTrace(l_res, ()), fg
-        return oracle.search_trace(p, l_res, r_res, max_cells=max_cells, budget=budget), fg
+        return oracle.search_trace(p, l_res, r_res, max_cells=8, budget=20_000), fg
 
 
-def check_a3(
-    p: Presentation,
-    table: ResidualTable,
-    cylinders: list[CriticalCylinder] | None = None,
-    mode: str = "strict",
-    max_cells: int = 12,
-    budget: int = 50_000,
-    ctx: CheckContext | None = None,
-) -> tuple[Verdict, list[tuple[CriticalCylinder, CylinderVerdict]]]:
-    if ctx is None:
-        ctx = CheckContext(p, table)
-    if cylinders is None:
-        cylinders = ctx.cylinders
-    results: list[tuple[CriticalCylinder, CylinderVerdict]] = []
+# ---------------------------------------------------------------------------
+# A1: residuation tiles + equational termination
+
+
+def check_a1(ctx: CheckContext) -> Verdict:
+    p = ctx.p
+    witnesses: list[str] = []
+    for cp in ctx.pairs:
+        if cp.resolved is None:
+            witnesses.append(
+                f"unresolved critical pair ({p.fmt_step(cp.f)}, {p.fmt_step(cp.g)}) "
+                f"on {p.fmt_word(cp.word)}"
+            )
+    for msg in ctx.table.conflicts:
+        witnesses.append(msg)
+    term = check_equational_termination(p, budget=ctx.term_budget, max_len=ctx.max_len)
+    if term.status == "cycle":
+        witnesses.append(
+            "equational cycle: " + " -> ".join(p.fmt_word(w) for w in term.cycle)
+        )
+    if witnesses:
+        return Verdict("fail", witnesses)
+    if term.status == "budget_exhausted":
+        return Verdict(
+            "inconclusive",
+            [],
+            f"termination exploration exhausted its budget of {term.budget} words",
+        )
+    return Verdict("pass", [], f"{len(ctx.pairs)} critical pairs resolved; terminating")
+
+
+# ---------------------------------------------------------------------------
+# A2: one-dimensional termination weight
+
+
+def check_a2(ctx: CheckContext) -> Verdict:
+    p = ctx.p
+    if not p.equational_names:
+        return Verdict("pass", [], "vacuous: no equational generators")
+    w1 = omega1(p)
+    if w1 is None:
+        return Verdict("inconclusive", [], "no omega1 weight block supplied")
+    witnesses: list[str] = []
+
+    def strict(res_w, orig_w, what: str) -> None:
+        if not weight_less(w1, res_w, orig_w):
+            witnesses.append(f"omega1 not decreasing on {what}: {res_w} !< {orig_w}")
+
+    contexts = words_upto(p, 3)
+    try:
+        entries = sorted(ctx.table.entries.items(), key=lambda kv: str(kv[0]))
+        for _, e in entries:
+            if p.is_equational_step(e.second):
+                continue
+            strict(
+                weight_of_path(w1, e.second_after_first, p),
+                eval_weight(w1, e.second, p),
+                f"tile residual {p.fmt_path(e.second_after_first)} of {p.fmt_step(e.second)}",
+            )
+            if p.mode != "monoidal":
+                continue
+            # context compatibility, sampled over whiskering contexts
+            for x in contexts:
+                for y in contexts:
+                    if not x and not y:
+                        continue
+                    wres = weight_of_path(
+                        w1, tensor_ctx(p, x, e.second_after_first, y), p
+                    )
+                    worig = eval_weight(
+                        w1, RewriteStep(x + e.second.left, e.second.gen, e.second.right + y), p
+                    )
+                    if not weight_less(w1, wres, worig):
+                        witnesses.append(
+                            f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "
+                            f"of tile for {p.fmt_step(e.second)}: {wres} !< {worig}"
+                        )
+                        break
+                else:
+                    continue
+                break
+        # exchange residuals: all generator pairs, middle words up to length 2
+        if p.mode == "monoidal":
+            mids = words_upto(p, 2)
+            for e in p.generators:
+                if not e.equational:
+                    continue
+                for h in p.generators:
+                    for mid in mids:
+                        for e_left in (True, False):
+                            if e_left:
+                                f = RewriteStep((), e.name, mid + h.source)
+                                g = RewriteStep(e.source + mid, h.name, ())
+                            else:
+                                f = RewriteStep(h.source + mid, e.name, ())
+                                g = RewriteStep((), h.name, mid + e.source)
+                            if not steps_disjoint(p, f, g):
+                                continue
+                            res = retype_step(p, g, f)
+                            strict(
+                                eval_weight(w1, res, p),
+                                eval_weight(w1, g, p),
+                                f"exchange residual {p.fmt_step(res)} of {p.fmt_step(g)} "
+                                f"after {p.fmt_step(f)}",
+                            )
+    except WeightError as exc:
+        return Verdict("inconclusive", [], str(exc))
+    if witnesses:
+        return Verdict("fail", witnesses)
+    return Verdict("pass", [], "strict decrease on tiles and sampled exchange residuals")
+
+
+# ---------------------------------------------------------------------------
+# A3 / A3': cylinder property
+
+
+def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
+    p = ctx.p
     failures: list[str] = []
     open_questions: list[str] = []
-    for cyl in cylinders:
-        v = check_cylinder(
-            cyl, p, table, max_cells=max_cells, budget=budget, res=ctx.residuator
-        )
-        results.append((cyl, v))
+    ok = ("equal",) if mode == "strict" else ("equal", "exchange_equal")
+    for cyl, v in ctx.cylinder_verdicts:
         label = f"cylinder ({p.fmt_step(cyl.f)} | {p.fmt_instance(cyl.base)})"
-        ok = ("equal",) if mode == "strict" else ("equal", "exchange_equal")
         if v.residual_targets_equal not in ok:
             detail = ""
             if v.vertical_residuals:
@@ -409,7 +408,7 @@ def check_a3(
             open_questions.append(f"{label}: no top trace found ({v.notes})")
     if mode == "up_to_exchange":
         # condition 2: residuals of exchange cells stay composites of exchanges
-        for cyl, v in results:
+        for cyl, v in ctx.cylinder_verdicts:
             if cyl.base.exch is None or v.top is None:
                 continue
             if any(c.inst.exch is None for c in v.top.cells):
@@ -430,34 +429,21 @@ def check_a3(
                     "uses non-exchange cells"
                 )
     if failures:
-        return Verdict("fail", failures + open_questions), results
+        return Verdict("fail", failures + open_questions)
     if open_questions:
-        return Verdict("inconclusive", open_questions, "top-trace search exhausted"), results
-    return (
-        Verdict("pass", [], f"{len(results)} critical cylinders close ({mode})"),
-        results,
-    )
+        return Verdict("inconclusive", open_questions, "top-trace search exhausted")
+    return Verdict("pass", [], f"{len(ctx.cylinder_verdicts)} critical cylinders close ({mode})")
 
 
 # ---------------------------------------------------------------------------
 # A4: two-dimensional termination weight
 
 
-def check_a4(
-    p: Presentation,
-    cylinder_results: list[tuple[CriticalCylinder, CylinderVerdict]],
-    strong: bool = False,
-    w2v: WeightSpec | None = None,
-    w2b: WeightSpec | None = None,
-    ctx: CheckContext | None = None,
-) -> Verdict:
-    """``ctx`` enables the sampled equational-base checks."""
+def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
+    p = ctx.p
     if not p.equational_names:
         return Verdict("pass", [], "vacuous: no equational generators")
-    if w2v is None:
-        w2v = omega2_vertical(p)
-    if w2b is None:
-        w2b = omega2_base(p)
+    w2v, w2b = omega2_vertical(p), omega2_base(p)
     witnesses: list[str] = []
     inconclusive_notes: list[str] = []
 
@@ -465,7 +451,7 @@ def check_a4(
         return strong and rv is not None and len(rv.steps) <= 1
 
     try:
-        for cyl, v in cylinder_results:
+        for cyl, v in ctx.cylinder_verdicts:
             spec = w2v if cyl.flavor == "equational_vertical" else w2b
             if spec is None:
                 return Verdict("inconclusive", [], "missing omega2 weight block")
@@ -482,7 +468,7 @@ def check_a4(
                 witnesses.append(
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
-        if w2b is not None and ctx is not None:
+        if w2b is not None:
             for f, inst, top, rv in ctx.base_records:
                 if top is None:
                     inconclusive_notes.append(
@@ -532,16 +518,17 @@ def check_all(
     presentation for the faithful-embedding conclusion."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    ctx = CheckContext(p)
-    a1 = check_a1(p, ctx.table, ctx.pairs, term_budget=term_budget, max_len=max_len)
+    ctx = CheckContext(p, term_budget, max_len, max_cells, budget)
+    a1 = check_a1(ctx)
     timings["a1"] = time.perf_counter() - t0
 
     if a1.status == "pass":
         t0 = time.perf_counter()
-        a2 = check_a2(p, ctx.table)
+        a2 = check_a2(ctx)
         timings["a2"] = time.perf_counter() - t0
-        a3, results, a4 = _check_a3_a4(ctx, a3_mode, strong, max_cells, budget, timings)
+        a3, a4 = _check_a3_a4(ctx, a3_mode, strong, timings)
         assumptions = {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
+        results = ctx.cylinder_verdicts
     else:
         skip = Verdict("inconclusive", [], "skipped: A1 did not pass")
         assumptions = {"a1": a1, "a2": skip, "a3": skip, "a4": skip}
@@ -553,80 +540,54 @@ def check_all(
         coherent = "fail"
     else:
         coherent = "inconclusive"
-    report = CheckReport(
-        p.mode, a3_mode, strong, assumptions, ctx.pairs, results, coherent, "", timings=timings
+    faithful, note = "inconclusive", "opposite presentation not checked"
+    if run_opposite:
+        from .constructions import opposite
+
+        op = opposite(p)
+        t0 = time.perf_counter()
+        # the opposite keeps the default search bounds
+        op_ctx = CheckContext(op, term_budget, max_len)
+        faithful, note = _faithful_embedding(op_ctx, a3_mode, strong)
+        timings["opposite"] = time.perf_counter() - t0
+    return CheckReport(
+        p.mode, a3_mode, strong, assumptions, ctx.pairs, results, coherent, faithful, note,
+        timings=timings,
     )
-    _fill_faithful(report, p, a3_mode, strong, run_opposite, term_budget, max_len)
-    return report
 
 
 def _check_a3_a4(
-    ctx: CheckContext,
-    a3_mode: str,
-    strong: bool,
-    max_cells: int,
-    budget: int,
-    timings: dict[str, float],
-) -> tuple[Verdict, list[tuple[CriticalCylinder, CylinderVerdict]], Verdict]:
-    """The A3 and A4 verdicts and the cylinder results; only these depend on
-    ``(a3_mode, strong)``."""
-    p = ctx.p
+    ctx: CheckContext, a3_mode: str, strong: bool, timings: dict[str, float]
+) -> tuple[Verdict, Verdict]:
+    """The A3 and A4 verdicts; only these depend on ``(a3_mode, strong)``."""
     t0 = time.perf_counter()
-    a3, results = check_a3(
-        p, ctx.table, ctx.cylinders, mode=a3_mode, max_cells=max_cells, budget=budget, ctx=ctx
-    )
+    a3 = check_a3(ctx, a3_mode)
     timings["a3"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if a3.status == "pass":
-        a4 = check_a4(p, results, strong=strong, ctx=ctx)
+        a4 = check_a4(ctx, strong)
     else:
         a4 = Verdict("inconclusive", [], "skipped: A3 did not pass")
     timings["a4"] = time.perf_counter() - t0
-    return a3, results, a4
+    return a3, a4
 
 
-def _fill_faithful(
-    report: CheckReport,
-    p: Presentation,
-    a3_mode: str,
-    strong: bool,
-    run_opposite: bool,
-    term_budget: int,
-    max_len: int,
-) -> None:
-    """Check the opposite presentation with one context: A1 and A2 once, then
-    A3 and A4 for each ``(a3_mode, strong)`` attempt until one passes."""
-    if not run_opposite:
-        report.faithful_embedding = "inconclusive"
-        report.faithful_note = "opposite presentation not checked"
-        return
-    from .constructions import opposite
-
-    op = opposite(p)
-    t0 = time.perf_counter()
-    ctx = CheckContext(op)
-    a1 = check_a1(op, ctx.table, ctx.pairs, term_budget=term_budget, max_len=max_len)
-    if a1.status == "pass" and check_a2(op, ctx.table).status == "pass":
+def _faithful_embedding(ctx: CheckContext, a3_mode: str, strong: bool) -> tuple[str, str]:
+    """The faithful-embedding verdict and note from the opposite
+    presentation's context: A1 and A2 once, then A3 and A4 for each
+    ``(a3_mode, strong)`` attempt until one passes."""
+    a1 = check_a1(ctx)
+    if a1.status == "pass" and check_a2(ctx).status == "pass":
         attempts = [("strict", False), (a3_mode, strong), ("up_to_exchange", True)]
         for mode, strg in dict.fromkeys(attempts):
-            # the opposite keeps the default search bounds
-            a3, _, a4 = _check_a3_a4(ctx, mode, strg, max_cells=12, budget=50_000, timings={})
+            a3, a4 = _check_a3_a4(ctx, mode, strg, {})
             if a3.status == a4.status == "pass":
-                report.faithful_embedding = "pass"
-                report.faithful_note = f"opposite presentation coherent ({mode}"
-                report.faithful_note += ", strong)" if strg else ")"
-                report.timings["opposite"] = time.perf_counter() - t0
-                return
-    report.timings["opposite"] = time.perf_counter() - t0
+                suffix = ", strong)" if strg else ")"
+                return "pass", f"opposite presentation coherent ({mode}{suffix}"
     if a1.status == "fail":
-        report.faithful_embedding = "fail"
-        report.faithful_note = "opposite presentation fails convergence (A1)"
-    else:
-        report.faithful_embedding = "inconclusive"
-        report.faithful_note = (
-            "opposite presentation not verified with the carried-over weights"
-        )
+        return "fail", "opposite presentation fails convergence (A1)"
+    return "inconclusive", "opposite presentation not verified with the carried-over weights"
 
 
 # ---------------------------------------------------------------------------

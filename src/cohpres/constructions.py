@@ -45,7 +45,6 @@ def _reverse_path(p: Presentation, path: Path) -> Path:
 def opposite(p: Presentation) -> Presentation:
     """Reverse every generator and relation; equational set carries over."""
     gens = tuple(MorGen(g.name, g.target, g.source, g.equational) for g in p.generators)
-    op = Presentation(p.mode, p.objects, gens, (), dict(p.weights))
     rels = tuple(
         Relation(r.name, _reverse_path(p, r.lhs), _reverse_path(p, r.rhs))
         for r in p.relations
@@ -375,9 +374,13 @@ def sample_fraction_agreement(
     n_samples: int,
 ) -> dict:
     """Compare the mediating-pair search against normal-form image equality
-    on sampled parallel fraction pairs."""
-    small = words_upto(p, 4)
-    srcs = [w for w in small if 3 <= len(w) <= 4][:12]
+    on sampled parallel fraction pairs.  In path mode every object word is a
+    single object, so sources and denominators start at single objects."""
+    if p.mode == "path":
+        small = srcs = words_upto(p, 1)[1:]
+    else:
+        small = words_upto(p, 4)
+        srcs = [w for w in small if 3 <= len(w) <= 4][:12]
     if not srcs:
         srcs = [w for w in normals if len(w) <= 3][:4]
     dens_by_target: dict[Word, list[Path]] = {}

@@ -139,11 +139,6 @@ class RelationInstance:
     name: str | None = None
     exch: tuple[str, Word, str] | None = None
 
-    def key(self) -> str:
-        if self.name is not None:
-            return self.name
-        return "exch"
-
 
 @dataclass(frozen=True)
 class CellStep:

@@ -248,20 +248,15 @@ def enumerate_critical_cylinders(
 
 
 def check_cylinder(
-    c: CriticalCylinder,
-    p: Presentation,
-    table: ResidualTable,
-    max_cells: int = 12,
-    budget: int = 50_000,
-    res: Residuator | None = None,
+    c: CriticalCylinder, res: Residuator, max_cells: int = 12, budget: int = 50_000
 ) -> CylinderVerdict:
     """Compare the vertical's residuals along the base's two sides and search
-    for the cylinder top connecting the sides' residuals.  ``res`` lets
-    several checks share one memo."""
+    for the cylinder top connecting the sides' residuals.  The presentation
+    and the residual table are those of ``res``, whose memo several checks
+    may share."""
     from . import oracle
 
-    if res is None:
-        res = Residuator(p, table)
+    p = res.p
     g1, g2 = instance_sides(p, c.base)
     fpath = Path(g1.source, (c.f,))
     try:
@@ -290,20 +285,19 @@ def check_cylinder(
 # trivially completable coincidences (sampled for the weight checks)
 
 
-def trivial_equational_base_samples(
-    p: Presentation, max_mid: int = 2, max_ctx: int = 2
-) -> list[tuple[RewriteStep, RelationInstance]]:
+def trivial_equational_base_samples(p: Presentation) -> list[tuple[RewriteStep, RelationInstance]]:
     """Sampled (vertical step, equational-sided base) coincidences of the
     trivially completable shape: the vertical does not touch both exchanged
-    factors (for exchange bases) or is disjoint/nested (for named bases)."""
+    factors (for exchange bases) or is disjoint/nested (for named bases).
+    Contexts and exchange middles range over the words up to length 2."""
     out: list[tuple[RewriteStep, RelationInstance]] = []
     if p.mode != "monoidal":
         return out
-    words, mids = words_upto(p, max_ctx), words_upto(p, max_mid)
+    words = words_upto(p, 2)
     eq_gens = [g for g in p.generators if g.equational]
     for e1 in eq_gens:
         for e2 in eq_gens:
-            for mid in mids:
+            for mid in words:
                 span = e1.source + mid + e2.source
                 i1 = (0, len(e1.source))
                 i2 = (len(e1.source) + len(mid), len(span))

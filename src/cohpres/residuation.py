@@ -437,23 +437,3 @@ class Residuator:
                 cur = CellTrace(residuals[0], ())
             remaining = subpath(remaining, 1, len(remaining.steps), p)
         return cur
-
-
-# ---------------------------------------------------------------------------
-# spec-level wrappers
-
-
-@dataclass(frozen=True)
-class ResidualWitness:
-    left: Path  # f ; (g/f)
-    right: Path  # g ; (f/g)
-    trace: CellTrace
-
-
-def residual_witness(
-    f: Path, g: Path, table: ResidualTable, p: Presentation
-) -> ResidualWitness:
-    """The 2-cell witnessing that (g/f);f and (f/g);g are cofinal equals."""
-    res = Residuator(p, table)
-    gf, fg, trace = res.pair_with_witness(g, f)
-    return ResidualWitness(compose(p, f, gf), compose(p, g, fg), trace)

@@ -93,6 +93,15 @@ def test_critical_command(capsys):
     assert code == 0
     assert "critical pairs: 2" in out
     assert "critical cylinders: 3" in out
+    assert out == (
+        "critical pairs: 2\n"
+        "  baa: [g]a vs b[m] [resolved]\n"
+        "  bba: b[g] vs [n]a [resolved]\n"
+        "critical cylinders: 3\n"
+        "  [g]aa | b(alpha) [equational_vertical] verticals=equal top=3\n"
+        "  bb[g] | (beta)a [equational_vertical] verticals=equal top=3\n"
+        "  b[g]a | (exch(n,0,m)) [equational_vertical] verticals=equal top=4\n"
+    )
     code, out = run(capsys, "critical", CORPUS / "ds2op.cp", "--cylinders")
     assert "critical cylinders: 1" in out
 
@@ -153,10 +162,22 @@ def test_tietze_command(capsys, tmp_path):
     assert code == 1 and "refused" in out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["check", "/nonexistent/file.cp"]) == 2
     code = main(["bogus-subcommand"])  # argparse error
     assert code == 2
+    latin1 = tmp_path / "latin1.cp"
+    latin1.write_bytes(b"# caf\xe9\nmode path\nobjects x\n")
+    for argv in (
+        ["check", str(CORPUS)],  # a directory
+        ["check", str(latin1)],  # not UTF-8
+        ["check", str(CORPUS / "ds2.cp"), "--term-budget", "0"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([l for l in err.splitlines() if "error:" in l]) == 1
 
 
 def test_compare_ds2_cli(capsys):

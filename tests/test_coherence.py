@@ -22,7 +22,7 @@ from cohpres.constructions import opposite
 from cohpres.core import CellTrace, Path, instance_sides, parse_path, parse_presentation
 from cohpres.critical import trivial_equational_base_samples
 from cohpres.oracle import search_trace
-from cohpres.residuation import ResiduationError, Residuator, derive_residual_table
+from cohpres.residuation import ResiduationError, Residuator
 
 
 def test_eval_weight_examples(ds2):
@@ -61,16 +61,16 @@ def test_lex_order_compatible_with_addition():
             assert weight_less(spec, lhs, rhs)
 
 
-def test_a1_verdicts(ds2, ds2_table, huet, huet_table, deltas):
-    assert check_a1(ds2, ds2_table).status == "pass"
-    v = check_a1(huet, huet_table)
+def test_a1_verdicts(ds2, huet, deltas):
+    assert check_a1(CheckContext(ds2)).status == "pass"
+    v = check_a1(CheckContext(huet))
     assert v.status == "fail"
     assert any("x -> y -> x" in w for w in v.witnesses)
-    assert check_a1(deltas, derive_residual_table(deltas)).status == "pass"
+    assert check_a1(CheckContext(deltas)).status == "pass"
 
 
-def test_a2_verdicts(ds2, ds2_table):
-    assert check_a2(ds2, ds2_table).status == "pass"
+def test_a2_verdicts(ds2):
+    assert check_a2(CheckContext(ds2)).status == "pass"
     zero = WeightSpec(
         "omega1",
         "steps",
@@ -78,7 +78,10 @@ def test_a2_verdicts(ds2, ds2_table):
         1,
         {g.name: (parse_zero(),) for g in ds2.generators},
     )
-    v = check_a2(ds2, ds2_table, w1=zero)
+    zeroed = type(ds2)(
+        ds2.mode, ds2.objects, ds2.generators, ds2.relations, {**ds2.weights, "omega1": zero}
+    )
+    v = check_a2(CheckContext(zeroed))
     assert v.status == "fail"
 
 
@@ -88,51 +91,51 @@ def parse_zero():
     return WeightTerm("const", (), 0)
 
 
-def test_a2_vacuous_and_missing(deltas, ds2, ds2_table):
-    assert check_a2(deltas, derive_residual_table(deltas)).status == "pass"
+def test_a2_vacuous_and_missing(deltas, ds2):
+    assert check_a2(CheckContext(deltas)).status == "pass"
     stripped = type(ds2)(ds2.mode, ds2.objects, ds2.generators, ds2.relations, {})
-    assert check_a2(stripped, ds2_table).status == "inconclusive"
+    assert check_a2(CheckContext(stripped)).status == "inconclusive"
 
 
-def test_a3_strict_pass_ds2(ds2, ds2_table):
-    v, results = check_a3(ds2, ds2_table, mode="strict")
+def test_a3_strict_pass_ds2(ds2):
+    ctx = CheckContext(ds2)
+    v = check_a3(ctx, "strict")
     assert v.status == "pass"
-    assert len(results) == 3
+    assert len(ctx.cylinder_verdicts) == 3
 
 
-def test_a3_strict_fail_ds2op(ds2op, ds2op_table):
-    v, _ = check_a3(ds2op, ds2op_table, mode="strict")
+def test_a3_strict_fail_ds2op(ds2op):
+    v = check_a3(CheckContext(ds2op), "strict")
     assert v.status == "fail"
     assert any("exch(m,0,n)" in w for w in v.witnesses)
 
 
-def test_a3_exchange_pass_ds2op(ds2op, ds2op_table):
-    v, _ = check_a3(ds2op, ds2op_table, mode="up_to_exchange")
+def test_a3_exchange_pass_ds2op(ds2op):
+    v = check_a3(CheckContext(ds2op), "up_to_exchange")
     assert v.status == "pass"
 
 
-def test_a3_exchange_fails_condition2_on_ds2(ds2, ds2_table):
+def test_a3_exchange_fails_condition2_on_ds2(ds2):
     # the third cylinder's top contains named cells, so residuation is not
     # compatible with exchange here
-    v, _ = check_a3(ds2, ds2_table, mode="up_to_exchange")
+    v = check_a3(CheckContext(ds2), "up_to_exchange")
     assert v.status == "fail"
     assert any("non-exchange" in w for w in v.witnesses)
 
 
-def test_a4_pass_ds2(ds2, ds2_table):
-    _, results = check_a3(ds2, ds2_table, mode="strict")
-    v = check_a4(ds2, results, strong=False, ctx=CheckContext(ds2, ds2_table))
+def test_a4_pass_ds2(ds2):
+    v = check_a4(CheckContext(ds2), strong=False)
     assert v.status == "pass"
 
 
-def test_a4_ds2op_strong_vs_nonstrong(ds2op, ds2op_table):
-    _, results = check_a3(ds2op, ds2op_table, mode="up_to_exchange")
-    weak = check_a4(ds2op, results, strong=False, ctx=CheckContext(ds2op, ds2op_table))
+def test_a4_ds2op_strong_vs_nonstrong(ds2op):
+    ctx = CheckContext(ds2op)
+    weak = check_a4(ctx, strong=False)
     assert weak.status == "fail"
     assert any(
         "(0, 1)" in w and "(0, 2)" in w and "ab(exch(g,0,g))" in w for w in weak.witnesses
     )
-    strong = check_a4(ds2op, results, strong=True, ctx=CheckContext(ds2op, ds2op_table))
+    strong = check_a4(ctx, strong=True)
     assert strong.status == "pass"
 
 
@@ -188,8 +191,7 @@ def test_a1_inconclusive_on_budget_exhaustion():
     from cohpres.core import parse_presentation
 
     p = parse_presentation("mode monoidal\nobjects a\neqgen d : a -> a a\n")
-    table = derive_residual_table(p)
-    v = check_a1(p, table, term_budget=200)
+    v = check_a1(CheckContext(p, term_budget=200))
     assert v.status == "inconclusive"
 
 
@@ -268,3 +270,19 @@ def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
     assert sampled.count(ds2op) == 1
     assert sampled.count(op) <= 1
     assert len(sampled) == sampled.count(ds2op) + sampled.count(op)
+
+
+def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
+    checked = []
+    real = coherence.check_cylinder
+
+    def counting(c, *args, **kwargs):
+        checked.append(c)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "check_cylinder", counting)
+    ctx = CheckContext(ds2op)
+    assert check_a3(ctx, "strict").status == "fail"
+    assert check_a3(ctx, "up_to_exchange").status == "pass"
+    assert check_a4(ctx, True).status == "pass"
+    assert checked == ctx.cylinders

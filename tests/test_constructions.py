@@ -15,9 +15,11 @@ from cohpres.constructions import (
     nf_tensor,
     opposite,
     quotient_presentation,
+    sample_fraction_agreement,
     tietze_apply,
 )
-from cohpres.oracle import search_trace
+from cohpres.objects import BudgetExhausted
+from cohpres.oracle import normal_words, search_trace
 from cohpres.residuation import derive_residual_table
 
 from conftest import paths_from
@@ -281,3 +283,36 @@ def test_tietze_validates_result(huet):
     # invalid presentation can escape
     with pytest.raises(Exception):
         tietze_apply(huet, "addgen p : x -> y' := [f]")
+
+
+PATH_MODE_COHERENT = """
+mode path
+objects x y z
+eqgen u  : x -> y
+gen   a1 : x -> z
+gen   a2 : x -> z
+gen   b1 : y -> z
+gen   b2 : y -> z
+rel t1  : [u] ; [b1] => [a1]
+rel t2  : [u] ; [b2] => [a2]
+rel e12 : [a1] => [a2]
+rel eb  : [b1] => [b2]
+"""
+
+
+def test_sample_fraction_agreement_path_mode(huet):
+    # path-mode fractions start at single objects: no whiskered step is built
+    p = parse_presentation(PATH_MODE_COHERENT)
+    got = sample_fraction_agreement(p, derive_residual_table(p), normal_words(p, 2), 3, 20)
+    assert got == {"checked": 8, "agreed": 8}
+    # huet's equational cycle leaves x without a normal form, so the
+    # normal-form side of the comparison runs out of budget
+    with pytest.raises(BudgetExhausted):
+        sample_fraction_agreement(huet, derive_residual_table(huet), normal_words(huet, 2), 3, 20)
+
+
+@pytest.mark.parametrize("name", ["ds2", "ds2op", "deltas"])
+def test_sample_fraction_agreement_monoidal(request, name):
+    p = request.getfixturevalue(name)
+    got = sample_fraction_agreement(p, derive_residual_table(p), normal_words(p, 2), 3, 20)
+    assert got == {"checked": 20, "agreed": 20}

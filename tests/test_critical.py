@@ -6,7 +6,7 @@ from cohpres.critical import (
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
 )
-from cohpres.residuation import _pair_key, steps_disjoint
+from cohpres.residuation import Residuator, _pair_key, steps_disjoint
 
 from conftest import all_words
 
@@ -94,7 +94,7 @@ def test_huet_no_cylinders(huet, huet_table):
 
 def test_ds2_cylinder_verdicts(ds2, ds2_table):
     for cyl in enumerate_critical_cylinders(ds2, ds2_table):
-        v = check_cylinder(cyl, ds2, ds2_table)
+        v = check_cylinder(cyl, Residuator(ds2, ds2_table))
         assert v.residual_targets_equal == "equal"
         assert v.top is not None
         # the top connects the two side residuals exactly
@@ -112,7 +112,7 @@ def test_ds2_cylinder_top_cells(ds2, ds2_table):
         "(exch(n,0,m))": ["delta", "exch(g,g)", "exch(m,n)", "gamma"],
     }
     for cyl in enumerate_critical_cylinders(ds2, ds2_table):
-        v = check_cylinder(cyl, ds2, ds2_table)
+        v = check_cylinder(cyl, Residuator(ds2, ds2_table))
         kinds = sorted(
             c.inst.name if c.inst.name else f"exch({c.inst.exch[0]},{c.inst.exch[2]})"
             for c in v.top.cells
@@ -123,7 +123,7 @@ def test_ds2_cylinder_top_cells(ds2, ds2_table):
 
 def test_ds2op_cylinder_exchange_equal(ds2op, ds2op_table):
     cyl = enumerate_critical_cylinders(ds2op, ds2op_table)[0]
-    v = check_cylinder(cyl, ds2op, ds2op_table)
+    v = check_cylinder(cyl, Residuator(ds2op, ds2op_table))
     assert v.residual_targets_equal == "exchange_equal"
     r1, r2 = v.vertical_residuals
     assert ds2op.fmt_path(r1) == "a[g]b ; ab[g] ; [g]ba ; b[g]a"

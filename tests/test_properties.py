@@ -185,13 +185,13 @@ weight omega2 on rels order lex dim 1 { t1 -> (0)  t2 -> (0)  e12 -> (1)  eb -> 
 def test_path_mode_critical_cylinder_end_to_end():
     from cohpres.coherence import check_all
     from cohpres.critical import check_cylinder, enumerate_critical_cylinders
-    from cohpres.residuation import derive_residual_table
+    from cohpres.residuation import Residuator, derive_residual_table
 
     p = parse_presentation(CYLINDER_PATH_MODE)
     table = derive_residual_table(p)
     cyls = enumerate_critical_cylinders(p, table)
     assert [(p.fmt_step(c.f), p.fmt_instance(c.base)) for c in cyls] == [("[u]", "(e12)")]
-    v = check_cylinder(cyls[0], p, table)
+    v = check_cylinder(cyls[0], Residuator(p, table))
     assert v.residual_targets_equal == "equal"
     assert v.top is not None and len(v.top.cells) == 1
     assert v.top.cells[0].inst.name == "eb"

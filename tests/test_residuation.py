@@ -10,7 +10,6 @@ from cohpres.residuation import (
     ResiduationError,
     Residuator,
     derive_residual_table,
-    residual_witness,
 )
 
 from conftest import all_words, paths_from
@@ -183,26 +182,27 @@ def test_order_independence_random_instances(ds2, ds2_table):
 def test_residual_witness_single_tile(ds2, ds2_table):
     f = parse_path("[g]a", ds2)
     g = parse_path("b[m]", ds2)
-    w = residual_witness(f, g, ds2_table, ds2)
-    assert len(w.trace.cells) == 1
-    assert w.trace.cells[0].inst.name == "gamma"
-    assert w.trace.source == w.left
-    assert check_trace(ds2, w.trace) == w.right
+    gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, f)
+    assert len(trace.cells) == 1
+    assert trace.cells[0].inst.name == "gamma"
+    assert trace.source == compose(ds2, f, gf)
+    assert check_trace(ds2, trace) == compose(ds2, g, fg)
 
 
 def test_residual_witness_identity(ds2, ds2_table):
     g = parse_path("[n]aa ; b[m]", ds2)
-    w = residual_witness(ds2.identity(g.source), g, ds2_table, ds2)
-    assert w.trace.cells == () and w.left == g and w.right == g
+    f = ds2.identity(g.source)
+    gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, f)
+    assert trace.cells == () and compose(ds2, f, gf) == g and compose(ds2, g, fg) == g
 
 
 def test_residual_witness_multicell(ds2, ds2_table):
     f = parse_path("b[g]a", ds2)
     g = parse_path("[n]aa ; b[m]", ds2)
-    w = residual_witness(f, g, ds2_table, ds2)
-    assert len(w.trace.cells) >= 2
-    assert w.trace.source == w.left
-    assert check_trace(ds2, w.trace) == w.right
+    gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, f)
+    assert len(trace.cells) >= 2
+    assert trace.source == compose(ds2, f, gf)
+    assert check_trace(ds2, trace) == compose(ds2, g, fg)
 
 
 def test_witness_endpoints_on_sampled_pairs(ds2, ds2_table):
