@@ -26,9 +26,15 @@ from .core import (
 )
 
 
+def _read(path: str) -> str:
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CohpresError(f"{path!r} is not UTF-8: {exc}") from None
+
+
 def _load(path: str) -> Presentation:
-    text = FsPath(path).read_text(encoding="utf-8")
-    return parse_presentation(text)
+    return parse_presentation(_read(path))
 
 
 def _print_verdict(name: str, v: coherence.Verdict, ensure_witness: bool = False) -> None:
@@ -178,7 +184,7 @@ def cmd_fractions(args) -> int:
 
 def cmd_tietze(args) -> int:
     p = _load(args.file)
-    script = FsPath(args.script).read_text(encoding="utf-8")
+    script = _read(args.script)
     try:
         out = constructions.tietze_apply(p, script)
     except constructions.TietzeRefusal as exc:
@@ -190,11 +196,19 @@ def cmd_tietze(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--report", help="write the structured JSON report here")
     c.add_argument("--timings", action="store_true", help="include timings in the report")
     c.add_argument("--term-budget", type=positive_int, default=10_000)
-    c.add_argument("--max-word-len", type=int, default=6)
-    c.add_argument("--depth", type=int, default=12, help="top-trace search depth")
-    c.add_argument("--budget", type=int, default=50_000)
+    c.add_argument("--max-word-len", type=non_negative_int, default=6)
+    c.add_argument("--depth", type=non_negative_int, default=12, help="top-trace search depth")
+    c.add_argument("--budget", type=non_negative_int, default=50_000)
     c.add_argument("--no-opposite", action="store_true", help="skip the opposite-presentation probe")
     c.set_defaults(func=cmd_check)
 
@@ -244,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("src")
     c.add_argument("tgt")
-    c.add_argument("--max-steps", type=int, required=True)
+    c.add_argument("--max-steps", type=non_negative_int, required=True)
     c.set_defaults(func=cmd_enumerate)
 
     c = sub.add_parser("compare", help="compare NF / quotient / localization at desk scale")
     c.add_argument("file")
-    c.add_argument("--max-word", type=int, required=True)
-    c.add_argument("--max-steps", type=int, required=True)
+    c.add_argument("--max-word", type=non_negative_int, required=True)
+    c.add_argument("--max-steps", type=non_negative_int, required=True)
     c.add_argument("--oracle", choices=["ds2"], default=None)
     c.set_defaults(func=cmd_compare)
 
@@ -259,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = c.add_mutually_exclusive_group(required=True)
     g.add_argument("--compose", nargs=4, metavar=("NUM1", "DEN1", "NUM2", "DEN2"))
     g.add_argument("--equal", nargs=4, metavar=("NUM1", "DEN1", "NUM2", "DEN2"))
-    c.add_argument("--budget", type=int, default=8)
+    c.add_argument("--budget", type=non_negative_int, default=8)
     c.set_defaults(func=cmd_fractions)
 
     c = sub.add_parser("tietze", help="apply a Tietze transformation script")
@@ -285,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output pipe closed", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, CohpresError) as exc:
+    except (OSError, CohpresError) as exc:
         # unreadable input (missing, a directory, not UTF-8) or a parse error
         print(f"error: {exc}", file=sys.stderr)
         return 2

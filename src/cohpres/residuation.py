@@ -4,9 +4,11 @@ The residual g/f says what remains of a rewrite g after a coinitial
 equational rewrite f has been performed.  Local residuals of overlapping
 steps come from a table extracted out of the declared relations; disjoint
 steps commute through exchange; shared outer context peels off.  Path-level
-residuals are computed by the convergent zig-zag strategy (recursing through
-the pasting laws with memoization), and each computation can be replayed
-into an explicit 2-cell witness.
+residuals are computed by the convergent zig-zag strategy, which fills the
+grid of two paths tile by tile through the pasting laws.  It runs on an
+explicit work stack over hash-consed step sequences with a memo, so neither
+the Python stack nor the copying of sub-paths grows with the length of a
+path, and each computation can be replayed into an explicit 2-cell witness.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def _strip_common(p: Presentation, f: RewriteStep, g: RewriteStep):
 def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: RewriteStep):
     """(g/f, f/g, tile) for coinitial steps, at least one equational.
 
-    tile is one of ("equal",), ("exchange", instance) or
+    tile is one of ("equal",), ("exchange",) or
     ("table", entry, zl, zr, f_is_first) and is used to emit witnesses.
     """
     if p.step_source(f) != p.step_source(g):
@@ -248,7 +250,7 @@ def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: Rewrite
     if steps_disjoint(p, f, g):
         g_after = Path(p.step_target(f), (retype_step(p, g, f),))
         f_after = Path(p.step_target(g), (retype_step(p, f, g),))
-        return g_after, f_after, ("exchange", exchange_instance(p, f, g))
+        return g_after, f_after, ("exchange",)
     zl, zr, fm, gm = _strip_common(p, f, g)
     key = _pair_key(p, fm, gm)
     entry = table.entries.get(key)
@@ -277,7 +279,15 @@ def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: Rewrite
 
 
 class Residuator:
-    """Memoizing implementation of the zig-zag residuation strategy."""
+    """Memoizing, iterative implementation of the zig-zag residuation strategy.
+
+    Step sequences are hash-consed: id 0 is the empty sequence and an id
+    ``k > 0`` stands for the step ``_heads[k]`` followed by the sequence
+    ``_tails[k]``, every distinct sequence getting exactly one id.  A suffix
+    is then one list lookup, a memo key hashes two integers yet still
+    compares by content, and a residual shares its tail with the
+    sub-residual it was built from instead of copying it.
+    """
 
     def __init__(self, p: Presentation, table: ResidualTable, budget: int = 200_000):
         self.p = p
@@ -286,11 +296,9 @@ class Residuator:
         self._memo: dict = {}
         self._wmemo: dict = {}
         self._work = 0
-
-    def _tick(self) -> None:
-        self._work += 1
-        if self._work > self.budget:
-            raise ResiduationError("residuation budget exhausted (nontermination suspected)")
+        self._ids: dict = {}
+        self._heads: list = [None]
+        self._tails: list[int] = [0]
 
     def _check(self, g: Path, f: Path) -> None:
         if g.source != f.source:
@@ -300,48 +308,132 @@ class Residuator:
         if not (self.p.is_equational_path(f) or self.p.is_equational_path(g)):
             raise ResiduationError("residual undefined: neither path is equational")
 
+    # -- interned step sequences ---------------------------------------------
+
+    def _seq(self, steps: tuple[RewriteStep, ...], tail: int = 0) -> int:
+        """The id of ``steps`` followed by the sequence ``tail``."""
+        ids, heads, tails = self._ids, self._heads, self._tails
+        for s in reversed(steps):
+            key = (s.left, s.gen, s.right, tail)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(heads)
+                heads.append(s)
+                tails.append(tail)
+            tail = i
+        return tail
+
+    def _steps(self, i: int) -> tuple[RewriteStep, ...]:
+        heads, tails = self._heads, self._tails
+        out = []
+        while i:
+            out.append(heads[i])
+            i = tails[i]
+        return tuple(out)
+
+    # -- the zig-zag engine ----------------------------------------------------
+
+    def _solve(self, src: Word, g: int, f: int, witness: bool) -> tuple:
+        """(g/f, f/g, trace or None) for coinitial sequences ``g``, ``f`` at ``src``.
+
+        The zig-zag strategy, with f1 and g1 the heads of f and g and f', g'
+        their tails:
+
+        * f empty gives (g, id) and g empty gives (id, f);
+        * f1 = g1 gives the residuals of g' and f';
+        * otherwise the tile of (f1, g1) gives a = g1/f1 and b = f1/g1, then
+          (c, d) = (g'/b, b/g') and (e, h) = ((a;c)/f', f'/(a;c)), and the
+          result is (e, d;h).
+
+        The sub-problems run on an explicit stack of frames
+        ``[src, g, f, key, stage, a, b, tile, (c, d, t2)]``; ``ret`` hands
+        the result of the frame just finished to its parent.  They are
+        looked up, counted against the budget and memoized in the order of
+        the recursive definition, so the budget runs out at the same
+        sub-problem.  A nonempty sequence fixes its source word, so a memo
+        key is ``(g, f)``, or the word itself when both are empty.
+        """
+        p, table = self.p, self.table
+        heads, tails = self._heads, self._tails
+        memo = self._wmemo if witness else self._memo
+        stack = [[src, g, f, None, 0]]
+        ret = None
+        while stack:
+            fr = stack[-1]
+            src, g, f, key, stage = fr[:5]
+            if stage == 0:
+                key = (g, f) if g or f else src
+                hit = memo.get(key)
+                if hit is not None:
+                    ret = hit
+                    stack.pop()
+                    continue
+                self._work += 1
+                if self._work > self.budget:
+                    raise ResiduationError(
+                        "residuation budget exhausted (nontermination suspected)"
+                    )
+                f1, g1 = heads[f], heads[g]
+                if not f:
+                    ret = (g, 0, CellTrace(Path(src, self._steps(g)), ()) if witness else None)
+                elif not g:
+                    ret = (0, f, CellTrace(Path(src, self._steps(f)), ()) if witness else None)
+                elif f1 == g1:
+                    fr[3:5] = key, 1
+                    stack.append([p.step_target(g1), tails[g], tails[f], None, 0])
+                    continue
+                else:
+                    a, b, tile = _step_pair(p, table, f1, g1)
+                    fr[3:] = key, 2, a, b, tile
+                    stack.append([b.source, tails[g], self._seq(b.steps), None, 0])
+                    continue
+            elif stage == 1:
+                if witness:
+                    gf, fg, inner = ret
+                    pre = Path(src, (heads[f],))
+                    end = p.path_target(compose(p, pre, inner.source))
+                    ret = (gf, fg, trace_whisker(p, pre, inner, p.identity(end)))
+            elif stage == 2:
+                fr[4] = 3
+                fr.append(ret)
+                a = fr[5]
+                stack.append([a.source, self._seq(a.steps, ret[0]), tails[f], None, 0])
+                continue
+            else:
+                _, _, _, _, _, a, b, tile, (c, d, t2) = fr
+                e, h, t3 = ret
+                trace = None
+                if witness:
+                    trace = self._tile_witness(src, heads[f], heads[g], a, b, tile, c, h, t2, t3)
+                ret = (e, self._seq(self._steps(d), h), trace)
+            memo[key] = ret
+            stack.pop()
+        return ret
+
+    def _residuals(self, g: Path, f: Path, witness: bool) -> tuple[Path, Path, CellTrace | None]:
+        p = self.p
+        g_end, f_end = p.path_target(g), p.path_target(f)
+        e, dh, trace = self._solve(g.source, self._seq(g.steps), self._seq(f.steps), witness)
+        return Path(f_end, self._steps(e)), Path(g_end, self._steps(dh)), trace
+
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
         self._check(g, f)
-        return self._pair(g, f)
-
-    def _pair(self, g: Path, f: Path) -> tuple[Path, Path]:
-        key = (g.source, g.steps, f.steps)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
-        p = self.p
-        if not f.steps:
-            res = (g, Path(p.path_target(g), ()))
-        elif not g.steps:
-            res = (Path(p.path_target(f), ()), f)
-        elif f.steps[0] == g.steps[0]:
-            res = self._pair(subpath(g, 1, len(g.steps), p), subpath(f, 1, len(f.steps), p))
-        else:
-            f1, g1 = f.steps[0], g.steps[0]
-            a, b, _ = _step_pair(p, self.table, f1, g1)
-            g_rest = subpath(g, 1, len(g.steps), p)
-            f_rest = subpath(f, 1, len(f.steps), p)
-            c, d = self._pair(g_rest, b)
-            g_after_f1 = compose(p, a, c)
-            e, h = self._pair(g_after_f1, f_rest)
-            res = (e, compose(p, d, h))
-        self._memo[key] = res
-        return res
+        gf, fg, _ = self._residuals(g, f, False)
+        return gf, fg
 
     # -- witnesses -----------------------------------------------------------
 
     def pair_with_witness(self, g: Path, f: Path) -> tuple[Path, Path, CellTrace]:
         """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g)."""
         self._check(g, f)
-        return self._pair_w(g, f)
+        return self._residuals(g, f, True)
 
     def _tile_trace(self, f1: RewriteStep, g1: RewriteStep, a: Path, tile) -> CellTrace:
         p = self.p
         src = Path(p.step_source(f1), (f1,) + a.steps)
         if tile[0] == "exchange":
-            return single_cell_trace(p, src, tile[1])
+            return single_cell_trace(p, src, exchange_instance(p, f1, g1))
         _, entry, zl, zr, f_is_first = tile
         dl, dr = entry.decl_left, entry.decl_right
         if zl[len(zl) - len(dl) :] != dl or zr[: len(dr)] != dr:
@@ -354,43 +446,20 @@ class Residuator:
         inst = RelationInstance(left=outer_l, right=outer_r, forward=forward, name=entry.relation)
         return single_cell_trace(p, src, inst)
 
-    def _pair_w(self, g: Path, f: Path) -> tuple[Path, Path, CellTrace]:
-        key = (g.source, g.steps, f.steps)
-        hit = self._wmemo.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
+    def _tile_witness(self, src, f1, g1, a, b, tile, c, h, t2, t3) -> CellTrace:
+        """The trace f;(g/f) =>* g;(f/g) of a tile step of the zig-zag:
+        t3 after f1, then the tile below c;h, then t2 after g1 and before h."""
         p = self.p
-        if not f.steps:
-            res = (g, Path(p.path_target(g), ()), CellTrace(g, ()))
-        elif not g.steps:
-            res = (Path(p.path_target(f), ()), f, CellTrace(f, ()))
-        elif f.steps[0] == g.steps[0]:
-            gf, fg, inner = self._pair_w(
-                subpath(g, 1, len(g.steps), p), subpath(f, 1, len(f.steps), p)
-            )
-            pre = Path(f.source, (f.steps[0],))
-            end = p.path_target(compose(p, pre, inner.source))
-            res = (gf, fg, trace_whisker(p, pre, inner, p.identity(end)))
-        else:
-            f1, g1 = f.steps[0], g.steps[0]
-            a, b, tile = _step_pair(p, self.table, f1, g1)
-            g_rest = subpath(g, 1, len(g.steps), p)
-            f_rest = subpath(f, 1, len(f.steps), p)
-            c, d, t2 = self._pair_w(g_rest, b)
-            g_after_f1 = compose(p, a, c)
-            e, h, t3 = self._pair_w(g_after_f1, f_rest)
-            t1 = self._tile_trace(f1, g1, a, tile)
-            pre_f1 = Path(f.source, (f1,))
-            pre_g1 = Path(g.source, (g1,))
-            ch = compose(p, c, h)
-            part1 = trace_whisker(p, pre_f1, t3, p.identity(p.path_target(compose(p, pre_f1, t3.source))))
-            part2 = trace_whisker(p, p.identity(f.source), t1, ch)
-            part3 = trace_whisker(p, pre_g1, t2, h)
-            trace = trace_concat(p, part1, part2, part3)
-            res = (e, compose(p, d, h), trace)
-        self._wmemo[key] = res
-        return res
+        c = Path(p.path_target(b), self._steps(c))
+        h = Path(p.path_target(compose(p, a, c)), self._steps(h))
+        t1 = self._tile_trace(f1, g1, a, tile)
+        pre_f1 = Path(src, (f1,))
+        pre_g1 = Path(src, (g1,))
+        end = p.path_target(compose(p, pre_f1, t3.source))
+        part1 = trace_whisker(p, pre_f1, t3, p.identity(end))
+        part2 = trace_whisker(p, p.identity(src), t1, compose(p, c, h))
+        part3 = trace_whisker(p, pre_g1, t2, h)
+        return trace_concat(p, part1, part2, part3)
 
     # -- 2-cell residuals ------------------------------------------------------
 
@@ -417,7 +486,7 @@ class Residuator:
 
                 w = apply_cell(p, w, cell)
                 states.append(w)
-            residuals = [self._pair(s, step_path)[0] for s in states]
+            residuals = [self._residuals(s, step_path, False)[0] for s in states]
             pieces: list[CellTrace] = []
             for i in range(len(residuals) - 1):
                 if residuals[i] == residuals[i + 1]:

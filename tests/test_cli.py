@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from cohpres import cli
 from cohpres.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -172,6 +175,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["check", str(CORPUS)],  # a directory
         ["check", str(latin1)],  # not UTF-8
         ["check", str(CORPUS / "ds2.cp"), "--term-budget", "0"],
+        # negative search bounds
+        ["check", str(CORPUS / "ds2.cp"), "--max-word-len", "-1"],
+        ["check", str(CORPUS / "ds2.cp"), "--depth", "-1"],
+        ["check", str(CORPUS / "ds2.cp"), "--budget", "-1"],
+        ["enumerate", str(CORPUS / "ds2.cp"), "aaa", "aa", "--max-steps", "-1"],
+        ["compare", str(CORPUS / "ds2.cp"), "--max-word", "-1", "--max-steps", "2"],
+        ["compare", str(CORPUS / "ds2.cp"), "--max-word", "1", "--max-steps", "-1"],
+        ["fractions", str(CORPUS / "ds2.cp"), "--equal", "[g]", "[g]", "id ba", "id ba", "--budget", "-1"],
     ):
         capsys.readouterr()
         assert main(argv) == 2
@@ -197,26 +208,56 @@ def test_compare_ds2_cli(capsys):
     assert "fraction agreement:" in out
 
 
-def test_deep_residual_exits_2(capsys):
-    from cohpres.core import parse_presentation
+def test_zero_bounds_are_accepted(capsys):
+    code, out = run(capsys, "enumerate", CORPUS / "ds2.cp", "aaa", "aa", "--max-steps", "0")
+    assert code == 0 and "0 classes" in out
+    code, out = run(capsys, "enumerate", CORPUS / "ds2.cp", "ab", "ab", "--max-steps", "0")
+    assert code == 0 and "1 classes" in out
+
+
+def test_non_utf8_error_names_the_file(capsys, tmp_path):
+    bad = tmp_path / "bom16.cp"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (
+        ["check", str(bad)],
+        ["tietze", str(CORPUS / "ds2.cp"), "--script", str(bad), "-o", str(tmp_path / "out.cp")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "UTF-8" in err
+
+
+def test_deep_residual_closes_square(capsys):
+    from cohpres.core import parse_path, parse_presentation
     from cohpres.objects import normalize
 
     ds2 = parse_presentation((CORPUS / "ds2.cp").read_text(encoding="utf-8"))
     nf_path = normalize(("b",) * 40 + ("a",) * 40, ds2).path
     assert len(nf_path.steps) == 1600
-    code = main(
-        [
-            "residual",
-            str(CORPUS / "ds2.cp"),
-            "--of",
-            "[n]" + "b" * 38 + "a" * 40,
-            "--after",
-            ds2.fmt_path(nf_path),
-        ]
-    )
+    g = "[n]" + "b" * 38 + "a" * 40
+    code, out = run(capsys, "residual", CORPUS / "ds2.cp", "--of", g, "--after", ds2.fmt_path(nf_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("of/after : ") and lines[1].startswith("after/of : ")
+    g_after_f = parse_path(lines[0].split(" : ", 1)[1], ds2)
+    f_after_g = parse_path(lines[1].split(" : ", 1)[1], ds2)
+    # f;(g/f) and g;(f/g) end at the same word
+    assert g_after_f.source == ds2.path_target(nf_path)
+    assert f_after_g.source == ds2.path_target(parse_path(g, ds2))
+    assert ds2.path_target(g_after_f) == ds2.path_target(f_after_g)
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_too_deep_or_too_large_exits_2(capsys, monkeypatch, exc):
+    def explode(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_nf", explode)
+    assert main(["nf", str(CORPUS / "ds2.cp"), "ba"]) == 2
     err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: input too deep or too large ({exc.__name__})\n"
 
 
 def test_ds2op_a3x_witness_order(capsys):

@@ -1,18 +1,35 @@
 from __future__ import annotations
 
+import functools
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohpres.core import Path, check_trace, compose, parse_path
+from cohpres.core import (
+    CellTrace,
+    CohpresError,
+    Path,
+    check_trace,
+    compose,
+    parse_path,
+    subpath,
+    trace_concat,
+    trace_whisker,
+)
+from cohpres.objects import normalize, steps_on
 from cohpres.oracle import oracle_residual_pair
 from cohpres.residuation import (
     ResiduationError,
     Residuator,
+    _step_pair,
     derive_residual_table,
 )
 
-from conftest import all_words, paths_from
+from conftest import all_words, load, paths_from
 
 
 def entry_for(table, p, f_text, g_text):
@@ -294,3 +311,197 @@ def test_equational_equational_tile():
     # querying with the roles swapped flips the answer
     uv2, vu2 = Residuator(pres, table).pair(Path(src, (u,)), Path(src, (v,)))
     assert (uv2, vu2) == (uv, vu)
+
+
+# ---------------------------------------------------------------------------
+# the iterative engine against the recursive definition
+
+
+class RecursiveResiduator(Residuator):
+    """The zig-zag strategy as a plain recursion over sliced sub-paths, with
+    memo keys ``(source, g.steps, f.steps)``: the reference for the engine."""
+
+    def pair(self, g, f):
+        self._check(g, f)
+        return self._rec(g, f, False)[:2]
+
+    def pair_with_witness(self, g, f):
+        self._check(g, f)
+        return self._rec(g, f, True)
+
+    def _rec(self, g, f, witness):
+        memo = self._wmemo if witness else self._memo
+        key = (g.source, g.steps, f.steps)
+        if key in memo:
+            return memo[key]
+        self._work += 1
+        if self._work > self.budget:
+            raise ResiduationError("residuation budget exhausted (nontermination suspected)")
+        p = self.p
+
+        def rest(q):
+            return subpath(q, 1, len(q.steps), p)
+
+        if not f.steps:
+            res = (g, p.identity(p.path_target(g)), CellTrace(g, ()))
+        elif not g.steps:
+            res = (p.identity(p.path_target(f)), f, CellTrace(f, ()))
+        elif f.steps[0] == g.steps[0]:
+            res = gf, fg, inner = self._rec(rest(g), rest(f), witness)
+            if witness:
+                pre = Path(f.source, f.steps[:1])
+                end = p.path_target(compose(p, pre, inner.source))
+                res = (gf, fg, trace_whisker(p, pre, inner, p.identity(end)))
+        else:
+            f1, g1 = f.steps[0], g.steps[0]
+            a, b, tile = _step_pair(p, self.table, f1, g1)
+            c, d, t2 = self._rec(rest(g), b, witness)
+            e, h, t3 = self._rec(compose(p, a, c), rest(f), witness)
+            trace = None
+            if witness:
+                pre_f1, pre_g1 = Path(f.source, (f1,)), Path(g.source, (g1,))
+                end = p.path_target(compose(p, pre_f1, t3.source))
+                trace = trace_concat(
+                    p,
+                    trace_whisker(p, pre_f1, t3, p.identity(end)),
+                    trace_whisker(
+                        p, p.identity(f.source), self._tile_trace(f1, g1, a, tile), compose(p, c, h)
+                    ),
+                    trace_whisker(p, pre_g1, t2, h),
+                )
+            res = (e, compose(p, d, h), trace)
+        memo[key] = res
+        return res
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CohpresError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name, max_word", [("ds2", 4), ("ds2op", 2), ("deltas", 4)])
+def test_engine_matches_recursion_on_all_short_pairs(name, max_word):
+    # every coinitial pair of paths of at most 3 steps from every word up to
+    # max_word letters, through one shared residuator per word on each side,
+    # so memo hits across calls are compared too
+    p = load(name)
+    table = derive_residual_table(p)
+    compared = 0
+    for w in all_words(p, max_word):
+        paths = paths_from(p, w, 3)
+        new, ref = Residuator(p, table), RecursiveResiduator(p, table)
+        for g in paths:
+            for f in paths:
+                for method in ("pair", "pair_with_witness"):
+                    got = _outcome(lambda: getattr(new, method)(g, f))
+                    want = _outcome(lambda: getattr(ref, method)(g, f))
+                    assert got == want, (method, p.fmt_path(g), p.fmt_path(f))
+                    assert new._work == ref._work
+                compared += 1
+    assert compared > {"ds2": 2000, "ds2op": 6000, "deltas": 250}[name]
+
+
+def _bkak(p, k):
+    return normalize(("b",) * k + ("a",) * k, p).path
+
+
+@pytest.mark.parametrize("method, k", [("pair", 15), ("pair_with_witness", 8)])
+def test_engine_matches_recursion_on_a_long_path(ds2, ds2_table, method, k):
+    u = _bkak(ds2, k)
+    g = parse_path("[n]" + "b" * (k - 2) + "a" * k, ds2)
+    new, ref = Residuator(ds2, ds2_table), RecursiveResiduator(ds2, ds2_table)
+    assert getattr(new, method)(g, u) == getattr(ref, method)(g, u)
+    assert new._work == ref._work
+
+
+def test_budget_exhausts_at_the_same_sub_problem(ds2, ds2_table):
+    u = _bkak(ds2, 6)
+    g = parse_path("[n]" + "b" * 4 + "a" * 6, ds2)
+    for budget in (1, 7, 40):
+        for cls in (Residuator, RecursiveResiduator):
+            res = cls(ds2, ds2_table, budget=budget)
+            with pytest.raises(ResiduationError, match="budget exhausted"):
+                res.pair(g, u)
+            assert res._work == budget + 1
+
+
+@contextmanager
+def shallow_stack(headroom=60):
+    """Allow only ``headroom`` Python frames beyond the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_pair_along_6400_steps(ds2, ds2_table):
+    # one step residuated along the normalization path of b^80 a^80
+    u = _bkak(ds2, 80)
+    assert len(u.steps) == 6400
+    g = parse_path("[n]" + "b" * 78 + "a" * 80, ds2)
+    res = Residuator(ds2, ds2_table)
+    with shallow_stack():
+        gf, fg = res.pair(g, u)
+    assert ds2.fmt_path(gf) == "a" * 80 + "[n]" + "b" * 78
+    assert ds2.path_target(compose(ds2, u, gf)) == ds2.path_target(compose(ds2, g, fg))
+    assert len(fg.steps) == 6320
+
+
+def test_witness_does_not_recurse_along_the_path(ds2, ds2_table):
+    u = _bkak(ds2, 10)
+    g = parse_path("[n]" + "b" * 8 + "a" * 10, ds2)
+    with shallow_stack():
+        gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, u)
+    assert trace.source == compose(ds2, u, gf)
+    assert check_trace(ds2, trace) == compose(ds2, g, fg)
+
+
+@functools.cache
+def _loaded(name):
+    p = load(name)
+    return p, derive_residual_table(p)
+
+
+@st.composite
+def coinitial_paths(draw):
+    """(name, g, f): a word, an equational path f and any path g from it, up
+    to five steps each, and sometimes with the roles swapped."""
+    name = draw(st.sampled_from(["ds2", "ds2op"]))
+    p, _ = _loaded(name)
+    word = tuple(draw(st.lists(st.sampled_from(p.objects), min_size=1, max_size=6)))
+
+    def walk(equational):
+        steps, w = [], word
+        for _ in range(draw(st.integers(0, 5))):
+            options = steps_on(w, p, equational=equational)
+            if not options:
+                break
+            steps.append(draw(st.sampled_from(options)))
+            w = p.step_target(steps[-1])
+        return Path(word, tuple(steps))
+
+    f, g = walk(True), walk(False)
+    if draw(st.booleans()):
+        f, g = g, f
+    return name, g, f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(coinitial_paths())
+def test_pair_matches_oracle_and_witness_checks(case):
+    name, g, f = case
+    p, table = _loaded(name)
+    res = Residuator(p, table)
+    gf, fg = res.pair(g, f)
+    assert (gf, fg) == oracle_residual_pair(g, f, p)
+    wgf, wfg, trace = res.pair_with_witness(g, f)
+    assert (wgf, wfg) == (gf, fg)
+    assert trace.source == compose(p, f, gf)
+    assert check_trace(p, trace) == compose(p, g, fg)
