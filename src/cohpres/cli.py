@@ -47,22 +47,30 @@ def _print_verdict(name: str, v: coherence.Verdict, ensure_witness: bool = False
 
 def cmd_check(args) -> int:
     p = _load(args.file)
-    a3_mode = "up_to_exchange" if args.assumption == "a3x" else "strict"
-    rep = coherence.check_all(
-        p,
-        a3_mode=a3_mode,
-        strong=args.strong,
-        term_budget=args.term_budget,
-        max_len=args.max_word_len,
-        max_cells=args.depth,
-        budget=args.budget,
-        run_opposite=not args.no_opposite,
-    )
     selected = args.assumption
-    if selected in ("a1", "a2", "a3", "a4"):
-        name = selected if selected != "a3" else "a3 (strict)"
-        _print_verdict(name, rep.assumptions[selected], ensure_witness=True)
-        code = 0 if rep.assumptions[selected].status == "pass" else 1
+    a3_mode = "up_to_exchange" if selected == "a3x" else "strict"
+    if selected in coherence.GATES and not args.report:
+        # one verdict and no report: compute only that verdict and its gates,
+        # and skip the opposite probe, whose result would not be printed
+        ctx = coherence.CheckContext(
+            p, args.term_budget, args.max_word_len, args.depth, args.budget
+        )
+        rep, v = None, coherence.check_assumption(ctx, selected, strong=args.strong)
+    else:
+        rep = coherence.check_all(
+            p,
+            a3_mode=a3_mode,
+            strong=args.strong,
+            term_budget=args.term_budget,
+            max_len=args.max_word_len,
+            max_cells=args.depth,
+            budget=args.budget,
+            run_opposite=not args.no_opposite,
+        )
+        v = rep.assumptions[selected] if selected in coherence.GATES else None
+    if v is not None:
+        _print_verdict(selected if selected != "a3" else "a3 (strict)", v, ensure_witness=True)
+        code = 0 if v.status == "pass" else 1
     else:
         # "all" and "a3x" run the full suite (a3x with the up-to-exchange A3)
         for key in ("a1", "a2", "a3", "a4"):

@@ -10,8 +10,9 @@ are verified on deterministic bounded samples and reported as such.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import add
 
 from .core import (
     CellTrace,
@@ -20,9 +21,9 @@ from .core import (
     RelationInstance,
     RewriteStep,
     WeightSpec,
+    Word,
     instance_sides,
     tensor_ctx,
-    trace_tensor_ctx,
 )
 from .critical import (
     CriticalCylinder,
@@ -64,40 +65,54 @@ def _item_data(item, p: Presentation) -> tuple[str, tuple, tuple, tuple]:
     raise WeightError(f"cannot weigh {item!r}")
 
 
-def eval_weight(spec: WeightSpec, item, p: Presentation) -> tuple[int, ...]:
+def eval_weight(
+    spec: WeightSpec, item, p: Presentation, x: Word = (), y: Word = ()
+) -> tuple[int, ...]:
+    """The weight of ``item``, a step or an instance, whiskered by ``x`` on
+    the left and ``y`` on the right."""
     key, left, right, body = _item_data(item, p)
+    left, right = x + left, right + y
     terms = spec.entries.get(key)
     if terms is None:
         raise WeightError(f"weight {spec.name}: no entry for '{key}'")
     out = []
     for t in terms:
-        if t.kind == "const":
+        kind, args = t.kind, t.args
+        if kind == "const":
             out.append(t.value)
-        elif t.kind == "countL":
-            out.append(sum(1 for c in left if c == t.args[0]))
-        elif t.kind == "countR":
-            out.append(sum(1 for c in right if c == t.args[0]))
-        elif t.kind == "ctx_transp":
-            out.append(transposition_number(left + right, t.args[0], t.args[1]))
-        elif t.kind == "word_transp":
-            out.append(transposition_number(left + body + right, t.args[0], t.args[1]))
+        elif kind == "countL":
+            out.append(left.count(args[0]))
+        elif kind == "countR":
+            out.append(right.count(args[0]))
+        elif kind == "ctx_transp":
+            out.append(transposition_number(left + right, args[0], args[1]))
+        elif kind == "word_transp":
+            out.append(transposition_number(left + body + right, args[0], args[1]))
         else:
-            raise WeightError(f"unknown weight term kind '{t.kind}'")
+            raise WeightError(f"unknown weight term kind '{kind}'")
     return tuple(out)
 
 
 def weight_of_path(spec: WeightSpec, path: Path, p: Presentation) -> tuple[int, ...]:
     total = (0,) * spec.dim
     for s in path.steps:
-        total = tuple(a + b for a, b in zip(total, eval_weight(spec, s, p)))
+        total = tuple(map(add, total, eval_weight(spec, s, p)))
     return total
 
 
-def weight_of_trace(spec: WeightSpec, trace: CellTrace, p: Presentation) -> tuple[int, ...]:
+def weight_of_trace(
+    spec: WeightSpec, trace: CellTrace, p: Presentation, x: Word = (), y: Word = ()
+) -> tuple[int, ...]:
+    """The weight of ``trace`` whiskered by ``x`` and ``y``."""
     total = (0,) * spec.dim
     for cell in trace.cells:
-        total = tuple(a + b for a, b in zip(total, eval_weight(spec, cell.inst, p)))
+        total = tuple(map(add, total, eval_weight(spec, cell.inst, p, x, y)))
     return total
+
+
+def _whisker(x: Word, item, y: Word):
+    """The step or instance ``item`` whiskered by ``x`` and ``y``."""
+    return replace(item, left=x + item.left, right=item.right + y)
 
 
 def weight_less(spec: WeightSpec, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -131,57 +146,48 @@ class CheckReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def omega1(p: Presentation) -> WeightSpec | None:
-    return p.weights.get("omega1")
-
-
-def omega2_vertical(p: Presentation) -> WeightSpec | None:
-    return p.weights.get("omega2v") or p.weights.get("omega2")
-
-
-def omega2_base(p: Presentation) -> WeightSpec | None:
-    return p.weights.get("omega2b") or p.weights.get("omega2")
-
-
 # ---------------------------------------------------------------------------
 # the per-run check context
 
 
-BaseRecord = tuple[RewriteStep, RelationInstance, CellTrace | None, Path | None]
+BaseRecord = tuple[RewriteStep, RelationInstance, Word, Word, CellTrace | None, Path | None]
 
 
 class CheckContext:
     """One presentation under one set of bounds: the only input of the
     assumption checks.  It derives the residual table and computes, on first
-    use and at most once, everything that does not depend on
-    ``(a3_mode, strong)``: the critical pairs and cylinders, one memoizing
-    ``Residuator``, the verdict of each critical cylinder and the sampled
-    equational-base records.  The attempts of an opposite probe and
+    use and at most once, the critical pairs and cylinders, one memoizing
+    ``Residuator``, the verdict of each critical cylinder, the sampled
+    equational-base records and each assumption verdict asked of
+    ``check_assumption``.  The attempts of an opposite probe and
     ``cohpres critical`` share them.
 
     ``term_budget`` and ``max_len`` bound the termination exploration of A1;
     ``max_cells`` and ``budget`` bound each cylinder's top-trace search.
 
-    A base record ``(f, inst, top, fg)`` holds, for a sampled trivially
-    completable coincidence of the vertical ``f`` with the equational-sided
-    base ``inst``, the vertical residual ``fg`` along the base's second side
-    and the top trace joining the two residuals of the base's sides (``None``
-    when residuation fails or the search runs out).  The samples are
-    whiskerings x·(f' | inst')·y of far fewer cores, so each core is computed
-    once and whiskered back.  This is exact because every step of the
-    computation commutes with whiskering: the residual of x·g·y after x·f·y is
-    x·(g/f)·y (equality, disjointness, retyping and tile lookup only see the
-    positions relative to the shared context), and the top-trace search from
-    x·l·y to x·r·y visits the whiskerings of the states it visits from l to r,
-    move for move and in the same order, so it returns the whiskered trace
-    and runs out of its cell or node budget exactly when the core search
-    does.  The search needs one condition for this: every side of every
-    relation has a step with empty left context and one with empty right
-    context.  A side whose outer letters no step touches (an identity side
-    above all) can match with its window reaching into the context, a move
-    the core does not have, so a presentation with such a side is sampled
-    without stripping.  The shared ``Residuator`` spends its budget across
-    the whole run rather than per call, and memo hits cost nothing.
+    A base record ``(f, inst, x, y, top, fg)`` stands for one sampled
+    trivially completable coincidence x·(f | inst)·y of a vertical step with
+    an equational-sided base, in sample order.  It holds the sample's
+    context-stripped core ``(f, inst)``, its context ``(x, y)`` and the
+    core's results: the vertical residual ``fg`` along the base's second
+    side and the top trace joining the two residuals of the base's sides
+    (``None`` when residuation fails or the search runs out).  Each core is
+    computed once.  Its results, whiskered by ``(x, y)``, are the sample's:
+    the checks read them so and whisker a step or instance only to print
+    it.  This is exact because every step of the computation commutes with
+    whiskering: the residual of x·g·y after x·f·y is x·(g/f)·y (equality,
+    disjointness, retyping and tile lookup only see the positions relative
+    to the shared context), and the top-trace search from x·l·y to x·r·y
+    visits the whiskerings of the states it visits from l to r, move for
+    move and in the same order, so it returns the whiskered trace and runs
+    out of its cell or node budget exactly when the core search does.  The
+    search needs one condition for this: every side of every relation has a
+    step with empty left context and one with empty right context.  A side
+    whose outer letters no step touches (an identity side above all) can
+    match with its window reaching into the context, a move the core does
+    not have, so a presentation with such a side is sampled without
+    stripping.  The shared ``Residuator`` spends its budget across the whole
+    run rather than per call, and memo hits cost nothing.
     """
 
     def __init__(
@@ -198,6 +204,7 @@ class CheckContext:
         self.max_cells = max_cells
         self.budget = budget
         self.table = derive_residual_table(p)
+        self.verdicts: dict[tuple, Verdict] = {}
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
@@ -220,37 +227,12 @@ class CheckContext:
 
     @cached_property
     def base_records(self) -> list[BaseRecord]:
-        p = self.p
-        strip = all(
-            any(not s.left for s in side.steps) and any(not s.right for s in side.steps)
-            for r in p.relations
-            for side in (r.lhs, r.rhs)
-        )
         cores: dict[tuple[RewriteStep, RelationInstance], tuple] = {}
         records = []
-        for f, inst in trivial_equational_base_samples(p):
-            # x and y: the context f and inst share on the left and the right
-            nl = min(len(f.left), len(inst.left)) if strip else 0
-            nr = min(len(f.right), len(inst.right)) if strip else 0
-            x, y = f.left[:nl], f.right[len(f.right) - nr :]
-            core = (
-                RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr]),
-                RelationInstance(
-                    inst.left[nl:],
-                    inst.right[: len(inst.right) - nr],
-                    inst.forward,
-                    inst.name,
-                    inst.exch,
-                ),
-            )
+        for core, x, y in trivial_equational_base_samples(self.p):
             if core not in cores:
                 cores[core] = self._base_core(*core)
-            top, fg = cores[core]
-            if top is not None:
-                top = trace_tensor_ctx(p, x, top, y)
-            if fg is not None:
-                fg = tensor_ctx(p, x, fg, y)
-            records.append((f, inst, top, fg))
+            records.append((*core, x, y, *cores[core]))
         return records
 
     def _base_core(
@@ -311,7 +293,7 @@ def check_a2(ctx: CheckContext) -> Verdict:
     p = ctx.p
     if not p.equational_names:
         return Verdict("pass", [], "vacuous: no equational generators")
-    w1 = omega1(p)
+    w1 = p.weights.get("omega1")
     if w1 is None:
         return Verdict("inconclusive", [], "no omega1 weight block supplied")
     witnesses: list[str] = []
@@ -416,17 +398,18 @@ def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
                     f"residual of exchange base {p.fmt_instance(cyl.base)} uses "
                     "non-exchange cells"
                 )
-        for f, inst, top, _ in ctx.base_records:
+        for f, inst, x, y, top, _ in ctx.base_records:
             if inst.exch is None:
                 continue
             if top is None:
                 open_questions.append(
-                    f"sampled exchange residual after {p.fmt_step(f)} not reconstructed"
+                    f"sampled exchange residual after {p.fmt_step(_whisker(x, f, y))} "
+                    "not reconstructed"
                 )
             elif any(c.inst.exch is None for c in top.cells):
                 failures.append(
-                    f"sampled residual of {p.fmt_instance(inst)} after {p.fmt_step(f)} "
-                    "uses non-exchange cells"
+                    f"sampled residual of {p.fmt_instance(_whisker(x, inst, y))} after "
+                    f"{p.fmt_step(_whisker(x, f, y))} uses non-exchange cells"
                 )
     if failures:
         return Verdict("fail", failures + open_questions)
@@ -443,7 +426,9 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
     p = ctx.p
     if not p.equational_names:
         return Verdict("pass", [], "vacuous: no equational generators")
-    w2v, w2b = omega2_vertical(p), omega2_base(p)
+    # the vertical and base weights, each defaulting to a shared omega2
+    w2v = p.weights.get("omega2v") or p.weights.get("omega2")
+    w2b = p.weights.get("omega2b") or p.weights.get("omega2")
     witnesses: list[str] = []
     inconclusive_notes: list[str] = []
 
@@ -469,24 +454,24 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
         if w2b is not None:
-            for f, inst, top, rv in ctx.base_records:
+            for f, inst, x, y, top, rv in ctx.base_records:
                 if top is None:
                     inconclusive_notes.append(
-                        f"sample after {p.fmt_step(f)}: residual not reconstructed"
+                        f"sample after {p.fmt_step(_whisker(x, f, y))}: residual not reconstructed"
                     )
                     continue
                 if exempt(rv):
                     continue
-                base_w = eval_weight(w2b, inst, p)
-                top_w = weight_of_trace(w2b, top, p)
+                base_w = eval_weight(w2b, inst, p, x, y)
+                top_w = weight_of_trace(w2b, top, p, x, y)
                 if not weight_less(w2b, top_w, base_w):
                     if len(top.cells) == 1:
-                        res_txt = f"omega2({p.fmt_instance(top.cells[0].inst)})"
+                        res_txt = f"omega2({p.fmt_instance(_whisker(x, top.cells[0].inst, y))})"
                     else:
                         res_txt = "omega2(residual)"
                     witnesses.append(
-                        f"omega2({p.fmt_instance(inst)}) = {base_w} !> {top_w} = {res_txt}"
-                        f" [vertical {p.fmt_step(f)}]"
+                        f"omega2({p.fmt_instance(_whisker(x, inst, y))}) = {base_w} !> {top_w}"
+                        f" = {res_txt} [vertical {p.fmt_step(_whisker(x, f, y))}]"
                     )
     except WeightError as exc:
         return Verdict("inconclusive", [], str(exc))
@@ -502,6 +487,34 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # the full report
+
+# the assumptions each verdict is gated on, in the order they are checked
+GATES = {"a1": (), "a2": ("a1",), "a3": ("a1",), "a4": ("a1", "a3")}
+
+
+def check_assumption(
+    ctx: CheckContext, name: str, a3_mode: str = "strict", strong: bool = False
+) -> Verdict:
+    """The verdict of assumption ``name``, computed at most once per context.
+    Only its gates are computed before it; if one does not pass, the
+    assumption is skipped as inconclusive."""
+    key = (name, a3_mode if name in ("a3", "a4") else "", strong and name == "a4")
+    if key not in ctx.verdicts:
+        for gate in GATES[name]:
+            if check_assumption(ctx, gate, a3_mode, strong).status != "pass":
+                v = Verdict("inconclusive", [], f"skipped: {gate.upper()} did not pass")
+                break
+        else:
+            if name == "a1":
+                v = check_a1(ctx)
+            elif name == "a2":
+                v = check_a2(ctx)
+            elif name == "a3":
+                v = check_a3(ctx, a3_mode)
+            else:
+                v = check_a4(ctx, strong)
+        ctx.verdicts[key] = v
+    return ctx.verdicts[key]
 
 
 def check_all(
@@ -519,19 +532,15 @@ def check_all(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ctx = CheckContext(p, term_budget, max_len, max_cells, budget)
-    a1 = check_a1(ctx)
-    timings["a1"] = time.perf_counter() - t0
-
-    if a1.status == "pass":
+    assumptions: dict[str, Verdict] = {}
+    for name in GATES:
+        assumptions[name] = check_assumption(ctx, name, a3_mode, strong)
+        if name == "a1" or assumptions["a1"].status == "pass":
+            timings[name] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        a2 = check_a2(ctx)
-        timings["a2"] = time.perf_counter() - t0
-        a3, a4 = _check_a3_a4(ctx, a3_mode, strong, timings)
-        assumptions = {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
+    if assumptions["a1"].status == "pass":
         results = ctx.cylinder_verdicts
     else:
-        skip = Verdict("inconclusive", [], "skipped: A1 did not pass")
-        assumptions = {"a1": a1, "a2": skip, "a3": skip, "a4": skip}
         results = [(c, None) for c in ctx.cylinders]
     statuses = [v.status for v in assumptions.values()]
     if all(s == "pass" for s in statuses):
@@ -556,36 +565,17 @@ def check_all(
     )
 
 
-def _check_a3_a4(
-    ctx: CheckContext, a3_mode: str, strong: bool, timings: dict[str, float]
-) -> tuple[Verdict, Verdict]:
-    """The A3 and A4 verdicts; only these depend on ``(a3_mode, strong)``."""
-    t0 = time.perf_counter()
-    a3 = check_a3(ctx, a3_mode)
-    timings["a3"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if a3.status == "pass":
-        a4 = check_a4(ctx, strong)
-    else:
-        a4 = Verdict("inconclusive", [], "skipped: A3 did not pass")
-    timings["a4"] = time.perf_counter() - t0
-    return a3, a4
-
-
 def _faithful_embedding(ctx: CheckContext, a3_mode: str, strong: bool) -> tuple[str, str]:
     """The faithful-embedding verdict and note from the opposite
     presentation's context: A1 and A2 once, then A3 and A4 for each
     ``(a3_mode, strong)`` attempt until one passes."""
-    a1 = check_a1(ctx)
-    if a1.status == "pass" and check_a2(ctx).status == "pass":
+    if check_assumption(ctx, "a2").status == "pass":
         attempts = [("strict", False), (a3_mode, strong), ("up_to_exchange", True)]
         for mode, strg in dict.fromkeys(attempts):
-            a3, a4 = _check_a3_a4(ctx, mode, strg, {})
-            if a3.status == a4.status == "pass":
+            if check_assumption(ctx, "a4", mode, strg).status == "pass":
                 suffix = ", strong)" if strg else ")"
                 return "pass", f"opposite presentation coherent ({mode}{suffix}"
-    if a1.status == "fail":
+    if check_assumption(ctx, "a1").status == "fail":
         return "fail", "opposite presentation fails convergence (A1)"
     return "inconclusive", "opposite presentation not verified with the carried-over weights"
 

@@ -400,23 +400,6 @@ def trace_whisker(p: Presentation, pre: Path, trace: CellTrace, post: Path) -> C
     return CellTrace(src, tuple(cells))
 
 
-def trace_tensor_ctx(p: Presentation, x: Word, trace: CellTrace, z: Word) -> CellTrace:
-    """Whisker a trace by object words on both sides (monoidal action)."""
-    if not x and not z:
-        return trace
-    cells = tuple(
-        CellStep(
-            tensor_ctx(p, x, c.prefix, z),
-            RelationInstance(
-                x + c.inst.left, c.inst.right + z, c.inst.forward, c.inst.name, c.inst.exch
-            ),
-            tensor_ctx(p, x, c.suffix, z),
-        )
-        for c in trace.cells
-    )
-    return CellTrace(tensor_ctx(p, x, trace.source, z), cells)
-
-
 def single_cell_trace(p: Presentation, source: Path, inst: RelationInstance) -> CellTrace:
     """A one-cell trace rewriting the whole of ``source``."""
     lhs, _ = instance_sides(p, inst)

@@ -10,7 +10,7 @@ less is completable by pure exchange, the trivially-true shape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     CellTrace,
@@ -285,56 +285,71 @@ def check_cylinder(
 # trivially completable coincidences (sampled for the weight checks)
 
 
-def trivial_equational_base_samples(p: Presentation) -> list[tuple[RewriteStep, RelationInstance]]:
+def trivial_equational_base_samples(
+    p: Presentation,
+) -> list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]]:
     """Sampled (vertical step, equational-sided base) coincidences of the
     trivially completable shape: the vertical does not touch both exchanged
     factors (for exchange bases) or is disjoint/nested (for named bases).
-    Contexts and exchange middles range over the words up to length 2."""
-    out: list[tuple[RewriteStep, RelationInstance]] = []
+    Contexts and exchange middles range over the words up to length 2.
+
+    The sample x·(f | inst)·y comes as ``(core, x, y)`` with ``core = (f,
+    inst)``, where ``x`` and ``y`` are the context the step and the base
+    share; equal cores are one object.  Presentations that fail the strip
+    condition of ``coherence.CheckContext`` keep ``x`` and ``y`` empty.
+    Samples come by base (exchanges by e1, e2 and mid, then the named
+    relations), then by x, by y and in ``steps_on`` order."""
+    out: list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]] = []
     if p.mode != "monoidal":
         return out
+    strip = all(
+        any(not s.left for s in side.steps) and any(not s.right for s in side.steps)
+        for r in p.relations
+        for side in (r.lhs, r.rhs)
+    )
     words = words_upto(p, 2)
+
+    def sample(base: RelationInstance, critical) -> None:
+        # skip a step whose interval relative to the window ``critical``
+        # flags, and a side's whiskered first step: its gen at its offset
+        sides = instance_sides(p, base)
+        window = sides[0].source
+        heads = {
+            (s.steps[0].gen, len(s.steps[0].left))
+            for s in sides
+            if s.steps and p.step_source(s.steps[0]) == window
+        }
+        cores: dict = {}
+        for x in words:
+            for y in words:
+                for f in steps_on(x + window + y, p):
+                    at = (f.gen, len(f.left) - len(x))
+                    if at in heads or critical(at[1], at[1] + len(p.gen(f.gen).source)):
+                        continue
+                    nl = min(len(f.left), len(x)) if strip else 0
+                    nr = min(len(f.right), len(y)) if strip else 0
+                    key = (at, x[nl:], y[: len(y) - nr])
+                    if key not in cores:
+                        cores[key] = (
+                            RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr]),
+                            replace(base, left=key[1], right=key[2]),
+                        )
+                    out.append((cores[key], x[:nl], y[len(y) - nr :]))
+
     eq_gens = [g for g in p.generators if g.equational]
     for e1 in eq_gens:
         for e2 in eq_gens:
             for mid in words:
-                span = e1.source + mid + e2.source
-                i1 = (0, len(e1.source))
-                i2 = (len(e1.source) + len(mid), len(span))
-                for x in words:
-                    for y in words:
-                        word = x + span + y
-                        inst = RelationInstance(x, y, True, exch=(e1.name, mid, e2.name))
-                        lhs, rhs = instance_sides(p, inst)
-                        for f in steps_on(word, p):
-                            a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
-                            c1 = (len(x) + i1[0], len(x) + i1[1])
-                            c2 = (len(x) + i2[0], len(x) + i2[1])
-                            hits1 = min(b, c1[1]) > max(a, c1[0])
-                            hits2 = min(b, c2[1]) > max(a, c2[0])
-                            if hits1 and hits2:
-                                continue  # critical, not trivial
-                            if f in (lhs.steps[0], rhs.steps[0]):
-                                continue
-                            out.append((f, inst))
-    eq_named = [
-        r
-        for r in p.relations
-        if p.is_equational_path(r.lhs) and p.is_equational_path(r.rhs)
-    ]
-    for rel in eq_named:
-        window = rel.lhs.source
-        for x in words:
-            for y in words:
-                word = x + window + y
-                inst = RelationInstance(x, y, True, name=rel.name)
-                lhs, rhs = instance_sides(p, inst)
-                heads = tuple(s.steps[0] for s in (lhs, rhs) if s.steps)
-                for f in steps_on(word, p):
-                    a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
-                    if _proper_overlap(a, b, len(x), len(x) + len(window)):
-                        continue  # critical, not trivial
-                    if f in heads:
-                        continue
-                    out.append((f, inst))
+                c1 = (0, len(e1.source))
+                c2 = (c1[1] + len(mid), c1[1] + len(mid) + len(e2.source))
+                sample(
+                    RelationInstance((), (), True, exch=(e1.name, mid, e2.name)),
+                    lambda a, b: min(b, c1[1]) > max(a, c1[0]) and min(b, c2[1]) > max(a, c2[0]),
+                )
+    for rel in p.relations:
+        if p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs):
+            sample(
+                RelationInstance((), (), True, name=rel.name),
+                lambda a, b: _proper_overlap(a, b, 0, len(rel.lhs.source)),
+            )
     return out

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cohpres import cli
+from cohpres import cli, coherence, constructions
 from cohpres.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -48,6 +48,56 @@ def test_check_single_assumption(capsys):
     code, out = run(capsys, "check", CORPUS / "huet.cp", "--assumption", "a1", "--no-opposite")
     assert code == 1
     assert out.startswith("a1: FAIL")
+
+
+@pytest.mark.parametrize("no_opposite", [False, True], ids=["probe", "no-probe"])
+@pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
+@pytest.mark.parametrize("name", ["ds2", "ds2op", "huet", "deltas"])
+def test_single_assumption_matches_check_all(capsys, name, strong, no_opposite):
+    # a single-assumption report computes only its verdict and that
+    # verdict's gates, but prints what the whole battery would select
+    p = cli._load(str(CORPUS / f"{name}.cp"))
+    rep = coherence.check_all(p, "strict", strong, run_opposite=not no_opposite)
+    flags = ["--strong"] * strong + ["--no-opposite"] * no_opposite
+    for a in ("a1", "a2", "a3", "a4"):
+        code, out = run(capsys, "check", CORPUS / f"{name}.cp", "--assumption", a, *flags)
+        cli._print_verdict(a if a != "a3" else "a3 (strict)", rep.assumptions[a], True)
+        assert out == capsys.readouterr().out, a
+        assert code == (0 if rep.assumptions[a].status == "pass" else 1), a
+
+
+@pytest.mark.parametrize(
+    "assumption, skipped",
+    [
+        ("a1", {"cylinders", "check_cylinder", "samples", "opposite"}),
+        ("a2", {"cylinders", "check_cylinder", "samples", "opposite"}),
+        ("a3", {"samples", "opposite"}),
+        ("a4", {"opposite"}),
+    ],
+)
+def test_single_assumption_computes_only_its_gates(capsys, monkeypatch, assumption, skipped):
+    called = set()
+
+    def counting(label, fn):
+        def wrapper(*args, **kwargs):
+            called.add(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for label, module, attr in (
+        ("cylinders", coherence, "enumerate_critical_cylinders"),
+        ("check_cylinder", coherence, "check_cylinder"),
+        ("samples", coherence, "trivial_equational_base_samples"),
+        ("opposite", constructions, "opposite"),
+    ):
+        monkeypatch.setattr(module, attr, counting(label, getattr(module, attr)))
+    code, out = run(capsys, "check", CORPUS / "ds2.cp", "--assumption", assumption)
+    assert code == 0 and ": PASS" in out
+    assert not called & skipped
+    # the full battery, with the probe, calls every one of them
+    run(capsys, "check", CORPUS / "ds2.cp")
+    assert called == {"cylinders", "check_cylinder", "samples", "opposite"}
 
 
 def test_check_report_file(capsys, tmp_path):
@@ -267,6 +317,21 @@ def test_ds2op_a3x_witness_order(capsys):
     witnesses = [l for l in out.splitlines() if l.startswith("WITNESS:")][:4]
     head = "WITNESS: omega2((exch(g,0,g))) = (0, 0) !> (0, 0) = omega2(residual) [vertical "
     assert witnesses == [head + v + "]" for v in ("[m]bab", "ab[m]b", "a[n]ab", "aba[n]")]
+
+
+def test_ds2op_a3x_witnesses_weigh_the_context(capsys):
+    # a sample's weights are those of its core whiskered by its context:
+    # weighing the bare core top prints other witnesses, and fewer of them
+    _, out = run(capsys, "check", CORPUS / "ds2op.cp", "--assumption", "a3x", "--no-opposite")
+    witnesses = [l for l in out.splitlines() if l.startswith("WITNESS:")]
+    assert len(witnesses) == 2891
+    head = "WITNESS: omega2((exch(g,0,g))"
+    assert witnesses[9:11] == [
+        head + v for v in (
+            "b) = (0, 0) !> (0, 1) = omega2(residual) [vertical [m]babb]",
+            "b) = (0, 0) !> (0, 1) = omega2(residual) [vertical ab[m]bb]",
+        )
+    ]
 
 
 def test_closed_pipe_exits_2():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,14 +14,24 @@ from cohpres.coherence import (
     check_a3,
     check_a4,
     check_all,
+    check_assumption,
     eval_weight,
     report_to_dict,
     weight_less,
     weight_of_path,
 )
 from cohpres.constructions import opposite
-from cohpres.core import CellTrace, Path, instance_sides, parse_path, parse_presentation
-from cohpres.critical import trivial_equational_base_samples
+from cohpres.core import (
+    CellStep,
+    CellTrace,
+    Path,
+    RelationInstance,
+    instance_sides,
+    parse_path,
+    parse_presentation,
+)
+from cohpres.critical import _proper_overlap
+from cohpres.objects import steps_on, words_upto
 from cohpres.oracle import search_trace
 from cohpres.residuation import ResiduationError, Residuator
 
@@ -202,11 +213,63 @@ def test_pointwise_order():
     assert not weight_less(spec, (1, 1), (1, 1))
 
 
+def _whiskered_samples(p):
+    """The sampled (step, base) coincidences, each built whiskered, in the
+    sample order of ``trivial_equational_base_samples``: an independent
+    reference for its core-first enumeration."""
+    out = []
+    if p.mode != "monoidal":
+        return out
+    words = words_upto(p, 2)
+    eq_gens = [g for g in p.generators if g.equational]
+    for e1 in eq_gens:
+        for e2 in eq_gens:
+            for mid in words:
+                span = e1.source + mid + e2.source
+                i1 = (0, len(e1.source))
+                i2 = (len(e1.source) + len(mid), len(span))
+                for x in words:
+                    for y in words:
+                        word = x + span + y
+                        inst = RelationInstance(x, y, True, exch=(e1.name, mid, e2.name))
+                        lhs, rhs = instance_sides(p, inst)
+                        for f in steps_on(word, p):
+                            a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
+                            c1 = (len(x) + i1[0], len(x) + i1[1])
+                            c2 = (len(x) + i2[0], len(x) + i2[1])
+                            hits1 = min(b, c1[1]) > max(a, c1[0])
+                            hits2 = min(b, c2[1]) > max(a, c2[0])
+                            if hits1 and hits2:
+                                continue
+                            if f in (lhs.steps[0], rhs.steps[0]):
+                                continue
+                            out.append((f, inst))
+    eq_named = [
+        r for r in p.relations if p.is_equational_path(r.lhs) and p.is_equational_path(r.rhs)
+    ]
+    for rel in eq_named:
+        window = rel.lhs.source
+        for x in words:
+            for y in words:
+                word = x + window + y
+                inst = RelationInstance(x, y, True, name=rel.name)
+                lhs, rhs = instance_sides(p, inst)
+                heads = tuple(s.steps[0] for s in (lhs, rhs) if s.steps)
+                for f in steps_on(word, p):
+                    a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
+                    if _proper_overlap(a, b, len(x), len(x) + len(window)):
+                        continue
+                    if f in heads:
+                        continue
+                    out.append((f, inst))
+    return out
+
+
 def _per_sample_base_records(p, table):
     """The sampled base records computed directly on every whiskered sample."""
     res = Residuator(p, table)
     records = []
-    for f, inst in trivial_equational_base_samples(p):
+    for f, inst in _whiskered_samples(p):
         lhs, rhs = instance_sides(p, inst)
         fpath = Path(lhs.source, (f,))
         try:
@@ -223,6 +286,33 @@ def _per_sample_base_records(p, table):
     return records
 
 
+def _whiskered_records(ctx):
+    """The context's core-first base records, each whiskered back into the
+    record of its sample."""
+    p = ctx.p
+
+    def whisker(x, item, y):
+        return replace(item, left=x + item.left, right=item.right + y)
+
+    def path(x, q, y):
+        return Path(x + q.source + y, tuple(whisker(x, s, y) for s in q.steps))
+
+    out = []
+    for f, inst, x, y, top, fg in ctx.base_records:
+        if top is not None:
+            top = CellTrace(
+                path(x, top.source, y),
+                tuple(
+                    CellStep(path(x, c.prefix, y), whisker(x, c.inst, y), path(x, c.suffix, y))
+                    for c in top.cells
+                ),
+            )
+        if fg is not None:
+            fg = path(x, fg, y)
+        out.append((whisker(x, f, y), whisker(x, inst, y), top, fg))
+    return out
+
+
 @pytest.mark.parametrize("dual", [False, True], ids=["plain", "opposite"])
 @pytest.mark.parametrize("name", ["ds2", "ds2op", "huet", "deltas"])
 def test_context_base_records_match_per_sample(request, name, dual):
@@ -231,10 +321,13 @@ def test_context_base_records_match_per_sample(request, name, dual):
         p = opposite(p)
     ctx = CheckContext(p)
     expected = _per_sample_base_records(p, ctx.table)
-    got = ctx.base_records
+    got = _whiskered_records(ctx)
     assert len(got) == len(expected)
     for i, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"record {i} of {name}{' (opposite)' if dual else ''}"
+    # equal cores are one object
+    cores = {(r[0], r[1]) for r in ctx.base_records}
+    assert len({(id(r[0]), id(r[1])) for r in ctx.base_records}) == len(cores)
 
 
 # Every side leaves its leading c's untouched, so a search on a sample
@@ -252,7 +345,27 @@ rel P : c[u]a ; c[u] => ca[u] ; c[u]
 def test_context_base_records_keep_padded_contexts():
     p = parse_presentation(PADDED)
     ctx = CheckContext(p)
-    assert ctx.base_records == _per_sample_base_records(p, ctx.table)
+    assert _whiskered_records(ctx) == _per_sample_base_records(p, ctx.table)
+    assert all(not x and not y for _, _, x, y, _, _ in ctx.base_records)
+
+
+# An equational relation whose sides meet the strip condition, so named
+# bases are sampled as stripped cores, next to the exchange bases.
+ASSOC = """
+mode monoidal
+objects a b
+eqgen u : a a -> a
+gen m : b a -> a
+rel P : [u]a ; [u] => a[u] ; [u]
+"""
+
+
+def test_context_base_records_strip_named_bases():
+    p = parse_presentation(ASSOC)
+    ctx = CheckContext(p)
+    assert _whiskered_records(ctx) == _per_sample_base_records(p, ctx.table)
+    assert any(inst.name and (x or y) for _, inst, x, y, _, _ in ctx.base_records)
+    assert any(top is None for *_, top, _ in ctx.base_records)
 
 
 def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
@@ -270,6 +383,26 @@ def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
     assert sampled.count(ds2op) == 1
     assert sampled.count(op) <= 1
     assert len(sampled) == sampled.count(ds2op) + sampled.count(op)
+
+
+def test_check_assumption_gates(ds2op, huet):
+    ctx = CheckContext(ds2op)
+    # A4 waits for A3 in the asked mode, and each verdict is computed once
+    skipped = check_assumption(ctx, "a4")
+    assert (skipped.status, skipped.note) == ("inconclusive", "skipped: A3 did not pass")
+    assert check_assumption(ctx, "a4", "up_to_exchange", True).status == "pass"
+    assert check_assumption(ctx, "a4") is skipped
+    assert set(ctx.verdicts) == {
+        ("a1", "", False),
+        ("a3", "strict", False),
+        ("a4", "strict", False),
+        ("a3", "up_to_exchange", False),
+        ("a4", "up_to_exchange", True),
+    }
+    ctx = CheckContext(huet)
+    for name in ("a2", "a3", "a4"):
+        v = check_assumption(ctx, name)
+        assert (v.status, v.note) == ("inconclusive", "skipped: A1 did not pass")
 
 
 def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
