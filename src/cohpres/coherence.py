@@ -23,7 +23,6 @@ from .core import (
     WeightSpec,
     Word,
     instance_sides,
-    tensor_ctx,
 )
 from .critical import (
     CriticalCylinder,
@@ -93,10 +92,13 @@ def eval_weight(
     return tuple(out)
 
 
-def weight_of_path(spec: WeightSpec, path: Path, p: Presentation) -> tuple[int, ...]:
+def weight_of_path(
+    spec: WeightSpec, path: Path, p: Presentation, x: Word = (), y: Word = ()
+) -> tuple[int, ...]:
+    """The weight of ``path`` whiskered by ``x`` and ``y``."""
     total = (0,) * spec.dim
     for s in path.steps:
-        total = tuple(map(add, total, eval_weight(spec, s, p)))
+        total = tuple(map(add, total, eval_weight(spec, s, p, x, y)))
     return total
 
 
@@ -320,12 +322,8 @@ def check_a2(ctx: CheckContext) -> Verdict:
                 for y in contexts:
                     if not x and not y:
                         continue
-                    wres = weight_of_path(
-                        w1, tensor_ctx(p, x, e.second_after_first, y), p
-                    )
-                    worig = eval_weight(
-                        w1, RewriteStep(x + e.second.left, e.second.gen, e.second.right + y), p
-                    )
+                    wres = weight_of_path(w1, e.second_after_first, p, x, y)
+                    worig = eval_weight(w1, e.second, p, x, y)
                     if not weight_less(w1, wres, worig):
                         witnesses.append(
                             f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 Word = tuple[str, ...]
 
@@ -348,65 +349,45 @@ def apply_cell(p: Presentation, path: Path, cell: CellStep) -> Path:
     return Path(path.source, cell.prefix.steps + rhs.steps + cell.suffix.steps)
 
 
-def trace_target(p: Presentation, trace: CellTrace) -> Path:
-    cur = trace.source
+def check_trace(p: Presentation, trace: CellTrace) -> Path:
+    """Validate a trace end to end and return its target path."""
+    cur = p.check_path(trace.source)
     for cell in trace.cells:
         cur = apply_cell(p, cur, cell)
     return cur
 
 
-def check_trace(p: Presentation, trace: CellTrace) -> Path:
-    """Validate a trace end to end and return its target path."""
-    p.check_path(trace.source)
-    return trace_target(p, trace)
+class Move(NamedTuple):
+    """A cell under construction: ``inst`` with its from-side at step ``at``
+    of the current path.  Whiskering by a one-step prefix adds one to ``at``;
+    a suffix changes nothing."""
+
+    at: int
+    inst: RelationInstance
 
 
-def trace_concat(p: Presentation, *traces: CellTrace) -> CellTrace:
-    traces = tuple(t for t in traces if t is not None)
-    if not traces:
-        raise ValueError("empty concatenation")
-    cells: list[CellStep] = []
-    cur = traces[0].source
-    for t in traces:
-        if t.source.steps != cur.steps or t.source.source != cur.source:
-            raise TypeCheckError("traces do not chain")
-        cells.extend(t.cells)
-        cur = trace_target(p, t)
-    return CellTrace(traces[0].source, tuple(cells))
+def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
+    """Replay ``moves`` from ``source`` into a trace of whiskered cells,
+    checking each from-side against the current path.
 
-
-def trace_invert(p: Presentation, trace: CellTrace) -> CellTrace:
-    """Run a trace backwards (every cell direction flipped)."""
-    cur = trace.source
-    states = [cur]
-    for cell in trace.cells:
-        cur = apply_cell(p, cur, cell)
-        states.append(cur)
+    The word at each index of the current path is kept up to date, so a
+    cell's prefix and suffix are slices and nothing is retyped.
+    """
+    p.check_path(source)
+    steps = source.steps
+    words = [source.source]
+    for s in steps:
+        words.append(p.step_target(s))
     cells = []
-    for i in range(len(trace.cells) - 1, -1, -1):
-        c = trace.cells[i]
-        cells.append(CellStep(c.prefix, invert_instance(c.inst), c.suffix))
-    return CellTrace(states[-1], tuple(cells))
-
-
-def trace_whisker(p: Presentation, pre: Path, trace: CellTrace, post: Path) -> CellTrace:
-    """Extend every cell of a trace by a fixed prefix and suffix path."""
-    src = compose(p, compose(p, pre, trace.source), post)
-    cells = []
-    for c in trace.cells:
-        cells.append(
-            CellStep(compose(p, pre, c.prefix), c.inst, compose(p, c.suffix, post))
-        )
-    return CellTrace(src, tuple(cells))
-
-
-def single_cell_trace(p: Presentation, source: Path, inst: RelationInstance) -> CellTrace:
-    """A one-cell trace rewriting the whole of ``source``."""
-    lhs, _ = instance_sides(p, inst)
-    if lhs.steps != source.steps or lhs.source != source.source:
-        raise TypeCheckError("instance does not match the whole path")
-    end = p.path_target(source)
-    return CellTrace(source, (CellStep(Path(source.source, ()), inst, Path(end, ())),))
+    for at, inst in moves:
+        lhs, rhs = instance_sides(p, inst)
+        end = at + len(lhs.steps)
+        if not 0 <= at <= len(steps) or words[at] != lhs.source or steps[at:end] != lhs.steps:
+            raise TypeCheckError(f"cell {p.fmt_instance(inst)} does not apply at step {at}")
+        cells.append(CellStep(Path(words[0], steps[:at]), inst, Path(words[end], steps[end:])))
+        steps = steps[:at] + rhs.steps + steps[end:]
+        words[at:end] = [rhs.source, *map(p.step_target, rhs.steps[:-1])] if rhs.steps else []
+    return CellTrace(source, tuple(cells))
 
 
 # ---------------------------------------------------------------------------

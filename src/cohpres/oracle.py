@@ -4,7 +4,10 @@ Everything here is budgeted and independent of the residuation fast paths:
 exchange canonical forms decide commutation equivalence, a bidirectional
 search decides 2-cell equality within a budget, hom-sets are enumerated and
 partitioned by congruence closure, and a tile-search oracle recomputes
-residuals straight from the declared relations.
+residuals straight from the declared relations.  The step and exchange
+geometry below is this module's own, not borrowed from ``residuation``.
+Searches record their rewrites as moves and build the 2-cell trace of an
+answer once.
 """
 
 from __future__ import annotations
@@ -13,19 +16,19 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .core import (
-    CellStep,
     CellTrace,
     CohpresError,
+    Move,
     Path,
     Presentation,
     RelationInstance,
     RewriteStep,
     Word,
     compose,
+    invert_instance,
     subpath,
     tensor_ctx,
-    trace_concat,
-    trace_invert,
+    trace_from_moves,
 )
 from .objects import steps_on, words_upto
 
@@ -61,24 +64,33 @@ def _consecutive_independent(p: Presentation, s: RewriteStep, t: RewriteStep) ->
     return _intervals_independent(at, bt, a_s, img_end)
 
 
+def _back_offset(p: Presentation, s: RewriteStep, t: RewriteStep) -> int:
+    """Where the later step t of s;t starts on the source word of s."""
+    a_s = len(s.left)
+    at, kt = len(t.left), len(p.gen(t.gen).source)
+    if at + kt <= a_s or (at <= a_s and kt == 0):
+        return at
+    return at + len(p.gen(s.gen).source) - len(p.gen(s.gen).target)
+
+
 def _swap_consecutive(
     p: Presentation, s: RewriteStep, t: RewriteStep
 ) -> tuple[RewriteStep, RewriteStep, RelationInstance]:
-    """Swap independent consecutive steps s;t into t';s' plus the exchange cell."""
-    from .residuation import exchange_instance, retype_step
-
+    """Swap independent consecutive steps s;t into t';s' plus the exchange
+    cell from s;t to t';s'."""
     w = p.step_source(s)
-    a_s = len(s.left)
-    ks, ks2 = len(p.gen(s.gen).source), len(p.gen(s.gen).target)
-    at = len(t.left)
-    kt = len(p.gen(t.gen).source)
-    if at + kt <= a_s or (at <= a_s and kt == 0):
-        at_w = at
+    a_s, b_s = _interval(p, s)
+    at = _back_offset(p, s, t)
+    bt = at + len(p.gen(t.gen).source)
+    t_back = RewriteStep(w[:at], t.gen, w[bt:])
+    w2 = p.step_target(t_back)
+    if bt <= a_s:  # t' left of s: the exchange of (t', s), backwards
+        shift = len(w2) - len(w)
+        inst = RelationInstance(w[:at], w[b_s:], False, exch=(t.gen, w[bt:a_s], s.gen))
     else:
-        at_w = at + ks - ks2
-    t_back = RewriteStep(w[:at_w], t.gen, w[at_w + kt :])
-    s_after = retype_step(p, s, t_back)
-    inst = exchange_instance(p, s, t_back)
+        shift = 0
+        inst = RelationInstance(w[:a_s], w[bt:], True, exch=(s.gen, w[b_s:at], t.gen))
+    s_after = RewriteStep(w2[: a_s + shift], s.gen, w2[b_s + shift :])
     return t_back, s_after, inst
 
 
@@ -92,47 +104,34 @@ def exchange_canonical(path: Path, p: Presentation) -> Path:
     return canonical_with_trace(path, p)[0]
 
 
-def canonical_with_trace(path: Path, p: Presentation) -> tuple[Path, CellTrace]:
-    steps = list(path.steps)
-    cells: list[CellStep] = []
-    cur = Path(path.source, tuple(steps))
+def canonical_with_trace(path: Path, p: Presentation) -> tuple[Path, tuple[Move, ...]]:
+    """The exchange-canonical form and the exchange moves leading to it."""
     if p.mode == "path":
-        return cur, CellTrace(cur, ())
+        return path, ()
+    steps = list(path.steps)
+    moves: list[Move] = []
     changed = True
     while changed:
         changed = False
         for i in range(len(steps) - 1):
             s, t = steps[i], steps[i + 1]
-            if not _consecutive_independent(p, s, t):
-                continue
-            a_s = len(s.left)
-            ks, ks2 = len(p.gen(s.gen).source), len(p.gen(s.gen).target)
-            at = len(t.left)
-            kt = len(p.gen(t.gen).source)
-            at_w = at if (at + kt <= a_s or (at <= a_s and kt == 0)) else at + ks - ks2
-            if at_w >= a_s:
+            if not _consecutive_independent(p, s, t) or _back_offset(p, s, t) >= len(s.left):
                 continue
             t_back, s_after, inst = _swap_consecutive(p, s, t)
-            here = Path(path.source, tuple(steps))
-            cells.append(
-                CellStep(
-                    subpath(here, 0, i, p),
-                    inst,
-                    subpath(here, i + 2, len(steps), p),
-                )
-            )
+            moves.append(Move(i, inst))
             steps[i], steps[i + 1] = t_back, s_after
             changed = True
-    return Path(path.source, tuple(steps)), CellTrace(path, tuple(cells))
+    return Path(path.source, tuple(steps)), tuple(moves)
 
 
 # ---------------------------------------------------------------------------
 # single-cell rewriting moves
 
 
-def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, CellStep]]:
-    """All single named-relation or exchange rewrites applicable to a path."""
-    out: list[tuple[Path, CellStep]] = []
+def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, Move]]:
+    """All single named-relation or exchange rewrites applicable to a path,
+    each as the rewritten path and its move."""
+    out: list[tuple[Path, Move]] = []
     words = [path.source]
     for s in path.steps:
         words.append(p.step_target(s))
@@ -154,10 +153,7 @@ def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, CellStep]]:
                             + tensor_ctx(p, x, rhs, y).steps
                             + path.steps[i:]
                         )
-                        cell = CellStep(
-                            subpath(path, 0, i, p), inst, subpath(path, i, n, p)
-                        )
-                        out.append((Path(path.source, new_steps), cell))
+                        out.append((Path(path.source, new_steps), Move(i, inst)))
                 continue
             l0 = lhs.steps[0]
             for i in range(n - k + 1):
@@ -179,8 +175,7 @@ def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, CellStep]]:
                 new_steps = (
                     path.steps[:i] + tensor_ctx(p, x, rhs, y).steps + path.steps[i + k :]
                 )
-                cell = CellStep(subpath(path, 0, i, p), inst, subpath(path, i + k, n, p))
-                out.append((Path(path.source, new_steps), cell))
+                out.append((Path(path.source, new_steps), Move(i, inst)))
     if p.mode == "monoidal":
         for i in range(n - 1):
             s, t = path.steps[i], path.steps[i + 1]
@@ -188,8 +183,7 @@ def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, CellStep]]:
                 continue
             t_back, s_after, inst = _swap_consecutive(p, s, t)
             new_steps = path.steps[:i] + (t_back, s_after) + path.steps[i + 2 :]
-            cell = CellStep(subpath(path, 0, i, p), inst, subpath(path, i + 2, n, p))
-            out.append((Path(path.source, new_steps), cell))
+            out.append((Path(path.source, new_steps), Move(i, inst)))
     return out
 
 
@@ -218,28 +212,30 @@ def search_trace(
     if start == goal:
         return CellTrace(start, ())
 
+    # per side: the moves from its origin to each visited path, and for each
+    # canonical form the first path reaching it with the moves from there
     sides: list[dict] = []
     for origin in (start, goal):
-        canon, ctr = canonical_with_trace(origin, p)
+        canon, cmoves = canonical_with_trace(origin, p)
         sides.append(
             {
-                "traces": {_raw_key(origin): CellTrace(origin, ())},
-                "canon": {_raw_key(canon): (_raw_key(origin), ctr)},
+                "moves": {_raw_key(origin): ()},
+                "canon": {_raw_key(canon): (_raw_key(origin), cmoves)},
                 "frontier": [origin],
                 "depth": 0,
             }
         )
 
-    def stitch(akey, actr, bkey, bctr) -> CellTrace:
-        ta = sides[0]["traces"][akey]
-        tb = sides[1]["traces"][bkey]
-        return trace_concat(p, ta, actr, trace_invert(p, bctr), trace_invert(p, tb))
+    def stitch(akey, ca, bkey, cb) -> CellTrace:
+        back = sides[1]["moves"][bkey] + cb
+        flipped = tuple(Move(at, invert_instance(inst)) for at, inst in reversed(back))
+        return trace_from_moves(p, start, sides[0]["moves"][akey] + ca + flipped)
 
     # initial meet check
-    for ckey, (akey, actr) in sides[0]["canon"].items():
+    for ckey, (akey, ca) in sides[0]["canon"].items():
         if ckey in sides[1]["canon"]:
-            bkey, bctr = sides[1]["canon"][ckey]
-            return stitch(akey, actr, bkey, bctr)
+            bkey, cb = sides[1]["canon"][ckey]
+            return stitch(akey, ca, bkey, cb)
 
     visited = 2
     while sides[0]["frontier"] or sides[1]["frontier"]:
@@ -257,25 +253,24 @@ def search_trace(
         side["depth"] += 1
         new_frontier: list[Path] = []
         for node in side["frontier"]:
-            base = side["traces"][_raw_key(node)]
-            for new_path, cell in rewrite_moves(p, node):
+            base = side["moves"][_raw_key(node)]
+            for new_path, move in rewrite_moves(p, node):
                 key = _raw_key(new_path)
-                if key in side["traces"]:
+                if key in side["moves"]:
                     continue
                 visited += 1
                 if visited > budget:
                     return None
-                trace = CellTrace(base.source, base.cells + (cell,))
-                side["traces"][key] = trace
-                canon, ctr = canonical_with_trace(new_path, p)
+                side["moves"][key] = base + (move,)
+                canon, cmoves = canonical_with_trace(new_path, p)
                 ckey = _raw_key(canon)
                 if ckey not in side["canon"]:
-                    side["canon"][ckey] = (key, ctr)
+                    side["canon"][ckey] = (key, cmoves)
                 if ckey in other["canon"]:
-                    okey, octr = other["canon"][ckey]
+                    okey, omoves = other["canon"][ckey]
                     if si == 0:
-                        return stitch(key, ctr, okey, octr)
-                    return stitch(okey, octr, key, ctr)
+                        return stitch(key, cmoves, okey, omoves)
+                    return stitch(okey, omoves, key, cmoves)
                 new_frontier.append(new_path)
         side["frontier"] = new_frontier
     return None
@@ -340,7 +335,7 @@ def enumerate_hom_classes(
     index = {q.steps: i for i, q in enumerate(paths)}
     uf = _UnionFind(len(paths))
     for i, q in enumerate(paths):
-        for new_path, _cell in rewrite_moves(p, q):
+        for new_path, _move in rewrite_moves(p, q):
             j = index.get(new_path.steps)
             if j is not None:
                 uf.union(i, j)

@@ -8,7 +8,10 @@ residuals are computed by the convergent zig-zag strategy, which fills the
 grid of two paths tile by tile through the pasting laws.  It runs on an
 explicit work stack over hash-consed step sequences with a memo, so neither
 the Python stack nor the copying of sub-paths grows with the length of a
-path, and each computation can be replayed into an explicit 2-cell witness.
+path.  A computation can also return an explicit 2-cell witness: each tile
+contributes one cell, kept in a tree whose depth is the cell's step, and the
+tree is flattened into moves and built into cells once, so a witness costs
+time linear in its cells apart from slicing each cell's prefix and suffix.
 """
 
 from __future__ import annotations
@@ -18,17 +21,16 @@ from dataclasses import dataclass, field
 from .core import (
     CellTrace,
     CohpresError,
+    Move,
     Path,
     Presentation,
     RelationInstance,
     RewriteStep,
     Word,
-    compose,
-    single_cell_trace,
+    apply_cell,
     subpath,
     tensor_ctx,
-    trace_concat,
-    trace_whisker,
+    trace_from_moves,
     untensor_ctx,
 )
 
@@ -106,6 +108,18 @@ def retype_step(p: Presentation, s: RewriteStep, done: RewriteStep) -> RewriteSt
     return RewriteStep(s.left, s.gen, new_right)
 
 
+def _strip_common(f: RewriteStep, g: RewriteStep):
+    """(zl, zr, f', g'): the context shared by two coinitial steps and the
+    steps with it peeled off."""
+    nl = min(len(f.left), len(g.left))
+    nr = min(len(f.right), len(g.right))
+    zl = f.left[:nl]
+    zr = f.right[len(f.right) - nr :] if nr else ()
+    fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
+    gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
+    return zl, zr, fm, gm
+
+
 def exchange_instance(
     p: Presentation, first_applied: RewriteStep, second: RewriteStep
 ) -> RelationInstance:
@@ -164,11 +178,7 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
                 continue
             if steps_disjoint(p, f0, g0):
                 continue
-            nl = min(len(f0.left), len(g0.left))
-            nr = min(len(f0.right), len(g0.right))
-            zl, zr = f0.left[:nl], f0.right[len(f0.right) - nr :] if nr else ()
-            f0m = RewriteStep(f0.left[nl:], f0.gen, f0.right[: len(f0.right) - nr])
-            g0m = RewriteStep(g0.left[nl:], g0.gen, g0.right[: len(g0.right) - nr])
+            zl, zr, f0m, g0m = _strip_common(f0, g0)
             r_fm = untensor_ctx(p, zl, r_f, zr)
             r_gm = untensor_ctx(p, zl, r_g, zr)
             if r_fm is None or r_gm is None:
@@ -220,16 +230,6 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
 # step residuals
 
 
-def _strip_common(p: Presentation, f: RewriteStep, g: RewriteStep):
-    nl = min(len(f.left), len(g.left))
-    nr = min(len(f.right), len(g.right))
-    zl = f.left[:nl]
-    zr = f.right[len(f.right) - nr :] if nr else ()
-    fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
-    gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
-    return zl, zr, fm, gm
-
-
 def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: RewriteStep):
     """(g/f, f/g, tile) for coinitial steps, at least one equational.
 
@@ -251,7 +251,7 @@ def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: Rewrite
         g_after = Path(p.step_target(f), (retype_step(p, g, f),))
         f_after = Path(p.step_target(g), (retype_step(p, f, g),))
         return g_after, f_after, ("exchange",)
-    zl, zr, fm, gm = _strip_common(p, f, g)
+    zl, zr, fm, gm = _strip_common(f, g)
     key = _pair_key(p, fm, gm)
     entry = table.entries.get(key)
     if entry is None:
@@ -276,6 +276,27 @@ def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: Rewrite
 
 # ---------------------------------------------------------------------------
 # path residuals
+
+
+def _witness_moves(tree) -> list[Move]:
+    """The moves of a witness tree, in order.
+
+    A node ``(before, inst, after)`` stands for the moves of ``before``
+    whiskered by one step, then ``inst`` at step 0, then those of ``after``
+    whiskered by one step; ``inst`` is None for a bare whisker and ``()`` is
+    the empty tree.  So a cell's step is its depth, and shared sub-trees are
+    never copied or shifted.
+    """
+    moves = []
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, RelationInstance):
+            moves.append(Move(depth, node))
+        elif node:
+            before, inst, after = node
+            stack += ((after, depth + 1), (inst, depth), (before, depth + 1))
+    return moves
 
 
 class Residuator:
@@ -334,7 +355,7 @@ class Residuator:
     # -- the zig-zag engine ----------------------------------------------------
 
     def _solve(self, src: Word, g: int, f: int, witness: bool) -> tuple:
-        """(g/f, f/g, trace or None) for coinitial sequences ``g``, ``f`` at ``src``.
+        """(g/f, f/g, witness tree) for coinitial sequences ``g``, ``f`` at ``src``.
 
         The zig-zag strategy, with f1 and g1 the heads of f and g and f', g'
         their tails:
@@ -352,6 +373,11 @@ class Residuator:
         the recursive definition, so the budget runs out at the same
         sub-problem.  A nonempty sequence fixes its source word, so a memo
         key is ``(g, f)``, or the word itself when both are empty.
+
+        With ``witness`` the tree's moves (see ``_witness_moves``) rewrite
+        f;(g/f) into g;(f/g): f1 = g1 whiskers the tree of (g', f') by f1,
+        and a tile gives the tree of (e, h) after f1, the tile cell, then
+        the tree of (c, d) after g1.  Otherwise the tree is empty.
         """
         p, table = self.p, self.table
         heads, tails = self._heads, self._tails
@@ -375,9 +401,9 @@ class Residuator:
                     )
                 f1, g1 = heads[f], heads[g]
                 if not f:
-                    ret = (g, 0, CellTrace(Path(src, self._steps(g)), ()) if witness else None)
+                    ret = (g, 0, ())
                 elif not g:
-                    ret = (0, f, CellTrace(Path(src, self._steps(f)), ()) if witness else None)
+                    ret = (0, f, ())
                 elif f1 == g1:
                     fr[3:5] = key, 1
                     stack.append([p.step_target(g1), tails[g], tails[f], None, 0])
@@ -388,11 +414,8 @@ class Residuator:
                     stack.append([b.source, tails[g], self._seq(b.steps), None, 0])
                     continue
             elif stage == 1:
-                if witness:
-                    gf, fg, inner = ret
-                    pre = Path(src, (heads[f],))
-                    end = p.path_target(compose(p, pre, inner.source))
-                    ret = (gf, fg, trace_whisker(p, pre, inner, p.identity(end)))
+                if ret[2]:
+                    ret = (ret[0], ret[1], (ret[2], None, ()))
             elif stage == 2:
                 fr[4] = 3
                 fr.append(ret)
@@ -400,12 +423,10 @@ class Residuator:
                 stack.append([a.source, self._seq(a.steps, ret[0]), tails[f], None, 0])
                 continue
             else:
-                _, _, _, _, _, a, b, tile, (c, d, t2) = fr
+                tile, (c, d, t2) = fr[7:]
                 e, h, t3 = ret
-                trace = None
-                if witness:
-                    trace = self._tile_witness(src, heads[f], heads[g], a, b, tile, c, h, t2, t3)
-                ret = (e, self._seq(self._steps(d), h), trace)
+                tree = (t3, self._tile_instance(heads[f], heads[g], tile), t2) if witness else ()
+                ret = (e, self._seq(self._steps(d), h), tree)
             memo[key] = ret
             stack.pop()
         return ret
@@ -413,8 +434,12 @@ class Residuator:
     def _residuals(self, g: Path, f: Path, witness: bool) -> tuple[Path, Path, CellTrace | None]:
         p = self.p
         g_end, f_end = p.path_target(g), p.path_target(f)
-        e, dh, trace = self._solve(g.source, self._seq(g.steps), self._seq(f.steps), witness)
-        return Path(f_end, self._steps(e)), Path(g_end, self._steps(dh)), trace
+        e, dh, tree = self._solve(g.source, self._seq(g.steps), self._seq(f.steps), witness)
+        gf = Path(f_end, self._steps(e))
+        trace = None
+        if witness:
+            trace = trace_from_moves(p, Path(f.source, f.steps + gf.steps), _witness_moves(tree))
+        return gf, Path(g_end, self._steps(dh)), trace
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
@@ -429,11 +454,10 @@ class Residuator:
         self._check(g, f)
         return self._residuals(g, f, True)
 
-    def _tile_trace(self, f1: RewriteStep, g1: RewriteStep, a: Path, tile) -> CellTrace:
-        p = self.p
-        src = Path(p.step_source(f1), (f1,) + a.steps)
+    def _tile_instance(self, f1: RewriteStep, g1: RewriteStep, tile) -> RelationInstance:
+        """The cell of a tile, from f1;(g1/f1) to g1;(f1/g1)."""
         if tile[0] == "exchange":
-            return single_cell_trace(p, src, exchange_instance(p, f1, g1))
+            return exchange_instance(self.p, f1, g1)
         _, entry, zl, zr, f_is_first = tile
         dl, dr = entry.decl_left, entry.decl_right
         if zl[len(zl) - len(dl) :] != dl or zr[: len(dr)] != dr:
@@ -443,23 +467,7 @@ class Residuator:
         outer_l = zl[: len(zl) - len(dl)] if dl else zl
         outer_r = zr[len(dr) :]
         forward = entry.lhs_is_first if f_is_first else not entry.lhs_is_first
-        inst = RelationInstance(left=outer_l, right=outer_r, forward=forward, name=entry.relation)
-        return single_cell_trace(p, src, inst)
-
-    def _tile_witness(self, src, f1, g1, a, b, tile, c, h, t2, t3) -> CellTrace:
-        """The trace f;(g/f) =>* g;(f/g) of a tile step of the zig-zag:
-        t3 after f1, then the tile below c;h, then t2 after g1 and before h."""
-        p = self.p
-        c = Path(p.path_target(b), self._steps(c))
-        h = Path(p.path_target(compose(p, a, c)), self._steps(h))
-        t1 = self._tile_trace(f1, g1, a, tile)
-        pre_f1 = Path(src, (f1,))
-        pre_g1 = Path(src, (g1,))
-        end = p.path_target(compose(p, pre_f1, t3.source))
-        part1 = trace_whisker(p, pre_f1, t3, p.identity(end))
-        part2 = trace_whisker(p, p.identity(src), t1, compose(p, c, h))
-        part3 = trace_whisker(p, pre_g1, t2, h)
-        return trace_concat(p, part1, part2, part3)
+        return RelationInstance(left=outer_l, right=outer_r, forward=forward, name=entry.relation)
 
     # -- 2-cell residuals ------------------------------------------------------
 
@@ -480,14 +488,10 @@ class Residuator:
         while remaining.steps:
             step_path = Path(remaining.source, remaining.steps[:1])
             states = [cur.source]
-            w = cur.source
             for cell in cur.cells:
-                from .core import apply_cell
-
-                w = apply_cell(p, w, cell)
-                states.append(w)
+                states.append(apply_cell(p, states[-1], cell))
             residuals = [self._residuals(s, step_path, False)[0] for s in states]
-            pieces: list[CellTrace] = []
+            moves: list[Move] = []
             for i in range(len(residuals) - 1):
                 if residuals[i] == residuals[i + 1]:
                     continue
@@ -499,10 +503,7 @@ class Residuator:
                         "no connecting trace found while residuating a 2-cell "
                         f"(cell {i}, after {p.fmt_path(step_path)})"
                     )
-                pieces.append(top)
-            if pieces:
-                cur = trace_concat(p, *pieces)
-            else:
-                cur = CellTrace(residuals[0], ())
-            remaining = subpath(remaining, 1, len(remaining.steps), p)
+                moves.extend(Move(len(c.prefix), c.inst) for c in top.cells)
+            cur = trace_from_moves(p, residuals[0], moves)
+            remaining = Path(p.step_target(remaining.steps[0]), remaining.steps[1:])
         return cur

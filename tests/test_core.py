@@ -3,15 +3,19 @@ from __future__ import annotations
 import pytest
 
 from cohpres.core import (
+    Move,
     ParseError,
+    RelationInstance,
     RewriteStep,
     TypeCheckError,
+    check_trace,
     compose,
     parse_path,
     parse_presentation,
     parse_word,
     print_presentation,
     tensor_ctx,
+    trace_from_moves,
     validate,
 )
 
@@ -149,3 +153,24 @@ def test_path_print_parse_roundtrip_sweep(ds2):
     for src in (tuple("bbaa"), tuple("baba"), tuple("aabb")):
         for q in paths_from(ds2, src, 3):
             assert parse_path(ds2.fmt_path(q), ds2) == q
+
+
+def test_trace_from_moves_replays_and_rejects_mismatched_moves(ds2):
+    src = parse_path("[n]aa ; b[m] ; [g]", ds2)
+    gamma = RelationInstance((), (), True, name="gamma")
+    delta_a = RelationInstance((), ("a",), True, name="delta")
+    trace = trace_from_moves(ds2, src, [Move(1, gamma), Move(0, delta_a)])
+    assert [(len(c.prefix), ds2.fmt_path(c.suffix)) for c in trace.cells] == [
+        (1, "id ab"),
+        (0, "a[g] ; [m]b"),
+    ]
+    assert ds2.fmt_path(check_trace(ds2, trace)) == "b[g]a ; [g]ba ; a[n]a ; a[g] ; [m]b"
+    for bad in (
+        Move(0, gamma),
+        Move(1, RelationInstance((), (), False, name="gamma")),
+        Move(2, gamma),
+        Move(-1, gamma),
+        Move(4, gamma),
+    ):
+        with pytest.raises(TypeCheckError):
+            trace_from_moves(ds2, src, [bad])

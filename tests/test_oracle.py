@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cohpres.core import check_trace, parse_path
+from cohpres.core import check_trace, parse_path, trace_from_moves
 from cohpres.oracle import (
     ExplosionError,
     canonical_with_trace,
@@ -32,7 +32,8 @@ def test_exchange_canonical_single_step(ds2):
 
 def test_canonical_trace_valid(ds2):
     fp = parse_path("bb[m] ; [n]a", ds2)
-    canon, trace = canonical_with_trace(fp, ds2)
+    canon, moves = canonical_with_trace(fp, ds2)
+    trace = trace_from_moves(ds2, fp, moves)
     assert trace.source == fp
     assert check_trace(ds2, trace) == canon
     assert all(c.inst.exch is not None for c in trace.cells)
@@ -47,6 +48,28 @@ def test_mon_res_residuals_not_exchange_equal_but_star_equal(ds2, ds2_table):
     trace = search_trace(ds2, r1, r2, budget=50_000, max_cells=10)
     assert trace is not None
     assert trace.source == r1 and check_trace(ds2, trace) == r2
+
+
+def test_search_trace_splices_both_canonical_traces(ds2, ds2_table):
+    # r1 takes delta and its canonical exchange; the goal side r2 took gamma
+    # and one canonical exchange, which come back inverted and reversed
+    res = Residuator(ds2, ds2_table)
+    bga = parse_path("b[g]a", ds2)
+    r1 = res.pair(parse_path("[n]aa ; b[m]", ds2), bga)[0]
+    r2 = res.pair(parse_path("bb[m] ; [n]a", ds2), bga)[0]
+    trace = search_trace(ds2, r1, r2, budget=50_000, max_cells=10)
+    assert [(ds2.fmt_instance(c.inst), len(c.prefix)) for c in trace.cells] == [
+        ("a(delta)", 1),
+        ("(~exch(m,0,n))", 3),
+        ("(exch(g,0,g))", 0),
+        ("(~gamma)b", 1),
+    ]
+    assert [ds2.fmt_path(c.suffix) for c in trace.cells] == [
+        "[m]b",
+        "id ab",
+        "a[g]b ; [m]bb ; a[n]",
+        "a[n]",
+    ]
 
 
 def test_exchange_canonical_idempotent_and_fibers(ds2):

@@ -10,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohpres.core import (
+    CellStep,
     CellTrace,
     CohpresError,
     Path,
+    RelationInstance,
+    TypeCheckError,
+    apply_cell,
     check_trace,
     compose,
+    instance_sides,
     parse_path,
     subpath,
-    trace_concat,
-    trace_whisker,
 )
 from cohpres.objects import normalize, steps_on
 from cohpres.oracle import oracle_residual_pair
@@ -234,8 +237,6 @@ def test_witness_endpoints_on_sampled_pairs(ds2, ds2_table):
 
 
 def test_cell_residual_degenerate(ds2, ds2_table):
-    from cohpres.core import RelationInstance, single_cell_trace
-
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance((), (), True, name="gamma")
     src = parse_path("b[m] ; [g]", ds2)
@@ -247,8 +248,6 @@ def test_cell_residual_degenerate(ds2, ds2_table):
 
 
 def test_cell_residual_b_alpha_after_gaa(ds2, ds2_table):
-    from cohpres.core import RelationInstance, single_cell_trace
-
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance(("b",), (), True, name="alpha")
     src = parse_path("b[m]a ; b[m]", ds2)
@@ -271,13 +270,9 @@ def test_residual_undefined_for_two_inert_paths(ds2, ds2_table):
 
 def test_cell_residual_exchange_base_after_bga(ds2, ds2_table):
     # the third critical cylinder: residual of the n/m exchange after b[g]a
-    from cohpres.core import RelationInstance, check_trace, instance_sides
-
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance((), (), True, exch=("n", (), "m"))
     lhs, rhs = instance_sides(ds2, inst)
-    from cohpres.core import single_cell_trace
-
     trace = single_cell_trace(ds2, lhs, inst)
     fstep = parse_path("b[g]a", ds2)
     out = res.cell_residual(trace, fstep)
@@ -315,6 +310,50 @@ def test_equational_equational_tile():
 
 # ---------------------------------------------------------------------------
 # the iterative engine against the recursive definition
+#
+# The reference builds its witnesses by whiskering and concatenating whole
+# traces, with its own copy of that trace algebra.
+
+
+def trace_target(p, trace: CellTrace) -> Path:
+    cur = trace.source
+    for cell in trace.cells:
+        cur = apply_cell(p, cur, cell)
+    return cur
+
+
+def trace_concat(p, *traces: CellTrace) -> CellTrace:
+    traces = tuple(t for t in traces if t is not None)
+    if not traces:
+        raise ValueError("empty concatenation")
+    cells: list[CellStep] = []
+    cur = traces[0].source
+    for t in traces:
+        if t.source.steps != cur.steps or t.source.source != cur.source:
+            raise TypeCheckError("traces do not chain")
+        cells.extend(t.cells)
+        cur = trace_target(p, t)
+    return CellTrace(traces[0].source, tuple(cells))
+
+
+def trace_whisker(p, pre: Path, trace: CellTrace, post: Path) -> CellTrace:
+    """Extend every cell of a trace by a fixed prefix and suffix path."""
+    src = compose(p, compose(p, pre, trace.source), post)
+    cells = []
+    for c in trace.cells:
+        cells.append(
+            CellStep(compose(p, pre, c.prefix), c.inst, compose(p, c.suffix, post))
+        )
+    return CellTrace(src, tuple(cells))
+
+
+def single_cell_trace(p, source: Path, inst: RelationInstance) -> CellTrace:
+    """A one-cell trace rewriting the whole of ``source``."""
+    lhs, _ = instance_sides(p, inst)
+    if lhs.steps != source.steps or lhs.source != source.source:
+        raise TypeCheckError("instance does not match the whole path")
+    end = p.path_target(source)
+    return CellTrace(source, (CellStep(Path(source.source, ()), inst, Path(end, ())),))
 
 
 class RecursiveResiduator(Residuator):
@@ -328,6 +367,10 @@ class RecursiveResiduator(Residuator):
     def pair_with_witness(self, g, f):
         self._check(g, f)
         return self._rec(g, f, True)
+
+    def _tile_trace(self, f1, g1, a, tile):
+        src = Path(self.p.step_source(f1), (f1,) + a.steps)
+        return single_cell_trace(self.p, src, self._tile_instance(f1, g1, tile))
 
     def _rec(self, g, f, witness):
         memo = self._wmemo if witness else self._memo
@@ -459,6 +502,16 @@ def test_witness_does_not_recurse_along_the_path(ds2, ds2_table):
     g = parse_path("[n]" + "b" * 8 + "a" * 10, ds2)
     with shallow_stack():
         gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, u)
+    assert trace.source == compose(ds2, u, gf)
+    assert check_trace(ds2, trace) == compose(ds2, g, fg)
+
+
+def test_witness_along_400_steps(ds2, ds2_table):
+    u = _bkak(ds2, 20)
+    assert len(u.steps) == 400
+    g = parse_path("[n]" + "b" * 18 + "a" * 20, ds2)
+    gf, fg, trace = Residuator(ds2, ds2_table).pair_with_witness(g, u)
+    assert len(trace.cells) == 380
     assert trace.source == compose(ds2, u, gf)
     assert check_trace(ds2, trace) == compose(ds2, g, fg)
 
