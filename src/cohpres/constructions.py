@@ -10,6 +10,7 @@ equational denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 from .core import (
     CohpresError,
@@ -27,6 +28,12 @@ from .core import (
 from .objects import normalize, paths_from, words_upto
 from .oracle import search_trace
 from .residuation import ResidualTable, ResiduationError, Residuator
+
+
+# search bounds of the 2-cell searches below: Tietze derivability checks,
+# and the mediating-pair and closure searches on fractions
+TIETZE_MAX_CELLS, TIETZE_BUDGET = 10, 10_000
+CELL_BUDGET = 20_000
 
 
 class TietzeRefusal(CohpresError):
@@ -81,15 +88,11 @@ def quotient_presentation(p: Presentation) -> Presentation:
     if p.mode != "path":
         raise TypeCheckError("quotient presentation exists in path mode only")
     rep = quotient_class_map(p)
-    objects = []
-    for o in p.objects:
-        if rep[o] == o:
-            objects.append(o)
+    objects = tuple(o for o in p.objects if rep[o] == o)
     gens = tuple(
         MorGen(g.name, (rep[g.source[0]],), (rep[g.target[0]],), False)
         for g in p.generators
     )
-    quot = Presentation("path", tuple(objects), gens, ())
 
     def remap(path: Path) -> Path:
         return Path((rep[path.source[0]],), path.steps)
@@ -101,7 +104,7 @@ def quotient_presentation(p: Presentation) -> Presentation:
             rels.append(
                 Relation(f"{g.name}_id", Path(cls, (RewriteStep((), g.name, ()),)), Path(cls, ()))
             )
-    out = Presentation("path", tuple(objects), gens, tuple(rels))
+    out = Presentation("path", objects, gens, tuple(rels))
     problems = validate(out)
     if problems:
         raise TypeCheckError("; ".join(problems))
@@ -151,9 +154,7 @@ def _uses_gen(path: Path, name: str) -> bool:
     return any(s.gen == name for s in path.steps)
 
 
-def tietze_apply(
-    p: Presentation, script: str, budget: int = 10_000, max_cells: int = 10
-) -> Presentation:
+def tietze_apply(p: Presentation, script: str) -> Presentation:
     """Apply a script of Tietze transformations.
 
     Verbs: ``addgen N : W -> W := PATH``, ``rmgen N``,
@@ -222,7 +223,7 @@ def tietze_apply(
             name, lt, rt = m.groups()
             lhs = parse_path(lt, cur)
             rhs = parse_path(rt, cur)
-            if search_trace(cur, lhs, rhs, max_cells=max_cells, budget=budget) is None:
+            if search_trace(cur, lhs, rhs, TIETZE_MAX_CELLS, TIETZE_BUDGET) is None:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable within budget; refusing to add"
                 )
@@ -239,7 +240,7 @@ def tietze_apply(
             if rel is None:
                 raise TypeCheckError(f"tietze line {ln}: unknown relation '{name}'")
             rest = _without_relation(cur, name)
-            if search_trace(rest, rel.lhs, rel.rhs, max_cells=max_cells, budget=budget) is None:
+            if search_trace(rest, rel.lhs, rel.rhs, TIETZE_MAX_CELLS, TIETZE_BUDGET) is None:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable from the others within budget; "
                     "refusing to remove"
@@ -324,6 +325,14 @@ def fraction_compose(
     return Fraction(compose(p, phi1.num, h), compose(p, phi2.den, w))
 
 
+def _by_target(items) -> dict[Word, list[Path]]:
+    """The paths of ``(path, target)`` pairs grouped by target, in order."""
+    out: dict[Word, list[Path]] = {}
+    for q, t in items:
+        out.setdefault(t, []).append(q)
+    return out
+
+
 def fraction_equal(
     phi1: Fraction,
     phi2: Fraction,
@@ -331,7 +340,6 @@ def fraction_equal(
     table: ResidualTable,
     budget: int = 8,
     coherent: bool = False,
-    cell_budget: int = 20_000,
 ) -> str:
     """Decide fraction equality: 'equal', 'unequal' (at the search bound) or
     'inconclusive'.
@@ -347,21 +355,15 @@ def fraction_equal(
     if coherent:
         n1 = nf_functor_apply(phi1.num, p, table)
         n2 = nf_functor_apply(phi2.num, p, table)
-        return "equal" if search_trace(p, n1, n2, budget=cell_budget) is not None else "unequal"
-    i1 = p.path_target(phi1.den)
-    i2 = p.path_target(phi2.den)
-    w1s = paths_from(p, i1, budget, equational=True)
-    w2s = paths_from(p, i2, budget, equational=True)
-    by_target: dict[Word, list[Path]] = {}
-    for w2 in w2s:
-        by_target.setdefault(p.path_target(w2), []).append(w2)
-    for w1 in w1s:
-        for w2 in by_target.get(p.path_target(w1), []):
+        return "equal" if search_trace(p, n1, n2, budget=CELL_BUDGET) is not None else "unequal"
+    w2s = _by_target(paths_from(p, p.path_target(phi2.den), budget, equational=True))
+    for w1, t in paths_from(p, p.path_target(phi1.den), budget, equational=True):
+        for w2 in w2s.get(t, []):
             den1, den2 = compose(p, phi1.den, w1), compose(p, phi2.den, w2)
-            if search_trace(p, den1, den2, budget=cell_budget) is None:
+            if search_trace(p, den1, den2, budget=CELL_BUDGET) is None:
                 continue
             num1, num2 = compose(p, phi1.num, w1), compose(p, phi2.num, w2)
-            if search_trace(p, num1, num2, budget=cell_budget) is not None:
+            if search_trace(p, num1, num2, budget=CELL_BUDGET) is not None:
                 return "equal"
     return "unequal"
 
@@ -383,34 +385,22 @@ def sample_fraction_agreement(
         srcs = [w for w in small if 3 <= len(w) <= 4][:12]
     if not srcs:
         srcs = [w for w in normals if len(w) <= 3][:4]
-    dens_by_target: dict[Word, list[Path]] = {}
-    for y in small:
-        for u in paths_from(p, y, 2, equational=True):
-            dens_by_target.setdefault(p.path_target(u), []).append(u)
-    samples: list[tuple[Fraction, Fraction]] = []
-    for x in srcs:
-        fractions: list[Fraction] = []
-        for num in paths_from(p, x, min(bound, 3)):
-            for den in dens_by_target.get(p.path_target(num), []):
-                fractions.append(Fraction(num, den))
-        by_sig: dict[tuple[Word, Word], list[Fraction]] = {}
-        for phi in fractions:
-            by_sig.setdefault((phi.source(), phi.target()), []).append(phi)
-        for sig in sorted(by_sig, key=lambda s: (len(s[0]), s)):
-            group = by_sig[sig]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    samples.append((group[i], group[j]))
-                    if len(samples) >= n_samples:
-                        break
-                if len(samples) >= n_samples:
-                    break
-            if len(samples) >= n_samples:
-                break
-        if len(samples) >= n_samples:
-            break
+    dens_by_target = _by_target(
+        item for y in small for item in paths_from(p, y, 2, equational=True)
+    )
+
+    def parallel_pairs():
+        # fractions from x, grouped by their target (the denominator's source)
+        for x in srcs:
+            by_den_source: dict[Word, list[Fraction]] = {}
+            for num, t in paths_from(p, x, min(bound, 3)):
+                for den in dens_by_target.get(t, []):
+                    by_den_source.setdefault(den.source, []).append(Fraction(num, den))
+            for y in sorted(by_den_source):
+                yield from combinations(by_den_source[y], 2)
+
     checked = agreed = 0
-    for phi1, phi2 in samples:
+    for phi1, phi2 in islice(parallel_pairs(), n_samples):
         slow = fraction_equal(phi1, phi2, p, table, coherent=False)
         fast = fraction_equal(phi1, phi2, p, table, coherent=True)
         checked += 1
@@ -428,7 +418,6 @@ def check_left_fractions(
     table: ResidualTable,
     bound: int = 3,
     coherent: bool = False,
-    cell_budget: int = 20_000,
 ) -> dict:
     """Verify the four closure conditions on bounded samples."""
     out = {
@@ -439,16 +428,15 @@ def check_left_fractions(
     words = words_upto(p, 1 if p.mode == "path" else 3)[1:]
     c3_fail = None
     for w in words:
-        us = paths_from(p, w, bound, equational=True)[1:]
-        gs = paths_from(p, w, bound)[1:]
-        for u in us:
+        gs = [g for g, _ in islice(paths_from(p, w, bound), 1, None)]
+        for u, _ in islice(paths_from(p, w, bound, equational=True), 1, None):
             for g in gs:
                 try:
                     gu, ug = res.pair(g, u)
                     if p.path_target(compose(p, u, gu)) != p.path_target(compose(p, g, ug)):
                         c3_fail = f"residuals of ({p.fmt_path(u)}, {p.fmt_path(g)}) not cofinal"
                 except ResiduationError:
-                    found = _bounded_completion(p, u, g, bound, cell_budget)
+                    found = _bounded_completion(p, u, g, bound)
                     if not found:
                         c3_fail = (
                             f"no completion found for ({p.fmt_path(u)}, {p.fmt_path(g)})"
@@ -463,7 +451,7 @@ def check_left_fractions(
     if coherent:
         out["condition4"] = "pass (equational morphisms are epi under A1-A4)"
     else:
-        out["condition4"] = _check_condition4(p, words, bound, cell_budget)
+        out["condition4"] = _check_condition4(p, words, bound)
     out["overall"] = (
         "pass"
         if all(str(v).startswith("pass") for k, v in out.items() if k.startswith("condition"))
@@ -472,42 +460,33 @@ def check_left_fractions(
     return out
 
 
-def _bounded_completion(p: Presentation, u: Path, g: Path, bound: int, cell_budget: int) -> bool:
+def _bounded_completion(p: Presentation, u: Path, g: Path, bound: int) -> bool:
     """Search cofinal (v equational, h) with v.g <=>* h.u."""
-    vs = paths_from(p, p.path_target(g), bound, equational=True)
-    by_target: dict[Word, list[Path]] = {}
-    for h in paths_from(p, p.path_target(u), bound):
-        by_target.setdefault(p.path_target(h), []).append(h)
-    for v in vs:
-        for h in by_target.get(p.path_target(v), []):
-            if search_trace(p, compose(p, g, v), compose(p, u, h), budget=cell_budget) is not None:
+    hs = _by_target(paths_from(p, p.path_target(u), bound))
+    for v, t in paths_from(p, p.path_target(g), bound, equational=True):
+        for h in hs.get(t, []):
+            if search_trace(p, compose(p, g, v), compose(p, u, h), budget=CELL_BUDGET) is not None:
                 return True
     return False
 
 
-def _check_condition4(p: Presentation, words: list[Word], bound: int, cell_budget: int) -> str:
+def _check_condition4(p: Presentation, words: list[Word], bound: int) -> str:
     for w in words[: min(len(words), 6)]:
-        for u in paths_from(p, w, min(bound, 2), equational=True)[1:]:
-            by_tgt: dict[Word, list[Path]] = {}
-            for f in paths_from(p, p.path_target(u), min(bound, 2))[1:]:
-                by_tgt.setdefault(p.path_target(f), []).append(f)
-            for group in by_tgt.values():
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        f1, f2 = group[i], group[j]
-                        uf1, uf2 = compose(p, u, f1), compose(p, u, f2)
-                        if search_trace(p, uf1, uf2, budget=cell_budget) is None:
-                            continue
-                        vs = paths_from(p, p.path_target(f1), min(bound, 2), equational=True)
-                        if not any(
-                            search_trace(
-                                p, compose(p, f1, v), compose(p, f2, v), budget=cell_budget
-                            )
-                            is not None
-                            for v in vs
-                        ):
-                            return (
-                                "fail: no equalizing v for "
-                                f"({p.fmt_path(f1)}, {p.fmt_path(f2)}) after {p.fmt_path(u)}"
-                            )
+        for u, tu in islice(paths_from(p, w, min(bound, 2), equational=True), 1, None):
+            by_tgt = _by_target(islice(paths_from(p, tu, min(bound, 2)), 1, None))
+            for t, group in by_tgt.items():
+                for f1, f2 in combinations(group, 2):
+                    uf1, uf2 = compose(p, u, f1), compose(p, u, f2)
+                    if search_trace(p, uf1, uf2, budget=CELL_BUDGET) is None:
+                        continue
+                    vs = paths_from(p, t, min(bound, 2), equational=True)
+                    if not any(
+                        search_trace(p, compose(p, f1, v), compose(p, f2, v), budget=CELL_BUDGET)
+                        is not None
+                        for v, _ in vs
+                    ):
+                        return (
+                            "fail: no equalizing v for "
+                            f"({p.fmt_path(f1)}, {p.fmt_path(f2)}) after {p.fmt_path(u)}"
+                        )
     return "pass (sampled co-equalizing morphisms found)"

@@ -22,6 +22,9 @@ denotes the empty word.  A step is ``<word?>[<gen>]<word?>`` and a path is a
 ``;`` separated list of steps, or ``id <word>`` for an identity.  Paths are
 written in diagrammatic order: ``b[m] ; [g]`` first applies ``m`` under a
 ``b``, then ``g``.
+
+``Presentation.path_words`` is the one checked walk along a path: the
+source and the word after each step.  ``path_target`` is its last word.
 """
 
 from __future__ import annotations
@@ -211,19 +214,23 @@ class Presentation:
     def step_target(self, s: RewriteStep) -> Word:
         return s.left + self.gen(s.gen).target + s.right
 
-    def path_target(self, p: Path) -> Word:
+    def path_words(self, p: Path) -> list[Word]:
+        """The source of ``p`` and the word after each of its steps; raises
+        TypeCheckError at the first step that does not compose."""
         w = p.source
+        words = [w]
         for s in p.steps:
-            if self.step_source(s) != w:
+            g = self.gen(s.gen)
+            if s.left + g.source + s.right != w:
                 raise TypeCheckError(
                     f"step {self.fmt_step(s)} does not compose at {self.fmt_word(w)}"
                 )
-            w = self.step_target(s)
-        return w
+            w = s.left + g.target + s.right
+            words.append(w)
+        return words
 
-    def check_path(self, p: Path) -> Path:
-        self.path_target(p)
-        return p
+    def path_target(self, p: Path) -> Word:
+        return self.path_words(p)[-1]
 
     def identity(self, w: Word) -> Path:
         return Path(w, ())
@@ -334,13 +341,6 @@ def invert_instance(inst: RelationInstance) -> RelationInstance:
     return replace(inst, forward=not inst.forward)
 
 
-def subpath(path: Path, i: int, j: int, p: Presentation) -> Path:
-    src = path.source
-    for s in path.steps[:i]:
-        src = p.step_target(s)
-    return Path(src, path.steps[i:j])
-
-
 def apply_cell(p: Presentation, path: Path, cell: CellStep) -> Path:
     lhs, rhs = instance_sides(p, cell.inst)
     expect = cell.prefix.steps + lhs.steps + cell.suffix.steps
@@ -351,7 +351,8 @@ def apply_cell(p: Presentation, path: Path, cell: CellStep) -> Path:
 
 def check_trace(p: Presentation, trace: CellTrace) -> Path:
     """Validate a trace end to end and return its target path."""
-    cur = p.check_path(trace.source)
+    cur = trace.source
+    p.path_words(cur)
     for cell in trace.cells:
         cur = apply_cell(p, cur, cell)
     return cur
@@ -373,11 +374,8 @@ def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
     The word at each index of the current path is kept up to date, so a
     cell's prefix and suffix are slices and nothing is retyped.
     """
-    p.check_path(source)
     steps = source.steps
-    words = [source.source]
-    for s in steps:
-        words.append(p.step_target(s))
+    words = p.path_words(source)
     cells = []
     for at, inst in moves:
         lhs, rhs = instance_sides(p, inst)
@@ -386,7 +384,7 @@ def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
             raise TypeCheckError(f"cell {p.fmt_instance(inst)} does not apply at step {at}")
         cells.append(CellStep(Path(words[0], steps[:at]), inst, Path(words[end], steps[end:])))
         steps = steps[:at] + rhs.steps + steps[end:]
-        words[at:end] = [rhs.source, *map(p.step_target, rhs.steps[:-1])] if rhs.steps else []
+        words[at:end] = p.path_words(rhs)[:-1]
     return CellTrace(source, tuple(cells))
 
 
@@ -543,6 +541,8 @@ def _parse_weight_terms(body: str, line: int) -> dict[str, tuple[WeightTerm, ...
                 raise ParseError(f"cannot read weight term '{raw}'", line)
             kind, args = tm.group(1), tuple(a.strip() for a in tm.group(2).split(",") if a.strip())
             if kind == "const":
+                if len(args) != 1 or not re.fullmatch(r"-?\d+", args[0]):
+                    raise ParseError(f"const takes one integer, got '{raw}'", line)
                 terms.append(WeightTerm("const", (), int(args[0])))
             elif kind in ("countL", "countR") and len(args) == 1:
                 terms.append(WeightTerm(kind, args))

@@ -18,13 +18,15 @@ It also holds the three enumerators every bounded construction is built on:
   then in object order; element 0 is the empty word.  It ignores the mode:
   in path mode, where words are single objects, callers take
   ``words_upto(p, 1)[1:]``.
-- ``paths_from(p, x, bound)`` lists every path from ``x`` of at most
-  ``bound`` steps, shortest first, extending each path by ``steps_on`` of
-  its target; element 0 is the empty path.
+- ``paths_from(p, x, bound)`` lazily yields every path from ``x`` of at
+  most ``bound`` steps with its target, as ``(path, target)`` pairs,
+  shortest first, extending each path by ``steps_on`` of the target it
+  carries; the first pair is the empty path and ``x``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import CohpresError, Path, Presentation, RewriteStep, Word
@@ -74,18 +76,21 @@ def words_upto(p: Presentation, n: int) -> list[Word]:
     return words
 
 
-def paths_from(p: Presentation, x: Word, bound: int, equational: bool = False) -> list[Path]:
-    """Every path from ``x`` of at most ``bound`` steps, shortest first."""
-    frontier = [Path(x, ())]
-    paths = list(frontier)
+def paths_from(
+    p: Presentation, x: Word, bound: int, equational: bool = False
+) -> Iterator[tuple[Path, Word]]:
+    """Every path from ``x`` of at most ``bound`` steps with its target,
+    shortest first."""
+    frontier = [(Path(x, ()), x)]
+    yield frontier[0]
     for _ in range(bound):
-        frontier = [
-            Path(x, q.steps + (s,))
-            for q in frontier
-            for s in steps_on(p.path_target(q), p, equational)
-        ]
-        paths.extend(frontier)
-    return paths
+        nxt = []
+        for q, w in frontier:
+            for s in steps_on(w, p, equational):
+                item = (Path(x, q.steps + (s,)), p.step_target(s))
+                yield item
+                nxt.append(item)
+        frontier = nxt
 
 
 def _seed_words(p: Presentation, max_len: int) -> list[Word]:
@@ -158,15 +163,25 @@ def check_equational_termination(
 
 
 def normalize(w: Word, p: Presentation, max_steps: int = 10_000) -> NormalizationResult:
-    """Rewrite ``w`` with the deterministic strategy until no rule applies."""
-    cur = w
-    steps: list[RewriteStep] = []
+    """Rewrite ``w`` with the deterministic strategy until no rule applies.
+
+    Each step is ``steps_on(cur, p, equational=True)[0]``.  A rewrite at
+    offset ``i`` leaves the word left of ``i`` as it was, so the next
+    leftmost redex starts at ``i`` or overlaps the rewritten factor, and
+    the scan resumes ``longest equational source - 1`` letters left of ``i``.
+    """
+    eqs = [g for g in p.generators if g.equational]
+    back = max([len(g.source) - 1 for g in eqs] + [0])
+    cur, at, steps = w, 0, []
     for _ in range(max_steps):
-        nxt = steps_on(cur, p, equational=True)
-        if not nxt:
+        redexes = ((i, g) for i in range(max(0, at - back), len(cur) + 1) for g in eqs)
+        hit = next(((i, g) for i, g in redexes if cur[i : i + len(g.source)] == g.source), None)
+        if hit is None:
             return NormalizationResult(w, cur, Path(w, tuple(steps)))
-        steps.append(nxt[0])
-        cur = p.step_target(nxt[0])
+        at, g = hit
+        left, right = cur[:at], cur[at + len(g.source) :]
+        steps.append(RewriteStep(left, g.name, right))
+        cur = left + g.target + right
     raise BudgetExhausted(
         f"normalization of {p.fmt_word(w)} did not finish within {max_steps} steps"
     )

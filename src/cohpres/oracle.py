@@ -5,9 +5,10 @@ exchange canonical forms decide commutation equivalence, a bidirectional
 search decides 2-cell equality within a budget, hom-sets are enumerated and
 partitioned by congruence closure, and a tile-search oracle recomputes
 residuals straight from the declared relations.  The step and exchange
-geometry below is this module's own, not borrowed from ``residuation``.
-Searches record their rewrites as moves and build the 2-cell trace of an
-answer once.
+geometry below is this module's own, not borrowed from ``residuation``;
+the word walk ``Presentation.path_words`` and the enumerator
+``objects.paths_from``, whose targets hom enumeration reads, are plumbing.
+Searches record their rewrites as moves and build an answer's trace once.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .core import (
     Word,
     compose,
     invert_instance,
-    subpath,
     tensor_ctx,
     trace_from_moves,
 )
-from .objects import steps_on, words_upto
+from .objects import paths_from, steps_on, words_upto
 
 
 class ExplosionError(CohpresError):
@@ -62,6 +62,11 @@ def _consecutive_independent(p: Presentation, s: RewriteStep, t: RewriteStep) ->
     img_end = a_s + len(p.gen(s.gen).target)
     at, bt = _interval(p, t)
     return _intervals_independent(at, bt, a_s, img_end)
+
+
+def _rest(path: Path, p: Presentation) -> Path:
+    """``path`` without its first step."""
+    return Path(p.step_target(path.steps[0]), path.steps[1:])
 
 
 def _back_offset(p: Presentation, s: RewriteStep, t: RewriteStep) -> int:
@@ -132,9 +137,7 @@ def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, Move]]:
     """All single named-relation or exchange rewrites applicable to a path,
     each as the rewritten path and its move."""
     out: list[tuple[Path, Move]] = []
-    words = [path.source]
-    for s in path.steps:
-        words.append(p.step_target(s))
+    words = p.path_words(path)
     n = len(path.steps)
     for rel in p.relations:
         for fwd, lhs, rhs in ((True, rel.lhs, rel.rhs), (False, rel.rhs, rel.lhs)):
@@ -312,26 +315,20 @@ def enumerate_hom_classes(
     src: Word, tgt: Word, p: Presentation, bound: int, guard: int = 200_000
 ) -> HomClasses:
     """All paths src -> tgt of at most ``bound`` steps, partitioned by the
-    congruence generated by single relation applications inside the bound."""
+    congruence generated by single relation applications inside the bound.
+
+    Raises ExplosionError once more than ``guard`` paths from ``src`` have
+    been generated, counting the empty path."""
     paths: list[Path] = []
-    frontier: list[Path] = [Path(src, ())]
-    generated = 1
-    for _ in range(bound):
-        nxt: list[Path] = []
-        for path in frontier:
-            w = p.path_target(path)
-            for s in steps_on(w, p):
-                generated += 1
-                if generated > guard:
-                    raise ExplosionError(
-                        f"hom enumeration exceeded {guard} paths for "
-                        f"{p.fmt_word(src)} -> {p.fmt_word(tgt)}"
-                    )
-                nxt.append(Path(src, path.steps + (s,)))
-        frontier = nxt
-        paths.extend(q for q in nxt if p.path_target(q) == tgt)
-    if src == tgt:
-        paths.insert(0, Path(src, ()))
+    limit = max(guard, 1)  # the empty path is never refused
+    for generated, (q, w) in enumerate(paths_from(p, src, bound), start=1):
+        if generated > limit:
+            raise ExplosionError(
+                f"hom enumeration exceeded {guard} paths for "
+                f"{p.fmt_word(src)} -> {p.fmt_word(tgt)}"
+            )
+        if w == tgt:
+            paths.append(q)
     index = {q.steps: i for i, q in enumerate(paths)}
     uf = _UnionFind(len(paths))
     for i, q in enumerate(paths):
@@ -414,8 +411,7 @@ def _oracle_tile(p: Presentation, f0: RewriteStep, g0: RewriteStep, word: Word):
                     continue
                 if wa.steps[0] != f0 or wb.steps[0] != g0:
                     continue
-                rest_a = subpath(wa, 1, len(wa.steps), p)
-                rest_b = subpath(wb, 1, len(wb.steps), p)
+                rest_a, rest_b = _rest(wa, p), _rest(wb, p)
                 if f_eq and not p.is_equational_path(rest_b):
                     continue
                 if not f_eq and g_eq and not p.is_equational_path(rest_a):
@@ -443,20 +439,16 @@ def oracle_residual_pair(
     if not g.steps:
         return Path(p.path_target(f), ()), f
     if f.steps[0] == g.steps[0]:
-        return oracle_residual_pair(
-            subpath(g, 1, len(g.steps), p), subpath(f, 1, len(f.steps), p), p, depth - 1
-        )
+        return oracle_residual_pair(_rest(g, p), _rest(f, p), p, depth - 1)
     if len(g.steps) > 1:
         g1 = Path(g.source, g.steps[:1])
-        grest = subpath(g, 1, len(g.steps), p)
         g1f, fg1 = oracle_residual_pair(g1, f, p, depth - 1)
-        grest_res, f_rest = oracle_residual_pair(grest, fg1, p, depth - 1)
+        grest_res, f_rest = oracle_residual_pair(_rest(g, p), fg1, p, depth - 1)
         return compose(p, g1f, grest_res), f_rest
     if len(f.steps) > 1:
         f1 = Path(f.source, f.steps[:1])
-        frest = subpath(f, 1, len(f.steps), p)
         gf1, f1g = oracle_residual_pair(g, f1, p, depth - 1)
-        gff, frest_after = oracle_residual_pair(gf1, frest, p, depth - 1)
+        gff, frest_after = oracle_residual_pair(gf1, _rest(f, p), p, depth - 1)
         return gff, compose(p, f1g, frest_after)
     gf, fg = _oracle_tile(p, f.steps[0], g.steps[0], f.source)
     return gf, fg
@@ -471,13 +463,14 @@ def normal_words(p: Presentation, max_word: int) -> list[Word]:
     return [w for w in words if not steps_on(w, p, equational=True)]
 
 
+FRACTION_SAMPLES = 20  # fraction pairs a monoidal comparison samples
+
+
 def compare_constructions(
     p: Presentation,
     max_word: int,
     max_steps: int,
     oracle_family: str | None = None,
-    fraction_samples: int = 20,
-    guard: int = 200_000,
 ) -> dict:
     """Compare hom-set class counts across the constructions at desk scale."""
     from . import constructions as con
@@ -491,10 +484,8 @@ def compare_constructions(
         normals = set(normal_words(p, max_word))
         for u in p.objects:
             for v in p.objects:
-                q = enumerate_hom_classes(
-                    (rep_of[u],), (rep_of[v],), quot, max_steps, guard
-                ).count
-                l = enumerate_hom_classes((u,), (v,), loc, max_steps, guard).count
+                q = enumerate_hom_classes((rep_of[u],), (rep_of[v],), quot, max_steps).count
+                l = enumerate_hom_classes((u,), (v,), loc, max_steps).count
                 entry = {
                     "src": u,
                     "tgt": v,
@@ -502,9 +493,7 @@ def compare_constructions(
                     "localization_classes": l,
                 }
                 if (u,) in normals and (v,) in normals:
-                    entry["nf_classes"] = enumerate_hom_classes(
-                        (u,), (v,), p, max_steps, guard
-                    ).count
+                    entry["nf_classes"] = enumerate_hom_classes((u,), (v,), p, max_steps).count
                 if q != l:
                     entry["mismatch"] = "quotient != localization"
                     report["verdict"] = "unequal"
@@ -515,7 +504,7 @@ def compare_constructions(
     normals = normal_words(p, max_word)
     for u in normals:
         for v in normals:
-            nf = enumerate_hom_classes(u, v, p, max_steps, guard).count
+            nf = enumerate_hom_classes(u, v, p, max_steps).count
             entry = {"src": p.fmt_word(u), "tgt": p.fmt_word(v), "nf_classes": nf}
             if oracle_family == "ds2":
                 pq = (sum(1 for c in u if c == "a"), sum(1 for c in u if c == "b"))
@@ -526,9 +515,7 @@ def compare_constructions(
                     entry["mismatch"] = "nf != surjection oracle"
                     report["verdict"] = "unequal"
             report["pairs"].append(entry)
-    agreement = con.sample_fraction_agreement(
-        p, table, normals, max_steps, fraction_samples
-    )
+    agreement = con.sample_fraction_agreement(p, table, normals, max_steps, FRACTION_SAMPLES)
     report["fractions"] = agreement
     if agreement["checked"] and agreement["agreed"] != agreement["checked"]:
         report["verdict"] = "unequal"

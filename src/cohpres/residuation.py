@@ -28,13 +28,15 @@ from .core import (
     RewriteStep,
     Word,
     apply_cell,
-    subpath,
     tensor_ctx,
     trace_from_moves,
     untensor_ctx,
 )
 
 PairKey = tuple[Word, tuple[tuple[str, int], tuple[str, int]]]
+
+# bounds of the search that joins two residuals in ``cell_residual``
+JOIN_MAX_CELLS, JOIN_BUDGET = 12, 50_000
 
 
 class ResiduationError(CohpresError):
@@ -172,8 +174,8 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
             if g0 == f0:
                 continue
             near_miss = True
-            r_f = subpath(side_f, 1, len(side_f.steps), p)  # g0/f0 candidate
-            r_g = subpath(side_g, 1, len(side_g.steps), p)  # f0/g0 candidate
+            r_f = Path(p.step_target(f0), side_f.steps[1:])  # g0/f0 candidate
+            r_g = Path(p.step_target(g0), side_g.steps[1:])  # f0/g0 candidate
             if not p.is_equational_path(r_g):
                 continue
             if steps_disjoint(p, f0, g0):
@@ -471,9 +473,7 @@ class Residuator:
 
     # -- 2-cell residuals ------------------------------------------------------
 
-    def cell_residual(
-        self, alpha: CellTrace, f: Path, max_cells: int = 12, budget: int = 50_000
-    ) -> CellTrace:
+    def cell_residual(self, alpha: CellTrace, f: Path) -> CellTrace:
         """Residuate a 2-cell trace after a coinitial rewriting path.
 
         Iterates over the steps of ``f``; for each cell of the trace the two
@@ -484,9 +484,8 @@ class Residuator:
 
         p = self.p
         cur = alpha
-        remaining = f
-        while remaining.steps:
-            step_path = Path(remaining.source, remaining.steps[:1])
+        for w, step in zip(p.path_words(f), f.steps):
+            step_path = Path(w, (step,))
             states = [cur.source]
             for cell in cur.cells:
                 states.append(apply_cell(p, states[-1], cell))
@@ -496,7 +495,7 @@ class Residuator:
                 if residuals[i] == residuals[i + 1]:
                     continue
                 top = oracle.search_trace(
-                    p, residuals[i], residuals[i + 1], max_cells=max_cells, budget=budget
+                    p, residuals[i], residuals[i + 1], JOIN_MAX_CELLS, JOIN_BUDGET
                 )
                 if top is None:
                     raise ResiduationError(
@@ -505,5 +504,4 @@ class Residuator:
                     )
                 moves.extend(Move(len(c.prefix), c.inst) for c in top.cells)
             cur = trace_from_moves(p, residuals[0], moves)
-            remaining = Path(p.step_target(remaining.steps[0]), remaining.steps[1:])
         return cur

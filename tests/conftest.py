@@ -3,11 +3,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from cohpres.core import parse_presentation
 from cohpres.residuation import derive_residual_table
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# every property runs the same examples on every run and keeps no example
+# database; a test sets only its own example count
+settings.register_profile("cohpres", derandomize=True, database=None, deadline=None)
+settings.load_profile("cohpres")
 
 
 def load(name: str):

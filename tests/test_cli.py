@@ -221,9 +221,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
     latin1 = tmp_path / "latin1.cp"
     latin1.write_bytes(b"# caf\xe9\nmode path\nobjects x\n")
+    bad_consts = []
+    for i, term in enumerate(("const()", "const(x)", "const(1,2)")):
+        bad = tmp_path / f"const{i}.cp"
+        bad.write_text(
+            "mode monoidal\nobjects a\ngen g : a -> a\n"
+            f"weight omega1 on steps order lex dim 1 {{ g -> ({term}) }}\n",
+            encoding="utf-8",
+        )
+        bad_consts.append(["check", str(bad)])
     for argv in (
         ["check", str(CORPUS)],  # a directory
         ["check", str(latin1)],  # not UTF-8
+        *bad_consts,  # malformed weight terms
         ["check", str(CORPUS / "ds2.cp"), "--term-budget", "0"],
         # negative search bounds
         ["check", str(CORPUS / "ds2.cp"), "--max-word-len", "-1"],

@@ -253,10 +253,10 @@ def test_fraction_equal_is_equivalence_on_samples(ds2, ds2_table):
     src = tuple("baa")
     dens_by_target = {}
     for y in [tuple("ba"), tuple("baa"), tuple("aab"), tuple("ab"), tuple("a")]:
-        for u in objects.paths_from(ds2, y, 2, equational=True):
+        for u, _ in objects.paths_from(ds2, y, 2, equational=True):
             dens_by_target.setdefault(ds2.path_target(u), []).append(u)
     pool = []
-    for num in objects.paths_from(ds2, src, 2):
+    for num, _ in objects.paths_from(ds2, src, 2):
         for den in dens_by_target.get(ds2.path_target(num), []):
             pool.append(Fraction(num, den))
     by_sig = {}

@@ -5,6 +5,7 @@ import pytest
 from cohpres.core import (
     Move,
     ParseError,
+    Path,
     RelationInstance,
     RewriteStep,
     TypeCheckError,
@@ -135,6 +136,23 @@ def test_stored_source_matches_step_fold(ds2):
             assert ds2.step_source(s) == w
             w = ds2.step_target(s)
         assert ds2.path_target(path) == w
+
+
+def test_path_words_lists_every_word_and_checks_composition(ds2):
+    path = parse_path("[n]aa ; b[m] ; [g]", ds2)
+    assert ds2.path_words(path) == [tuple("bbaa"), tuple("baa"), tuple("ba"), tuple("ab")]
+    assert ds2.path_words(ds2.identity(("a",))) == [("a",)]
+    broken = Path(tuple("ba"), (RewriteStep((), "g", ()), RewriteStep((), "g", ())))
+    with pytest.raises(TypeCheckError, match=r"step \[g\] does not compose at ab"):
+        ds2.path_words(broken)
+
+
+@pytest.mark.parametrize("term", ["const()", "const(x)", "const(1,2)"])
+def test_const_weight_term_takes_one_integer(term):
+    text = "mode monoidal\nobjects a\ngen g : a -> a\nweight omega1 on steps order lex dim 1 {{ g -> ({}) }}\n"
+    with pytest.raises(ParseError, match="line 4: const takes one integer"):
+        parse_presentation(text.format(term))
+    assert parse_presentation(text.format("const(3)")).weights["omega1"].entries["g"][0].value == 3
 
 
 def test_multichar_names_print_with_spaces(huet):

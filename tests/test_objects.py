@@ -1,7 +1,14 @@
 from __future__ import annotations
 
-from cohpres.core import parse_presentation
+import functools
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cohpres.core import Path, parse_presentation
 from cohpres.objects import (
+    BudgetExhausted,
     check_equational_termination,
     normalize,
     paths_from,
@@ -10,7 +17,7 @@ from cohpres.objects import (
     words_upto,
 )
 
-from conftest import all_words
+from conftest import all_words, load
 from conftest import paths_from as reference_paths_from
 
 
@@ -46,10 +53,30 @@ def test_words_and_paths_match_references(ds2):
     assert words_upto(ds2, 4) == all_words(ds2, 4)
     for w in all_words(ds2, 3):
         ref = reference_paths_from(ds2, w, 3)
-        assert paths_from(ds2, w, 3) == ref
+        assert [q for q, _ in paths_from(ds2, w, 3)] == ref
         # ds2 has one equational generator, so the equational order is the filtered one
         eq = [q for q in ref if ds2.is_equational_path(q)]
-        assert paths_from(ds2, w, 3, equational=True) == eq
+        assert [q for q, _ in paths_from(ds2, w, 3, equational=True)] == eq
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus(name):
+    return load(name)
+
+
+@given(
+    st.sampled_from(["ds2", "ds2op", "huet", "deltas"]),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_paths_from_matches_reference_and_carries_targets(name, bound, data):
+    p = _corpus(name)
+    w = tuple(data.draw(st.lists(st.sampled_from(p.objects), max_size=5)))
+    got = list(paths_from(p, w, bound))
+    assert [q for q, _ in got] == reference_paths_from(p, w, bound)
+    assert all(t == p.path_target(q) for q, t in got)
+    for q, t in paths_from(p, w, bound, equational=True):
+        assert t == p.path_target(q) and p.is_equational_path(q)
 
 
 def test_termination_ds2(ds2):
@@ -135,3 +162,61 @@ def test_termination_budget_exhausted_on_growing_rule():
     v = check_equational_termination(p, budget=200)
     assert v.status == "budget_exhausted"
     assert v.budget == 200
+
+
+def rescanning_normalize(w, p, max_steps):
+    """The normalization strategy by its definition: the first equational
+    step of ``steps_on`` at every word.  None when ``max_steps`` run out."""
+    cur, steps = w, []
+    for _ in range(max_steps):
+        nxt = steps_on(cur, p, equational=True)
+        if not nxt:
+            return Path(w, tuple(steps))
+        steps.append(nxt[0])
+        cur = p.step_target(nxt[0])
+    return None
+
+
+def _normalize_or_none(w, p, max_steps):
+    try:
+        return normalize(w, p, max_steps).path
+    except BudgetExhausted:
+        return None
+
+
+# equational sources of lengths 2 and 3, so a rewrite can uncover a redex
+# up to two letters left of it
+MIXED = """mode monoidal
+objects a b c
+eqgen g : b a -> a b
+eqgen h : c b a -> a
+eqgen k : c c -> 0
+"""
+EMPTY_SOURCE = "mode monoidal\nobjects a b\neqgen g : b a -> a b\neqgen e : 0 -> b\n"
+GROWING = "mode monoidal\nobjects a b\neqgen d : a -> b a a\n"
+
+
+@pytest.mark.parametrize(
+    "name, max_len, max_steps",
+    [
+        ("ds2", 8, 10_000),
+        ("ds2", 8, 9),
+        ("ds2op", 8, 10_000),
+        ("ds2op", 8, 9),
+        ("huet", 5, 12),
+        ("deltas", 4, 10_000),  # no equational generator
+        ("mixed", 7, 10_000),
+        ("empty-source", 4, 6),
+        ("growing", 4, 7),
+    ],
+)
+def test_incremental_normalize_matches_rescanning(name, max_len, max_steps):
+    texts = {"mixed": MIXED, "empty-source": EMPTY_SOURCE, "growing": GROWING}
+    p = parse_presentation(texts[name]) if name in texts else _corpus(name)
+    exhausted = 0
+    for w in words_upto(p, max_len):
+        want = rescanning_normalize(w, p, max_steps)
+        assert _normalize_or_none(w, p, max_steps) == want, w
+        exhausted += want is None
+    # the small budgets run out on some words, the default one on none
+    assert (exhausted > 0) == (max_steps < 100)

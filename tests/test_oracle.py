@@ -163,6 +163,13 @@ def test_hom_explosion_guard(ds2):
         enumerate_hom_classes(tuple("aaaaaa"), tuple("a"), ds2, 6, guard=10)
 
 
+def test_hom_guard_counts_every_generated_path(ds2):
+    # 86 paths of at most 3 steps leave aaaaaa, the empty one included
+    with pytest.raises(ExplosionError, match="exceeded 85 paths"):
+        enumerate_hom_classes(tuple("aaaaaa"), ("a",), ds2, 3, guard=85)
+    assert enumerate_hom_classes(tuple("aaaaaa"), ("a",), ds2, 3, guard=86).count == 0
+
+
 def test_surjection_counts():
     assert surjection_count((3, 0), (1, 0)) == 1
     assert surjection_count((3, 0), (2, 0)) == 2
