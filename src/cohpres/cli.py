@@ -141,6 +141,8 @@ def cmd_enumerate(args) -> int:
     p = _load(args.file)
     src = parse_word(args.src, p.objects)
     tgt = parse_word(args.tgt, p.objects)
+    if p.mode == "path" and (len(src) != 1 or len(tgt) != 1):
+        raise CohpresError("in path mode SRC and TGT must each be exactly one object")
     h = oracle.enumerate_hom_classes(src, tgt, p, args.max_steps)
     print(f"hom({p.fmt_word(src)}, {p.fmt_word(tgt)}) at bound {args.max_steps}: {h.count} classes")
     for i, cls in enumerate(h.classes):

@@ -80,14 +80,18 @@ def paths_from(
     p: Presentation, x: Word, bound: int, equational: bool = False
 ) -> Iterator[tuple[Path, Word]]:
     """Every path from ``x`` of at most ``bound`` steps with its target,
-    shortest first."""
+    shortest first.  The steps on each word reached, with their targets, are
+    listed once and kept only for this walk."""
+    steps_at: dict[Word, list[tuple[RewriteStep, Word]]] = {}
     frontier = [(Path(x, ()), x)]
     yield frontier[0]
     for _ in range(bound):
         nxt = []
         for q, w in frontier:
-            for s in steps_on(w, p, equational):
-                item = (Path(x, q.steps + (s,)), p.step_target(s))
+            if w not in steps_at:
+                steps_at[w] = [(s, p.step_target(s)) for s in steps_on(w, p, equational)]
+            for s, t in steps_at[w]:
+                item = (Path(x, q.steps + (s,)), t)
                 yield item
                 nxt.append(item)
         frontier = nxt

@@ -2,12 +2,12 @@
 
 Everything here is budgeted and independent of the residuation fast paths:
 exchange canonical forms decide commutation equivalence, a bidirectional
-search decides 2-cell equality within a budget, hom-sets are enumerated and
-partitioned by congruence closure, and a tile-search oracle recomputes
-residuals straight from the declared relations.  The step and exchange
-geometry below is this module's own, not borrowed from ``residuation``;
-the word walk ``Presentation.path_words`` and the enumerator
-``objects.paths_from``, whose targets hom enumeration reads, are plumbing.
+search decides 2-cell equality within a budget, hom-sets are enumerated in
+one walk per source and partitioned by congruence closure, and a tile-search
+oracle recomputes residuals straight from the declared relations.  Rewrites
+find relation sides as windows of generators.  The step and exchange
+geometry is this module's own, not borrowed from ``residuation``; the walks
+``Presentation.path_words`` and ``objects.paths_from`` are plumbing.
 Searches record their rewrites as moves and build an answer's trace once.
 """
 
@@ -133,60 +133,64 @@ def canonical_with_trace(path: Path, p: Presentation) -> tuple[Path, tuple[Move,
 # single-cell rewriting moves
 
 
-def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, Move]]:
-    """All single named-relation or exchange rewrites applicable to a path,
-    each as the rewritten path and its move."""
-    out: list[tuple[Path, Move]] = []
-    words = p.path_words(path)
-    n = len(path.steps)
+def _windows(p: Presentation, path: Path, words: list[Word], bound: int | None = None):
+    """Every relation rewrite of ``path`` as ``(i, k, x, y, fwd, name, rhs)``:
+    the window ``steps[i : i + k]`` is ``x·lhs·y`` and becomes ``x·rhs·y``;
+    by relation, direction, then position, leaving out results of more than
+    ``bound`` steps.  A window is found from its first step by generator;
+    as ``path`` composes (``words`` is its ``path_words``), each later step
+    is checked only by generator and offset."""
+    steps, n = path.steps, len(path.steps)
+    at: dict[str, list[int]] = {}
+    for i, s in enumerate(steps):
+        at.setdefault(s.gen, []).append(i)
     for rel in p.relations:
         for fwd, lhs, rhs in ((True, rel.lhs, rel.rhs), (False, rel.rhs, rel.lhs)):
-            k = len(lhs.steps)
-            if k == 0:
-                w0 = lhs.source
-                for i in range(n + 1):
-                    w = words[i]
-                    for cut in range(len(w) - len(w0) + 1):
-                        if w[cut : cut + len(w0)] != w0:
-                            continue
-                        x, y = w[:cut], w[cut + len(w0) :]
-                        inst = RelationInstance(x, y, fwd, name=rel.name)
-                        new_steps = (
-                            path.steps[:i]
-                            + tensor_ctx(p, x, rhs, y).steps
-                            + path.steps[i:]
-                        )
-                        out.append((Path(path.source, new_steps), Move(i, inst)))
+            side, k = lhs.steps, len(lhs.steps)
+            if bound is not None and n - k + len(rhs.steps) > bound:
                 continue
-            l0 = lhs.steps[0]
-            for i in range(n - k + 1):
-                s0 = path.steps[i]
-                if s0.gen != l0.gen:
-                    continue
-                dl = len(s0.left) - len(l0.left)
-                dr = len(s0.right) - len(l0.right)
-                if dl < 0 or dr < 0:
-                    continue
+            if k == 0:
+                w0, m = lhs.source, len(lhs.source)
+                for i, w in enumerate(words):
+                    for cut in range(len(w) - m + 1):
+                        if w[cut : cut + m] == w0:
+                            yield i, 0, w[:cut], w[cut + m :], fwd, rel.name, rhs
+                continue
+            l0 = side[0]
+            for i in at.get(l0.gen, ()):
+                if i > n - k:
+                    break
+                s0 = steps[i]
+                dl = len(s0.left) - len(l0.left)  # dl < 0 fails the comparison below
                 if s0.left[dl:] != l0.left or s0.right[: len(l0.right)] != l0.right:
                     continue
-                x = s0.left[:dl]
-                y = s0.right[len(l0.right) :]
-                seg = tensor_ctx(p, x, lhs, y)
-                if path.steps[i : i + k] != seg.steps:
-                    continue
-                inst = RelationInstance(x, y, fwd, name=rel.name)
-                new_steps = (
-                    path.steps[:i] + tensor_ctx(p, x, rhs, y).steps + path.steps[i + k :]
-                )
-                out.append((Path(path.source, new_steps), Move(i, inst)))
+                for s, l in zip(steps[i + 1 : i + k], side[1:]):
+                    if s.gen != l.gen or len(s.left) - len(l.left) != dl:
+                        break
+                else:
+                    yield i, k, s0.left[:dl], s0.right[len(l0.right) :], fwd, rel.name, rhs
+
+
+def _exchanges(p: Presentation, steps: tuple[RewriteStep, ...]):
+    """Every exchange rewrite ``(i, t', s', inst)`` of a path, by position."""
     if p.mode == "monoidal":
-        for i in range(n - 1):
-            s, t = path.steps[i], path.steps[i + 1]
-            if not _consecutive_independent(p, s, t):
-                continue
-            t_back, s_after, inst = _swap_consecutive(p, s, t)
-            new_steps = path.steps[:i] + (t_back, s_after) + path.steps[i + 2 :]
-            out.append((Path(path.source, new_steps), Move(i, inst)))
+        for i in range(len(steps) - 1):
+            if _consecutive_independent(p, steps[i], steps[i + 1]):
+                yield i, *_swap_consecutive(p, steps[i], steps[i + 1])
+
+
+def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, Move]]:
+    """All single named-relation or exchange rewrites applicable to a path,
+    each as the rewritten path and its move: relations in ``_windows``
+    order, then exchanges by position."""
+    out: list[tuple[Path, Move]] = []
+    steps = path.steps
+    for i, k, x, y, fwd, name, rhs in _windows(p, path, p.path_words(path)):
+        new = tensor_ctx(p, x, rhs, y).steps
+        inst = RelationInstance(x, y, fwd, name=name)
+        out.append((Path(path.source, steps[:i] + new + steps[i + k :]), Move(i, inst)))
+    for i, t2, s2, inst in _exchanges(p, steps):
+        out.append((Path(path.source, steps[:i] + (t2, s2) + steps[i + 2 :]), Move(i, inst)))
     return out
 
 
@@ -311,6 +315,53 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _classes(p: Presentation, paths: list[Path], bound: int) -> tuple[tuple[Path, ...], ...]:
+    """Parallel ``paths`` partitioned by rewrites, keyed by flat (offset, gen) tuples
+    built from lists, which size them exactly (``tuple(generator)`` over-allocates)."""
+    keys = [tuple([v for s in q.steps for v in (len(s.left), s.gen)]) for q in paths]
+    index = {key: i for i, key in enumerate(keys)}
+    uf = _UnionFind(len(paths))
+    for i, (q, key) in enumerate(zip(paths, keys)):
+        new_keys = [
+            key[: 2 * j]
+            + tuple([v for s in rhs.steps for v in (len(x) + len(s.left), s.gen)])
+            + key[2 * (j + k) :]
+            for j, k, x, _y, _fwd, _name, rhs in _windows(p, q, p.path_words(q), bound)
+        ]
+        new_keys += [
+            key[: 2 * j] + (len(t.left), t.gen, len(s.left), s.gen) + key[2 * j + 4 :]
+            for j, t, s, _inst in _exchanges(p, q.steps)
+        ]
+        for new in new_keys:
+            j = index.get(new)
+            if j is not None:
+                uf.union(i, j)
+    groups: dict[int, list[Path]] = {}
+    for i, q in enumerate(paths):
+        groups.setdefault(uf.find(i), []).append(q)
+    return tuple(
+        tuple(sorted(g, key=lambda q: (len(q.steps), p.fmt_path(q))))
+        for g in sorted(groups.values(), key=lambda g: (len(g[0].steps), p.fmt_path(g[0])))
+    )
+
+
+def _hom_partition(
+    src: Word, tgts: tuple[Word, ...], p: Presentation, bound: int, guard: int = 200_000
+) -> dict[Word, HomClasses]:
+    """The hom classes to each of ``tgts`` from one walk; errors name ``tgts[0]``."""
+    by_tgt: dict[Word, list[Path]] = {t: [] for t in tgts}
+    limit = max(guard, 1)  # the empty path is never refused
+    for generated, (q, w) in enumerate(paths_from(p, src, bound), start=1):
+        if generated > limit:
+            raise ExplosionError(
+                f"hom enumeration exceeded {guard} paths for "
+                f"{p.fmt_word(src)} -> {p.fmt_word(tgts[0])}"
+            )
+        if w in by_tgt:
+            by_tgt[w].append(q)
+    return {t: HomClasses(src, t, bound, _classes(p, qs, bound)) for t, qs in by_tgt.items()}
+
+
 def enumerate_hom_classes(
     src: Word, tgt: Word, p: Presentation, bound: int, guard: int = 200_000
 ) -> HomClasses:
@@ -319,31 +370,7 @@ def enumerate_hom_classes(
 
     Raises ExplosionError once more than ``guard`` paths from ``src`` have
     been generated, counting the empty path."""
-    paths: list[Path] = []
-    limit = max(guard, 1)  # the empty path is never refused
-    for generated, (q, w) in enumerate(paths_from(p, src, bound), start=1):
-        if generated > limit:
-            raise ExplosionError(
-                f"hom enumeration exceeded {guard} paths for "
-                f"{p.fmt_word(src)} -> {p.fmt_word(tgt)}"
-            )
-        if w == tgt:
-            paths.append(q)
-    index = {q.steps: i for i, q in enumerate(paths)}
-    uf = _UnionFind(len(paths))
-    for i, q in enumerate(paths):
-        for new_path, _move in rewrite_moves(p, q):
-            j = index.get(new_path.steps)
-            if j is not None:
-                uf.union(i, j)
-    groups: dict[int, list[Path]] = {}
-    for i, q in enumerate(paths):
-        groups.setdefault(uf.find(i), []).append(q)
-    classes = tuple(
-        tuple(sorted(g, key=lambda q: (len(q.steps), p.fmt_path(q))))
-        for g in sorted(groups.values(), key=lambda g: (len(g[0].steps), p.fmt_path(g[0])))
-    )
-    return HomClasses(src, tgt, bound, classes)
+    return _hom_partition(src, (tgt,), p, bound, guard)[tgt]
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +502,8 @@ def compare_constructions(
     """Compare hom-set class counts across the constructions at desk scale."""
     from . import constructions as con
     from .residuation import derive_residual_table
+    def counts(src: Word, tgts: tuple[Word, ...], pres: Presentation) -> dict[Word, int]:
+        return {t: h.count for t, h in _hom_partition(src, tgts, pres, max_steps).items()}
 
     report: dict = {"mode": p.mode, "pairs": [], "notes": [], "verdict": "equal"}
     if p.mode == "path":
@@ -482,18 +511,22 @@ def compare_constructions(
         loc = con.localization_presentation(p, set(p.equational_names))
         rep_of = con.quotient_class_map(p)
         normals = set(normal_words(p, max_word))
-        for u in p.objects:
+        objs = tuple((v,) for v in p.objects)
+        reps = tuple((rep_of[v],) for v in p.objects)
+        quot_counts: dict[Word, dict[Word, int]] = {}  # by representative
+        for u in p.objects:  # walks: quotient, localization, nf; fixes the first error
+            ru = (rep_of[u],)
+            if ru not in quot_counts:
+                quot_counts[ru] = counts(ru, reps, quot)
+            loc_counts = counts((u,), objs, loc)
+            if (u,) in normals:
+                nf_counts = counts((u,), tuple(v for v in objs if v in normals), p)
             for v in p.objects:
-                q = enumerate_hom_classes((rep_of[u],), (rep_of[v],), quot, max_steps).count
-                l = enumerate_hom_classes((u,), (v,), loc, max_steps).count
-                entry = {
-                    "src": u,
-                    "tgt": v,
-                    "quotient_classes": q,
-                    "localization_classes": l,
-                }
+                q = quot_counts[ru][(rep_of[v],)]
+                l = loc_counts[(v,)]
+                entry = {"src": u, "tgt": v, "quotient_classes": q, "localization_classes": l}
                 if (u,) in normals and (v,) in normals:
-                    entry["nf_classes"] = enumerate_hom_classes((u,), (v,), p, max_steps).count
+                    entry["nf_classes"] = nf_counts[(v,)]
                 if q != l:
                     entry["mismatch"] = "quotient != localization"
                     report["verdict"] = "unequal"
@@ -503,8 +536,9 @@ def compare_constructions(
     table = derive_residual_table(p)
     normals = normal_words(p, max_word)
     for u in normals:
+        nf_counts = counts(u, tuple(normals), p)
         for v in normals:
-            nf = enumerate_hom_classes(u, v, p, max_steps).count
+            nf = nf_counts[v]
             entry = {"src": p.fmt_word(u), "tgt": p.fmt_word(v), "nf_classes": nf}
             if oracle_family == "ds2":
                 pq = (sum(1 for c in u if c == "a"), sum(1 for c in u if c == "b"))

@@ -240,6 +240,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["check", str(CORPUS / "ds2.cp"), "--depth", "-1"],
         ["check", str(CORPUS / "ds2.cp"), "--budget", "-1"],
         ["enumerate", str(CORPUS / "ds2.cp"), "aaa", "aa", "--max-steps", "-1"],
+        # path mode: a source or target that is not exactly one object
+        ["enumerate", str(CORPUS / "huet.cp"), "x y", "x", "--max-steps", "2"],
+        ["enumerate", str(CORPUS / "huet.cp"), "0", "0", "--max-steps", "2"],
         ["compare", str(CORPUS / "ds2.cp"), "--max-word", "-1", "--max-steps", "2"],
         ["compare", str(CORPUS / "ds2.cp"), "--max-word", "1", "--max-steps", "-1"],
         ["fractions", str(CORPUS / "ds2.cp"), "--equal", "[g]", "[g]", "id ba", "id ba", "--budget", "-1"],

@@ -1,14 +1,31 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohpres.core import check_trace, parse_path, trace_from_moves
+from cohpres import constructions as con
+from cohpres.core import (
+    Move,
+    Path,
+    RelationInstance,
+    RewriteStep,
+    check_trace,
+    parse_path,
+    tensor_ctx,
+    trace_from_moves,
+)
+from cohpres.objects import steps_on
 from cohpres.oracle import (
     ExplosionError,
+    _consecutive_independent,
+    _hom_partition,
+    _swap_consecutive,
     canonical_with_trace,
     compare_constructions,
     enumerate_hom_classes,
     exchange_canonical,
+    normal_words,
     oracle_residual_pair,
     rewrite_moves,
     search_trace,
@@ -16,7 +33,7 @@ from cohpres.oracle import (
 )
 from cohpres.residuation import Residuator
 
-from conftest import all_words, paths_from
+from conftest import all_words, load, paths_from
 
 
 def test_exchange_canonical_example(ds2):
@@ -237,3 +254,201 @@ def test_identity_on_empty_word(ds2):
     assert ident.source == () and ident.steps == ()
     h = enumerate_hom_classes((), (), ds2, 3)
     assert h.count == 1
+
+
+# ---------------------------------------------------------------------------
+# window matching against the slice-and-whisker matcher
+#
+# The reference slices each candidate sub-path out of the path and compares
+# it with the relation side whiskered by the candidate's contexts; exchanges
+# come from the oracle's own swap, as in ``rewrite_moves``.
+
+
+def slice_rewrite_moves(p, path):
+    out = []
+    words = p.path_words(path)
+    n = len(path.steps)
+    for rel in p.relations:
+        for fwd, lhs, rhs in ((True, rel.lhs, rel.rhs), (False, rel.rhs, rel.lhs)):
+            k = len(lhs.steps)
+            if k == 0:
+                w0 = lhs.source
+                for i in range(n + 1):
+                    w = words[i]
+                    for cut in range(len(w) - len(w0) + 1):
+                        if w[cut : cut + len(w0)] != w0:
+                            continue
+                        x, y = w[:cut], w[cut + len(w0) :]
+                        inst = RelationInstance(x, y, fwd, name=rel.name)
+                        new_steps = (
+                            path.steps[:i]
+                            + tensor_ctx(p, x, rhs, y).steps
+                            + path.steps[i:]
+                        )
+                        out.append((Path(path.source, new_steps), Move(i, inst)))
+                continue
+            l0 = lhs.steps[0]
+            for i in range(n - k + 1):
+                s0 = path.steps[i]
+                if s0.gen != l0.gen:
+                    continue
+                dl = len(s0.left) - len(l0.left)
+                dr = len(s0.right) - len(l0.right)
+                if dl < 0 or dr < 0:
+                    continue
+                if s0.left[dl:] != l0.left or s0.right[: len(l0.right)] != l0.right:
+                    continue
+                x = s0.left[:dl]
+                y = s0.right[len(l0.right) :]
+                seg = tensor_ctx(p, x, lhs, y)
+                if path.steps[i : i + k] != seg.steps:
+                    continue
+                inst = RelationInstance(x, y, fwd, name=rel.name)
+                new_steps = (
+                    path.steps[:i] + tensor_ctx(p, x, rhs, y).steps + path.steps[i + k :]
+                )
+                out.append((Path(path.source, new_steps), Move(i, inst)))
+    if p.mode == "monoidal":
+        for i in range(n - 1):
+            s, t = path.steps[i], path.steps[i + 1]
+            if not _consecutive_independent(p, s, t):
+                continue
+            t_back, s_after, inst = _swap_consecutive(p, s, t)
+            new_steps = path.steps[:i] + (t_back, s_after) + path.steps[i + 2 :]
+            out.append((Path(path.source, new_steps), Move(i, inst)))
+    return out
+
+
+def _presentation(name):
+    """A corpus file, or huet's quotient or localization presentation."""
+    if name in ("huet-quotient", "huet-localization"):
+        huet = load("huet")
+        if name == "huet-quotient":
+            return con.quotient_presentation(huet)
+        return con.localization_presentation(huet, set(huet.equational_names))
+    return load(name)
+
+
+def _sources(p, max_word):
+    return all_words(p, max_word) if p.mode == "monoidal" else [(o,) for o in p.objects]
+
+
+PRESENTATIONS = ("ds2", "ds2op", "deltas", "huet", "huet-quotient", "huet-localization")
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_window_matching_equals_slicing_on_short_paths(name):
+    # every path of at most 3 steps from every word of at most 4 letters;
+    # huet and its localization are the presentations with relation sides
+    # of no steps
+    p = _presentation(name)
+    compared = moves = 0
+    for w in _sources(p, 4):
+        for q in paths_from(p, w, 3):
+            got = rewrite_moves(p, q)
+            assert got == slice_rewrite_moves(p, q), p.fmt_path(q)
+            compared += 1
+            moves += len(got)
+    floor = {"ds2": 128, "ds2op": 7224, "deltas": 20, "huet": 8}
+    assert moves >= floor.get(name, 200)
+
+
+@settings(max_examples=300)
+@given(
+    name=st.sampled_from(PRESENTATIONS),
+    word=st.lists(st.integers(0, 3), max_size=7),
+    choices=st.lists(st.integers(0, 50), max_size=6),
+)
+def test_window_matching_equals_slicing_on_random_paths(name, word, choices):
+    p = _presentation(name)
+    objs = p.objects
+    w = tuple(objs[i % len(objs)] for i in word)
+    if p.mode == "path":
+        w = w[:1] or objs[:1]
+    src, steps = w, []
+    for c in choices:
+        here = steps_on(w, p)
+        if not here:
+            break
+        s = here[c % len(here)]
+        steps.append(s)
+        w = p.step_target(s)
+    q = Path(src, tuple(steps))
+    assert rewrite_moves(p, q) == slice_rewrite_moves(p, q)
+
+
+# ---------------------------------------------------------------------------
+# one walk per source
+
+
+def slice_hom_classes(src, tgt, p, bound):
+    """The hom classes with the slicing matcher, keyed on whole step tuples."""
+    paths = [q for q in paths_from(p, src, bound) if p.path_target(q) == tgt]
+    index = {q.steps: i for i, q in enumerate(paths)}
+    parent = list(range(len(paths)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, q in enumerate(paths):
+        for new_path, _move in slice_rewrite_moves(p, q):
+            j = index.get(new_path.steps)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(paths)):
+        groups.setdefault(find(i), set()).add(paths[i].steps)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _compare_walks(p, max_word):
+    """The (presentation, source, targets) walks of ``compare_constructions``."""
+    if p.mode == "monoidal":
+        normals = tuple(normal_words(p, max_word))
+        return [(p, u, normals) for u in normals]
+    quot = con.quotient_presentation(p)
+    loc = con.localization_presentation(p, set(p.equational_names))
+    rep_of = con.quotient_class_map(p)
+    objs = tuple((v,) for v in p.objects)
+    normals = tuple(v for v in objs if v in set(normal_words(p, max_word)))
+    walks = []
+    for u in objs:
+        walks.append((quot, (rep_of[u[0]],), tuple((rep_of[v],) for v in p.objects)))
+        walks.append((loc, u, objs))
+        if u in normals:
+            walks.append((p, u, normals))
+    return walks
+
+
+@pytest.mark.parametrize(
+    "name, max_word, bound", [("ds2", 3, 4), ("ds2op", 2, 3), ("deltas", 3, 3), ("huet", 1, 6)]
+)
+def test_partition_equals_per_target_enumeration(name, max_word, bound):
+    p = load(name)
+    pairs = 0
+    for pres, u, tgts in _compare_walks(p, max_word):
+        homs = _hom_partition(u, tgts, pres, bound)
+        assert list(homs) == list(dict.fromkeys(tgts))
+        for v in tgts:
+            h = enumerate_hom_classes(u, v, pres, bound)
+            assert homs[v] == h
+            assert {frozenset(q.steps for q in c) for c in h.classes} == slice_hom_classes(
+                u, v, pres, bound
+            )
+            pairs += 1
+    assert pairs >= 16
+
+
+def test_partition_guard_counts_every_generated_path(ds2):
+    # 86 paths of at most 3 steps leave aaaaaa, whatever the targets
+    tgts = (("a", "a"), ("a",), tuple("aaa"))
+    with pytest.raises(ExplosionError, match="exceeded 85 paths for aaaaaa -> aa$"):
+        _hom_partition(tuple("aaaaaa"), tgts, ds2, 3, guard=85)
+    homs = _hom_partition(tuple("aaaaaa"), tgts, ds2, 3, guard=86)
+    assert list(homs.values()) == [
+        enumerate_hom_classes(tuple("aaaaaa"), v, ds2, 3, guard=86) for v in tgts
+    ]
+    assert homs[tuple("aaa")].count == 10
