@@ -23,6 +23,7 @@ from .core import (
     WeightSpec,
     Word,
     instance_sides,
+    position,
 )
 from .critical import (
     CriticalCylinder,
@@ -348,9 +349,9 @@ def check_a2(ctx: CheckContext) -> Verdict:
                             else:
                                 f = RewriteStep(h.source + mid, e.name, ())
                                 g = RewriteStep((), h.name, mid + e.source)
-                            if not steps_disjoint(p, f, g):
+                            if not steps_disjoint(p, position(f), position(g)):
                                 continue
-                            res = retype_step(p, g, f)
+                            res = p.step_at(p.step_target(f), retype_step(p, position(g), position(f)))
                             strict(
                                 eval_weight(w1, res, p),
                                 eval_weight(w1, g, p),

@@ -341,12 +341,11 @@ def fraction_equal(
     budget: int = 8,
     coherent: bool = False,
 ) -> str:
-    """Decide fraction equality: 'equal', 'unequal' (at the search bound) or
-    'inconclusive'.
-
-    When the presentation is known coherent, equality reduces to comparing
-    normal-form images of the numerators.  Otherwise search for a mediating
-    pair of equational morphisms.
+    """Decide fraction equality: 'equal' or 'unequal'.  When the presentation
+    is known coherent, compare the normal-form images of the numerators;
+    otherwise search for a mediating pair of equational paths of at most
+    ``budget`` steps.  'unequal' is a bounded negative: no mediating pair
+    within ``budget``, or no trace within ``CELL_BUDGET``.
     """
     check_fraction(p, phi1)
     check_fraction(p, phi2)

@@ -36,6 +36,8 @@ from typing import NamedTuple
 
 Word = tuple[str, ...]
 
+Step = tuple[int, str]  # (offset, generator): a step against the word it acts on
+
 EMPTY: Word = ()
 
 
@@ -106,6 +108,10 @@ class RewriteStep:
     left: Word
     gen: str
     right: Word
+
+
+def position(s: RewriteStep) -> Step:
+    return len(s.left), s.gen
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,14 @@ class Presentation:
 
     def step_target(self, s: RewriteStep) -> Word:
         return s.left + self.gen(s.gen).target + s.right
+
+    def step_at(self, w: Word, s: Step) -> RewriteStep:
+        """``s`` on ``w``; raises TypeCheckError if it does not apply there."""
+        off, name = s
+        src = self.gen(name).source
+        if off + len(src) > len(w) or w[off : off + len(src)] != src:
+            raise TypeCheckError(f"step [{name}] at {off} does not apply to {self.fmt_word(w)}")
+        return RewriteStep(w[:off], name, w[off + len(src) :])
 
     def path_words(self, p: Path) -> list[Word]:
         """The source of ``p`` and the word after each of its steps; raises

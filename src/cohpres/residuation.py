@@ -6,12 +6,16 @@ steps come from a table extracted out of the declared relations; disjoint
 steps commute through exchange; shared outer context peels off.  Path-level
 residuals are computed by the convergent zig-zag strategy, which fills the
 grid of two paths tile by tile through the pasting laws.  It runs on an
-explicit work stack over hash-consed step sequences with a memo, so neither
-the Python stack nor the copying of sub-paths grows with the length of a
-path.  A computation can also return an explicit 2-cell witness: each tile
-contributes one cell, kept in a tree whose depth is the cell's step, and the
-tree is flattened into moves and built into cells once, so a witness costs
-time linear in its cells apart from slicing each cell's prefix and suffix.
+explicit work stack over hash-consed sequences of positional steps
+``(offset, gen)`` with a memo, so neither the Python stack, the copying of
+sub-paths nor the length of the context words grows the cost of a tile.
+Paths become positions on the way in and ``RewriteStep``s on the way out.
+The pair-mode memo is keyed on positions alone, so one entry serves every
+whiskering of a sub-problem.  A computation can also return an explicit
+2-cell witness: each tile contributes one cell, kept in a tree whose depth
+is the cell's step, and the tree is flattened into moves and built into
+cells once, so a witness costs time linear in its cells apart from slicing
+each cell's prefix and suffix.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from .core import (
     Presentation,
     RelationInstance,
     RewriteStep,
+    Step,
     Word,
     apply_cell,
-    tensor_ctx,
+    position,
     trace_from_moves,
     untensor_ctx,
 )
@@ -74,20 +79,14 @@ def _pair_key(p: Presentation, s1: RewriteStep, s2: RewriteStep) -> PairKey:
     return (word, (items[0], items[1]))
 
 
-def core_interval(p: Presentation, s: RewriteStep) -> tuple[int, int]:
-    """Half-open position interval [start, end) of the step's active factor."""
-    start = len(s.left)
-    return start, start + len(p.gen(s.gen).source)
-
-
-def steps_disjoint(p: Presentation, f: RewriteStep, g: RewriteStep) -> bool:
+def steps_disjoint(p: Presentation, f: Step, g: Step) -> bool:
     """Whether two coinitial steps act on independent parts of the word.
 
     A step with empty source sits at a gap; it is disjoint from another step
     unless the gap falls strictly inside that step's active interval.
     """
-    af, bf = core_interval(p, f)
-    ag, bg = core_interval(p, g)
+    af, ag = f[0], g[0]
+    bf, bg = af + len(p.gen_map[f[1]].source), ag + len(p.gen_map[g[1]].source)
     if af == bf and ag == bg:
         return af != ag
     if af == bf:
@@ -97,53 +96,24 @@ def steps_disjoint(p: Presentation, f: RewriteStep, g: RewriteStep) -> bool:
     return bf <= ag or bg <= af
 
 
-def retype_step(p: Presentation, s: RewriteStep, done: RewriteStep) -> RewriteStep:
-    """Adjust a step after a disjoint step ``done`` has been applied first."""
-    ad, bd = core_interval(p, done)
-    a_s, b_s = core_interval(p, s)
-    tgt = p.gen(done.gen).target
-    if bd <= a_s:
-        new_left = s.left[:ad] + tgt + s.left[bd:]
-        return RewriteStep(new_left, s.gen, s.right)
-    rel = ad - b_s
-    new_right = s.right[:rel] + tgt + s.right[rel + (bd - ad) :]
-    return RewriteStep(s.left, s.gen, new_right)
-
-
-def _strip_common(f: RewriteStep, g: RewriteStep):
-    """(zl, zr, f', g'): the context shared by two coinitial steps and the
-    steps with it peeled off."""
-    nl = min(len(f.left), len(g.left))
-    nr = min(len(f.right), len(g.right))
-    zl = f.left[:nl]
-    zr = f.right[len(f.right) - nr :] if nr else ()
-    fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
-    gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
-    return zl, zr, fm, gm
+def retype_step(p: Presentation, s: Step, done: Step) -> Step:
+    """A step after a disjoint step ``done`` has been applied first."""
+    d = p.gen_map[done[1]]
+    if done[0] + len(d.source) <= s[0]:
+        return s[0] + len(d.target) - len(d.source), s[1]
+    return s
 
 
 def exchange_instance(
-    p: Presentation, first_applied: RewriteStep, second: RewriteStep
+    p: Presentation, word: Word, first_applied: Step, second: Step
 ) -> RelationInstance:
-    """The exchange cell whose from-side applies ``first_applied`` and then
-    the retyped ``second`` (the two steps must be disjoint)."""
-    a1, b1 = core_interval(p, first_applied)
-    a2, b2 = core_interval(p, second)
-    word = p.step_source(first_applied)
+    """The exchange cell on ``word`` whose from-side applies ``first_applied``
+    and then the retyped ``second`` (the two steps must be disjoint)."""
+    (a1, n1), (a2, n2) = first_applied, second
+    b1, b2 = a1 + len(p.gen_map[n1].source), a2 + len(p.gen_map[n2].source)
     if (a1, b1) <= (a2, b2):
-        left_step, right_step, fwd = first_applied, second, True
-        la, lb, rb = a1, b1, b2
-        ra = a2
-    else:
-        left_step, right_step, fwd = second, first_applied, False
-        la, lb, rb = a2, b2, b1
-        ra = a1
-    return RelationInstance(
-        left=word[:la],
-        right=word[rb:],
-        forward=fwd,
-        exch=(left_step.gen, word[lb:ra], right_step.gen),
-    )
+        return RelationInstance(word[:a1], word[b2:], True, exch=(n1, word[b1:a2], n2))
+    return RelationInstance(word[:a2], word[b1:], False, exch=(n2, word[b2:a1], n1))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +129,7 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
     """
     table = ResidualTable()
     for rel in p.relations:
-        found = False
-        near_miss = False
+        found = near_miss = False
         for side_f, side_g, lhs_is_first in (
             (rel.lhs, rel.rhs, True),
             (rel.rhs, rel.lhs, False),
@@ -178,9 +147,12 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
             r_g = Path(p.step_target(g0), side_g.steps[1:])  # f0/g0 candidate
             if not p.is_equational_path(r_g):
                 continue
-            if steps_disjoint(p, f0, g0):
+            if steps_disjoint(p, position(f0), position(g0)):
                 continue
-            zl, zr, f0m, g0m = _strip_common(f0, g0)
+            # the context the two heads share, and the heads without it
+            nl, nr = min(len(f0.left), len(g0.left)), min(len(f0.right), len(g0.right))
+            zl, zr = f0.left[:nl], f0.right[len(f0.right) - nr :]
+            f0m, g0m = (RewriteStep(s.left[nl:], s.gen, s.right[: len(s.right) - nr]) for s in (f0, g0))
             r_fm = untensor_ctx(p, zl, r_f, zr)
             r_gm = untensor_ctx(p, zl, r_g, zr)
             if r_fm is None or r_gm is None:
@@ -188,16 +160,7 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
                     f"relation '{rel.name}': residual tails do not live in the overlap context"
                 )
                 continue
-            entry = TableEntry(
-                first=f0m,
-                second=g0m,
-                second_after_first=r_fm,
-                first_after_second=r_gm,
-                relation=rel.name,
-                lhs_is_first=lhs_is_first,
-                decl_left=zl,
-                decl_right=zr,
-            )
+            entry = TableEntry(f0m, g0m, r_fm, r_gm, rel.name, lhs_is_first, zl, zr)
             key = _pair_key(p, f0m, g0m)
             prev = table.entries.get(key)
             if prev is None:
@@ -229,54 +192,6 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
 
 
 # ---------------------------------------------------------------------------
-# step residuals
-
-
-def _step_pair(p: Presentation, table: ResidualTable, f: RewriteStep, g: RewriteStep):
-    """(g/f, f/g, tile) for coinitial steps, at least one equational.
-
-    tile is one of ("equal",), ("exchange",) or
-    ("table", entry, zl, zr, f_is_first) and is used to emit witnesses.
-    """
-    if p.step_source(f) != p.step_source(g):
-        raise ResiduationError(
-            f"steps {p.fmt_step(f)} and {p.fmt_step(g)} are not coinitial"
-        )
-    if not (p.is_equational_step(f) or p.is_equational_step(g)):
-        raise ResiduationError(
-            f"residual of ({p.fmt_step(g)}, {p.fmt_step(f)}) undefined: neither is equational"
-        )
-    if f == g:
-        t = p.step_target(f)
-        return Path(t, ()), Path(t, ()), ("equal",)
-    if steps_disjoint(p, f, g):
-        g_after = Path(p.step_target(f), (retype_step(p, g, f),))
-        f_after = Path(p.step_target(g), (retype_step(p, f, g),))
-        return g_after, f_after, ("exchange",)
-    zl, zr, fm, gm = _strip_common(f, g)
-    key = _pair_key(p, fm, gm)
-    entry = table.entries.get(key)
-    if entry is None:
-        raise ResiduationError(
-            f"no residuation tile for the overlapping pair "
-            f"({p.fmt_step(f)}, {p.fmt_step(g)}) on {p.fmt_word(p.step_source(f))}"
-        )
-    if (fm, gm) == (entry.first, entry.second):
-        g_res, f_res, f_is_first = entry.second_after_first, entry.first_after_second, True
-    elif (gm, fm) == (entry.first, entry.second):
-        g_res, f_res, f_is_first = entry.first_after_second, entry.second_after_first, False
-    else:
-        raise ResiduationError(
-            f"tile mismatch for pair ({p.fmt_step(f)}, {p.fmt_step(g)})"
-        )
-    return (
-        tensor_ctx(p, zl, g_res, zr),
-        tensor_ctx(p, zl, f_res, zr),
-        ("table", entry, zl, zr, f_is_first),
-    )
-
-
-# ---------------------------------------------------------------------------
 # path residuals
 
 
@@ -304,17 +219,32 @@ def _witness_moves(tree) -> list[Move]:
 class Residuator:
     """Memoizing, iterative implementation of the zig-zag residuation strategy.
 
-    Step sequences are hash-consed: id 0 is the empty sequence and an id
-    ``k > 0`` stands for the step ``_heads[k]`` followed by the sequence
+    It runs on positional steps ``(offset, gen)`` (``core.Step``), so a
+    tile costs integer arithmetic, not a copy of its context words.  Step
+    sequences are hash-consed: id 0 is the empty sequence and an id ``k >
+    0`` stands for the step ``_heads[k]`` followed by the sequence
     ``_tails[k]``, every distinct sequence getting exactly one id.  A suffix
     is then one list lookup, a memo key hashes two integers yet still
     compares by content, and a residual shares its tail with the
     sub-residual it was built from instead of copying it.
+
+    Positions do not fix the word a sequence starts from, and the pair-mode
+    memo does not ask for it: residuation commutes with whiskering (see
+    ``coherence.CheckContext``), and the positions of two overlapping
+    well-typed steps past their shared left context fix their tile.  So a
+    pair-mode memo entry serves every word its sequences apply to, and
+    ``_work``, the number of sub-problems solved so far, never exceeds its
+    count under word-keyed sequences: a budget runs out later or never,
+    never earlier.  Witness mode keys on the source word too, because its
+    cells hold absolute contexts.
     """
 
     def __init__(self, p: Presentation, table: ResidualTable, budget: int = 200_000):
         self.p = p
         self.table = table
+        # the tiles by the sorted (gen, offset) pairs of their key alone,
+        # which fix the window word of two overlapping well-typed steps
+        self._tiles = {key[1]: entry for key, entry in table.entries.items()}
         self.budget = budget
         self._memo: dict = {}
         self._wmemo: dict = {}
@@ -333,11 +263,11 @@ class Residuator:
 
     # -- interned step sequences ---------------------------------------------
 
-    def _seq(self, steps: tuple[RewriteStep, ...], tail: int = 0) -> int:
+    def _seq(self, steps: list[Step], tail: int = 0) -> int:
         """The id of ``steps`` followed by the sequence ``tail``."""
         ids, heads, tails = self._ids, self._heads, self._tails
         for s in reversed(steps):
-            key = (s.left, s.gen, s.right, tail)
+            key = (s, tail)
             i = ids.get(key)
             if i is None:
                 i = ids[key] = len(heads)
@@ -346,15 +276,61 @@ class Residuator:
             tail = i
         return tail
 
-    def _steps(self, i: int) -> tuple[RewriteStep, ...]:
-        heads, tails = self._heads, self._tails
-        out = []
+    def _steps(self, i: int) -> list[Step]:
+        heads, tails, out = self._heads, self._tails, []
         while i:
             out.append(heads[i])
             i = tails[i]
-        return tuple(out)
+        return out
+
+    def _path(self, w: Word, i: int) -> Path:
+        """The sequence ``i`` from ``w``, each step checked against the word
+        it lands on."""
+        p = self.p
+        source, steps = w, []
+        for s in self._steps(i):
+            steps.append(p.step_at(w, s))
+            w = p.step_target(steps[-1])
+        return Path(source, tuple(steps))
 
     # -- the zig-zag engine ----------------------------------------------------
+
+    def _step_pair(self, f: Step, g: Step):
+        """(g/f, f/g, tile) for distinct coinitial steps, or None when the
+        residual is undefined; tile is None for an exchange and ``(entry,
+        f_is_first)`` for a table tile."""
+        p = self.p
+        if not (p.gen_map[f[1]].equational or p.gen_map[g[1]].equational):
+            return None
+        if steps_disjoint(p, f, g):
+            return [retype_step(p, g, f)], [retype_step(p, f, g)], None
+        nl = min(f[0], g[0])
+        fm, gm = (f[1], f[0] - nl), (g[1], g[0] - nl)
+        entry = self._tiles.get((fm, gm) if fm <= gm else (gm, fm))
+        if entry is None:
+            return None
+        f_is_first = fm == (entry.first.gen, len(entry.first.left))
+        a, b = entry.second_after_first, entry.first_after_second
+        if not f_is_first:
+            a, b = b, a
+        a, b = ([(len(s.left) + nl, s.gen) for s in q.steps] for q in (a, b))
+        return a, b, (entry, f_is_first)
+
+    def _undefined(self, stack: list, f: Step, g: Step) -> ResiduationError:
+        """The error for the top frame's pair, at the word replayed from the
+        bottom frame's source (a frame at stage 3 descended past f1, else g1)."""
+        p, w = self.p, stack[0][0]
+        for fr in stack[:-1]:
+            w = p.step_target(p.step_at(w, self._heads[fr[2] if fr[4] == 3 else fr[1]]))
+        fs, gs = p.step_at(w, f), p.step_at(w, g)
+        if not (p.is_equational_step(fs) or p.is_equational_step(gs)):
+            return ResiduationError(
+                f"residual of ({p.fmt_step(gs)}, {p.fmt_step(fs)}) undefined: neither is equational"
+            )
+        return ResiduationError(
+            f"no residuation tile for the overlapping pair "
+            f"({p.fmt_step(fs)}, {p.fmt_step(gs)}) on {p.fmt_word(w)}"
+        )
 
     def _solve(self, src: Word, g: int, f: int, witness: bool) -> tuple:
         """(g/f, f/g, witness tree) for coinitial sequences ``g``, ``f`` at ``src``.
@@ -373,15 +349,16 @@ class Residuator:
         the result of the frame just finished to its parent.  They are
         looked up, counted against the budget and memoized in the order of
         the recursive definition, so the budget runs out at the same
-        sub-problem.  A nonempty sequence fixes its source word, so a memo
-        key is ``(g, f)``, or the word itself when both are empty.
+        sub-problem.  A pair-mode memo key is ``(g, f)`` and only the bottom
+        frame carries its source word; witness mode carries each frame's and
+        keys on ``(src, g, f)``.
 
         With ``witness`` the tree's moves (see ``_witness_moves``) rewrite
         f;(g/f) into g;(f/g): f1 = g1 whiskers the tree of (g', f') by f1,
         and a tile gives the tree of (e, h) after f1, the tile cell, then
         the tree of (c, d) after g1.  Otherwise the tree is empty.
         """
-        p, table = self.p, self.table
+        p = self.p
         heads, tails = self._heads, self._tails
         memo = self._wmemo if witness else self._memo
         stack = [[src, g, f, None, 0]]
@@ -390,7 +367,7 @@ class Residuator:
             fr = stack[-1]
             src, g, f, key, stage = fr[:5]
             if stage == 0:
-                key = (g, f) if g or f else src
+                key = (src, g, f) if witness else (g, f)
                 hit = memo.get(key)
                 if hit is not None:
                     ret = hit
@@ -406,14 +383,17 @@ class Residuator:
                     ret = (g, 0, ())
                 elif not g:
                     ret = (0, f, ())
-                elif f1 == g1:
-                    fr[3:5] = key, 1
-                    stack.append([p.step_target(g1), tails[g], tails[f], None, 0])
-                    continue
                 else:
-                    a, b, tile = _step_pair(p, table, f1, g1)
-                    fr[3:] = key, 2, a, b, tile
-                    stack.append([b.source, tails[g], self._seq(b.steps), None, 0])
+                    after = p.step_target(p.step_at(src, g1)) if witness else None
+                    if f1 == g1:
+                        fr[3:5] = key, 1
+                        stack.append([after, tails[g], tails[f], None, 0])
+                        continue
+                    tile = self._step_pair(f1, g1)
+                    if tile is None:
+                        raise self._undefined(stack, f1, g1)
+                    fr[3:] = key, 2, *tile
+                    stack.append([after, tails[g], self._seq(tile[1]), None, 0])
                     continue
             elif stage == 1:
                 if ret[2]:
@@ -421,13 +401,13 @@ class Residuator:
             elif stage == 2:
                 fr[4] = 3
                 fr.append(ret)
-                a = fr[5]
-                stack.append([a.source, self._seq(a.steps, ret[0]), tails[f], None, 0])
+                after = p.step_target(p.step_at(src, heads[f])) if witness else None
+                stack.append([after, self._seq(fr[5], ret[0]), tails[f], None, 0])
                 continue
             else:
                 tile, (c, d, t2) = fr[7:]
                 e, h, t3 = ret
-                tree = (t3, self._tile_instance(heads[f], heads[g], tile), t2) if witness else ()
+                tree = (t3, self._tile_instance(src, heads[f], heads[g], tile), t2) if witness else ()
                 ret = (e, self._seq(self._steps(d), h), tree)
             memo[key] = ret
             stack.pop()
@@ -436,12 +416,13 @@ class Residuator:
     def _residuals(self, g: Path, f: Path, witness: bool) -> tuple[Path, Path, CellTrace | None]:
         p = self.p
         g_end, f_end = p.path_target(g), p.path_target(f)
-        e, dh, tree = self._solve(g.source, self._seq(g.steps), self._seq(f.steps), witness)
-        gf = Path(f_end, self._steps(e))
+        g_ids, f_ids = (self._seq([position(s) for s in q.steps]) for q in (g, f))
+        e, dh, tree = self._solve(g.source, g_ids, f_ids, witness)
+        gf = self._path(f_end, e)
         trace = None
         if witness:
             trace = trace_from_moves(p, Path(f.source, f.steps + gf.steps), _witness_moves(tree))
-        return gf, Path(g_end, self._steps(dh)), trace
+        return gf, self._path(g_end, dh), trace
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
@@ -456,11 +437,14 @@ class Residuator:
         self._check(g, f)
         return self._residuals(g, f, True)
 
-    def _tile_instance(self, f1: RewriteStep, g1: RewriteStep, tile) -> RelationInstance:
-        """The cell of a tile, from f1;(g1/f1) to g1;(f1/g1)."""
-        if tile[0] == "exchange":
-            return exchange_instance(self.p, f1, g1)
-        _, entry, zl, zr, f_is_first = tile
+    def _tile_instance(self, w: Word, f1: Step, g1: Step, tile) -> RelationInstance:
+        """The cell of a tile on ``w``, from f1;(g1/f1) to g1;(f1/g1)."""
+        p = self.p
+        if tile is None:
+            return exchange_instance(p, w, f1, g1)
+        entry, f_is_first = tile
+        end = max(s[0] + len(p.gen_map[s[1]].source) for s in (f1, g1))
+        zl, zr = w[: min(f1[0], g1[0])], w[end:]
         dl, dr = entry.decl_left, entry.decl_right
         if zl[len(zl) - len(dl) :] != dl or zr[: len(dr)] != dr:
             raise ResiduationError(

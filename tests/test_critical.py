@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from cohpres.core import RewriteStep
+from cohpres.core import RewriteStep, position
 from cohpres.critical import (
     check_cylinder,
     enumerate_critical_cylinders,
@@ -35,7 +35,7 @@ def test_no_equational_no_pairs(deltas):
 
 def test_pair_cores_genuinely_overlap(ds2, ds2_table):
     for c in enumerate_critical_pairs(ds2, ds2_table):
-        assert not steps_disjoint(ds2, c.f, c.g)
+        assert not steps_disjoint(ds2, position(c.f), position(c.g))
         # minimal: no common outer context
         assert not (c.f.left and c.g.left and c.f.left[0] == c.g.left[0])
         assert not (c.f.right and c.g.right and c.f.right[-1] == c.g.right[-1])
@@ -56,7 +56,7 @@ def test_pair_enumeration_complete_on_small_words(ds2, ds2_table):
             if not ds2.is_equational_step(f):
                 continue
             for g in steps:
-                if f == g or steps_disjoint(ds2, f, g):
+                if f == g or steps_disjoint(ds2, position(f), position(g)):
                     continue
                 nl = min(len(f.left), len(g.left))
                 nr = min(len(f.right), len(g.right))

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,19 +16,22 @@ from cohpres.core import (
     CohpresError,
     Path,
     RelationInstance,
+    RewriteStep,
     TypeCheckError,
     apply_cell,
     check_trace,
     compose,
     instance_sides,
     parse_path,
+    position,
+    tensor_ctx,
 )
 from cohpres.objects import normalize, steps_on
 from cohpres.oracle import oracle_residual_pair
 from cohpres.residuation import (
     ResiduationError,
     Residuator,
-    _step_pair,
+    _pair_key,
     derive_residual_table,
 )
 
@@ -35,8 +39,6 @@ from conftest import all_words, load, paths_from
 
 
 def entry_for(table, p, f_text, g_text):
-    from cohpres.residuation import _pair_key
-
     f = parse_path(f_text, p).steps[0]
     g = parse_path(g_text, p).steps[0]
     return table.entries[_pair_key(p, f, g)]
@@ -355,9 +357,109 @@ def single_cell_trace(p, source: Path, inst: RelationInstance) -> CellTrace:
     return CellTrace(source, (CellStep(Path(source.source, ()), inst, Path(end, ())),))
 
 
+# The step geometry the engine had before it ran on positions, frozen here
+# so that the reference shares none with the engine.
+
+
+def ref_interval(p, s):
+    start = len(s.left)
+    return start, start + len(p.gen(s.gen).source)
+
+
+def ref_disjoint(p, f, g):
+    af, bf = ref_interval(p, f)
+    ag, bg = ref_interval(p, g)
+    if af == bf and ag == bg:
+        return af != ag
+    if af == bf:
+        return af <= ag or af >= bg
+    if ag == bg:
+        return ag <= af or ag >= bf
+    return bf <= ag or bg <= af
+
+
+def ref_retype(p, s, done):
+    ad, bd = ref_interval(p, done)
+    a_s, b_s = ref_interval(p, s)
+    tgt = p.gen(done.gen).target
+    if bd <= a_s:
+        return RewriteStep(s.left[:ad] + tgt + s.left[bd:], s.gen, s.right)
+    rel = ad - b_s
+    return RewriteStep(s.left, s.gen, s.right[:rel] + tgt + s.right[rel + (bd - ad) :])
+
+
+def ref_exchange_instance(p, first_applied, second):
+    a1, b1 = ref_interval(p, first_applied)
+    a2, b2 = ref_interval(p, second)
+    word = p.step_source(first_applied)
+    if (a1, b1) <= (a2, b2):
+        left_step, right_step, fwd, la, lb, ra, rb = first_applied, second, True, a1, b1, a2, b2
+    else:
+        left_step, right_step, fwd, la, lb, ra, rb = second, first_applied, False, a2, b2, a1, b1
+    return RelationInstance(
+        left=word[:la], right=word[rb:], forward=fwd, exch=(left_step.gen, word[lb:ra], right_step.gen)
+    )
+
+
+def ref_step_pair(p, table, f, g):
+    """(g/f, f/g, tile) for coinitial steps, at least one equational; tile
+    is ("exchange",) or ("table", entry, zl, zr, f_is_first)."""
+    if p.step_source(f) != p.step_source(g):
+        raise ResiduationError(f"steps {p.fmt_step(f)} and {p.fmt_step(g)} are not coinitial")
+    if not (p.is_equational_step(f) or p.is_equational_step(g)):
+        raise ResiduationError(
+            f"residual of ({p.fmt_step(g)}, {p.fmt_step(f)}) undefined: neither is equational"
+        )
+    if f == g:
+        t = p.step_target(f)
+        return Path(t, ()), Path(t, ()), ("equal",)
+    if ref_disjoint(p, f, g):
+        g_after = Path(p.step_target(f), (ref_retype(p, g, f),))
+        f_after = Path(p.step_target(g), (ref_retype(p, f, g),))
+        return g_after, f_after, ("exchange",)
+    nl = min(len(f.left), len(g.left))
+    nr = min(len(f.right), len(g.right))
+    zl, zr = f.left[:nl], f.right[len(f.right) - nr :]
+    fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
+    gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
+    entry = table.entries.get(_pair_key(p, fm, gm))
+    if entry is None:
+        raise ResiduationError(
+            f"no residuation tile for the overlapping pair "
+            f"({p.fmt_step(f)}, {p.fmt_step(g)}) on {p.fmt_word(p.step_source(f))}"
+        )
+    if (fm, gm) == (entry.first, entry.second):
+        g_res, f_res, f_is_first = entry.second_after_first, entry.first_after_second, True
+    elif (gm, fm) == (entry.first, entry.second):
+        g_res, f_res, f_is_first = entry.first_after_second, entry.second_after_first, False
+    else:
+        raise ResiduationError(f"tile mismatch for pair ({p.fmt_step(f)}, {p.fmt_step(g)})")
+    return (
+        tensor_ctx(p, zl, g_res, zr),
+        tensor_ctx(p, zl, f_res, zr),
+        ("table", entry, zl, zr, f_is_first),
+    )
+
+
+def positions(path):
+    return tuple((len(s.left), s.gen) for s in path.steps)
+
+
+def at_word(p, w, steps):
+    """The positional ``steps`` as a Path from ``w``."""
+    out, src = [], w
+    for off, name in steps:
+        g = p.gen(name)
+        out.append(RewriteStep(w[:off], name, w[off + len(g.source) :]))
+        w = w[:off] + g.target + w[off + len(g.source) :]
+    return Path(src, tuple(out))
+
+
 class RecursiveResiduator(Residuator):
-    """The zig-zag strategy as a plain recursion over sliced sub-paths, with
-    memo keys ``(source, g.steps, f.steps)``: the reference for the engine."""
+    """The zig-zag strategy as a plain recursion over sliced sub-paths: the
+    reference for the engine.  Witness-mode memo keys are ``(source,
+    g.steps, f.steps)``; the pair-mode memo is keyed on the positions of
+    ``(g, f)`` and holds positions, rebuilt at the words of each hit."""
 
     def pair(self, g, f):
         self._check(g, f)
@@ -367,19 +469,37 @@ class RecursiveResiduator(Residuator):
         self._check(g, f)
         return self._rec(g, f, True)
 
+    def _ref_tile_instance(self, f1, g1, tile):
+        if tile[0] == "exchange":
+            return ref_exchange_instance(self.p, f1, g1)
+        _, entry, zl, zr, f_is_first = tile
+        dl, dr = entry.decl_left, entry.decl_right
+        if zl[len(zl) - len(dl) :] != dl or zr[: len(dr)] != dr:
+            raise ResiduationError(
+                f"cannot attach witness relation '{entry.relation}' outside its declared context"
+            )
+        outer_l = zl[: len(zl) - len(dl)] if dl else zl
+        forward = entry.lhs_is_first if f_is_first else not entry.lhs_is_first
+        return RelationInstance(outer_l, zr[len(dr) :], forward, name=entry.relation)
+
     def _tile_trace(self, f1, g1, a, tile):
         src = Path(self.p.step_source(f1), (f1,) + a.steps)
-        return single_cell_trace(self.p, src, self._tile_instance(f1, g1, tile))
+        return single_cell_trace(self.p, src, self._ref_tile_instance(f1, g1, tile))
 
     def _rec(self, g, f, witness):
-        memo = self._wmemo if witness else self._memo
-        key = (g.source, g.steps, f.steps)
-        if key in memo:
-            return memo[key]
+        p = self.p
+        if witness:
+            memo, key = self._wmemo, (g.source, g.steps, f.steps)
+            if key in memo:
+                return memo[key]
+        else:
+            memo, key = self._memo, (positions(g), positions(f))
+            if key in memo:
+                gf, fg = memo[key]
+                return at_word(p, p.path_target(f), gf), at_word(p, p.path_target(g), fg), None
         self._work += 1
         if self._work > self.budget:
             raise ResiduationError("residuation budget exhausted (nontermination suspected)")
-        p = self.p
 
         def rest(q):
             return Path(p.step_target(q.steps[0]), q.steps[1:])
@@ -396,7 +516,7 @@ class RecursiveResiduator(Residuator):
                 res = (gf, fg, trace_whisker(p, pre, inner, p.identity(end)))
         else:
             f1, g1 = f.steps[0], g.steps[0]
-            a, b, tile = _step_pair(p, self.table, f1, g1)
+            a, b, tile = ref_step_pair(p, self.table, f1, g1)
             c, d, t2 = self._rec(rest(g), b, witness)
             e, h, t3 = self._rec(compose(p, a, c), rest(f), witness)
             trace = None
@@ -412,7 +532,7 @@ class RecursiveResiduator(Residuator):
                     trace_whisker(p, pre_g1, t2, h),
                 )
             res = (e, compose(p, d, h), trace)
-        memo[key] = res
+        memo[key] = res if witness else (positions(res[0]), positions(res[1]))
         return res
 
 
@@ -522,16 +642,16 @@ def _loaded(name):
 
 
 @st.composite
-def coinitial_paths(draw):
+def coinitial_paths(draw, max_steps=5):
     """(name, g, f): a word, an equational path f and any path g from it, up
-    to five steps each, and sometimes with the roles swapped."""
+    to ``max_steps`` steps each, and sometimes with the roles swapped."""
     name = draw(st.sampled_from(["ds2", "ds2op"]))
     p, _ = _loaded(name)
     word = tuple(draw(st.lists(st.sampled_from(p.objects), min_size=1, max_size=6)))
 
     def walk(equational):
         steps, w = [], word
-        for _ in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(0, max_steps))):
             options = steps_on(w, p, equational=equational)
             if not options:
                 break
@@ -557,3 +677,39 @@ def test_pair_matches_oracle_and_witness_checks(case):
     assert (wgf, wfg) == (gf, fg)
     assert trace.source == compose(p, f, gf)
     assert check_trace(p, trace) == compose(p, g, fg)
+
+
+@functools.cache
+def _shared(name):
+    return Residuator(*_loaded(name))
+
+
+def whisker_trace(p, x, trace, y):
+    cells = tuple(
+        CellStep(
+            tensor_ctx(p, x, c.prefix, y),
+            replace(c.inst, left=x + c.inst.left, right=c.inst.right + y),
+            tensor_ctx(p, x, c.suffix, y),
+        )
+        for c in trace.cells
+    )
+    return CellTrace(tensor_ctx(p, x, trace.source, y), cells)
+
+
+@settings(max_examples=200)
+@given(coinitial_paths(max_steps=3), st.data())
+def test_residuals_commute_with_whiskering(case, data):
+    # one residuator per presentation serves every example, so pair-mode
+    # memo entries made on one word are hit on others
+    name, g, f = case
+    p, _ = _loaded(name)
+    context = st.lists(st.sampled_from(p.objects), max_size=2).map(tuple)
+    x, y = data.draw(context), data.draw(context)
+    res = _shared(name)
+    xgy, xfy = tensor_ctx(p, x, g, y), tensor_ctx(p, x, f, y)
+    gf, fg = res.pair(g, f)
+    assert res.pair(xgy, xfy) == (tensor_ctx(p, x, gf, y), tensor_ctx(p, x, fg, y))
+    gf, fg, trace = res.pair_with_witness(g, f)
+    wgf, wfg, wtrace = res.pair_with_witness(xgy, xfy)
+    assert (wgf, wfg) == (tensor_ctx(p, x, gf, y), tensor_ctx(p, x, fg, y))
+    assert wtrace == whisker_trace(p, x, trace, y)
