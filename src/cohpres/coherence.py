@@ -22,7 +22,6 @@ from .core import (
     RewriteStep,
     WeightSpec,
     Word,
-    instance_sides,
     position,
 )
 from .critical import (
@@ -36,8 +35,8 @@ from .critical import (
 )
 from .objects import check_equational_termination, transposition_number, words_upto
 from .residuation import (
-    ResiduationError,
     Residuator,
+    TableEntry,
     derive_residual_table,
     retype_step,
     steps_disjoint,
@@ -155,30 +154,35 @@ class CheckReport:
 
 BaseRecord = tuple[RewriteStep, RelationInstance, Word, Word, CellTrace | None, Path | None]
 
+# bounds of the top search that closes each sampled base core
+BASE_MAX_CELLS, BASE_BUDGET = 8, 20_000
+
 
 class CheckContext:
     """One presentation under one set of bounds: the only input of the
     assumption checks.  It derives the residual table and computes, on first
     use and at most once, the critical pairs and cylinders, one memoizing
     ``Residuator``, the verdict of each critical cylinder, the sampled
-    equational-base records and each assumption verdict asked of
-    ``check_assumption``.  The attempts of an opposite probe and
-    ``cohpres critical`` share them.
+    equational-base coincidences and their records, and each assumption
+    verdict asked of ``check_assumption``.  The attempts of an opposite
+    probe and ``cohpres critical`` share them.
 
     ``term_budget`` and ``max_len`` bound the termination exploration of A1;
-    ``max_cells`` and ``budget`` bound each cylinder's top-trace search.
+    ``max_cells`` and ``budget`` bound each critical cylinder's top-trace
+    search, and ``BASE_MAX_CELLS`` and ``BASE_BUDGET`` each base core's.
 
     A base record ``(f, inst, x, y, top, fg)`` stands for one sampled
     trivially completable coincidence x·(f | inst)·y of a vertical step with
     an equational-sided base, in sample order.  It holds the sample's
     context-stripped core ``(f, inst)``, its context ``(x, y)`` and the
-    core's results: the vertical residual ``fg`` along the base's second
-    side and the top trace joining the two residuals of the base's sides
-    (``None`` when residuation fails or the search runs out).  Each core is
-    computed once.  Its results, whiskered by ``(x, y)``, are the sample's:
-    the checks read them so and whisker a step or instance only to print
-    it.  This is exact because every step of the computation commutes with
-    whiskering: the residual of x·g·y after x·f·y is x·(g/f)·y (equality,
+    core's results, which ``check_cylinder`` computes as for a critical
+    cylinder: the vertical residual ``fg`` along the base's second side and
+    the top trace joining the two residuals of the base's sides (``None``
+    when residuation fails, the residuals are not cofinal or the search runs
+    out).  Each core is closed once.  Its results, whiskered by ``(x, y)``,
+    are the sample's: the checks read them so and whisker a step or instance
+    only to print it.  This is exact because every step of the computation
+    commutes with whiskering: the residual of x·g·y after x·f·y is x·(g/f)·y (equality,
     disjointness, retyping and tile lookup only see the positions relative
     to the shared context), and the top-trace search from x·l·y to x·r·y
     visits the whiskerings of the states it visits from l to r, move for
@@ -224,37 +228,25 @@ class CheckContext:
     @cached_property
     def cylinder_verdicts(self) -> list[tuple[CriticalCylinder, CylinderVerdict]]:
         return [
-            (c, check_cylinder(c, self.residuator, self.max_cells, self.budget))
+            (c, check_cylinder(c.f, c.base, self.residuator, self.max_cells, self.budget))
             for c in self.cylinders
         ]
+
+    @cached_property
+    def base_samples(self) -> list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]]:
+        return trivial_equational_base_samples(self.p)
 
     @cached_property
     def base_records(self) -> list[BaseRecord]:
         cores: dict[tuple[RewriteStep, RelationInstance], tuple] = {}
         records = []
-        for core, x, y in trivial_equational_base_samples(self.p):
+        for core, x, y in self.base_samples:
             if core not in cores:
-                cores[core] = self._base_core(*core)
+                v = check_cylinder(*core, self.residuator, BASE_MAX_CELLS, BASE_BUDGET)
+                fg = None if v.vertical_residuals is None else v.vertical_residuals[1]
+                cores[core] = v.top, fg
             records.append((*core, x, y, *cores[core]))
         return records
-
-    def _base_core(
-        self, f: RewriteStep, inst: RelationInstance
-    ) -> tuple[CellTrace | None, Path | None]:
-        """(top, fg) for the coincidence of ``f`` with ``inst``."""
-        from . import oracle
-
-        p = self.p
-        lhs, rhs = instance_sides(p, inst)
-        fpath = Path(lhs.source, (f,))
-        try:
-            _, l_res = self.residuator.pair(fpath, lhs)
-            fg, r_res = self.residuator.pair(fpath, rhs)
-        except ResiduationError:
-            return None, None
-        if l_res == r_res:
-            return CellTrace(l_res, ()), fg
-        return oracle.search_trace(p, l_res, r_res, max_cells=8, budget=20_000), fg
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +257,7 @@ def check_a1(ctx: CheckContext) -> Verdict:
     p = ctx.p
     witnesses: list[str] = []
     for cp in ctx.pairs:
-        if cp.resolved is None:
+        if not cp.resolved:
             witnesses.append(
                 f"unresolved critical pair ({p.fmt_step(cp.f)}, {p.fmt_step(cp.g)}) "
                 f"on {p.fmt_word(cp.word)}"
@@ -307,8 +299,13 @@ def check_a2(ctx: CheckContext) -> Verdict:
 
     contexts = words_upto(p, 3)
     try:
-        entries = sorted(ctx.table.entries.items(), key=lambda kv: str(kv[0]))
-        for _, e in entries:
+        # the tiles in the order of the text of (window, sorted heads), the
+        # order of A2's witness lines; a sort on ``tile_key`` would reorder them
+        def order(e: TableEntry) -> str:
+            heads = sorted((s.gen, len(s.left)) for s in (e.first, e.second))
+            return str((p.step_source(e.first), tuple(heads)))
+
+        for e in sorted(ctx.table.entries.values(), key=order):
             if p.is_equational_step(e.second):
                 continue
             strict(
@@ -434,6 +431,8 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
     def exempt(rv: Path | None) -> bool:
         return strong and rv is not None and len(rv.steps) <= 1
 
+    if w2b is None and ctx.base_samples:
+        return Verdict("inconclusive", [], "missing omega2 weight block")
     try:
         for cyl, v in ctx.cylinder_verdicts:
             spec = w2v if cyl.flavor == "equational_vertical" else w2b
@@ -452,26 +451,25 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
                 witnesses.append(
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
-        if w2b is not None:
-            for f, inst, x, y, top, rv in ctx.base_records:
-                if top is None:
-                    inconclusive_notes.append(
-                        f"sample after {p.fmt_step(_whisker(x, f, y))}: residual not reconstructed"
-                    )
-                    continue
-                if exempt(rv):
-                    continue
-                base_w = eval_weight(w2b, inst, p, x, y)
-                top_w = weight_of_trace(w2b, top, p, x, y)
-                if not weight_less(w2b, top_w, base_w):
-                    if len(top.cells) == 1:
-                        res_txt = f"omega2({p.fmt_instance(_whisker(x, top.cells[0].inst, y))})"
-                    else:
-                        res_txt = "omega2(residual)"
-                    witnesses.append(
-                        f"omega2({p.fmt_instance(_whisker(x, inst, y))}) = {base_w} !> {top_w}"
-                        f" = {res_txt} [vertical {p.fmt_step(_whisker(x, f, y))}]"
-                    )
+        for f, inst, x, y, top, rv in ctx.base_records:
+            if top is None:
+                inconclusive_notes.append(
+                    f"sample after {p.fmt_step(_whisker(x, f, y))}: residual not reconstructed"
+                )
+                continue
+            if exempt(rv):
+                continue
+            base_w = eval_weight(w2b, inst, p, x, y)
+            top_w = weight_of_trace(w2b, top, p, x, y)
+            if not weight_less(w2b, top_w, base_w):
+                if len(top.cells) == 1:
+                    res_txt = f"omega2({p.fmt_instance(_whisker(x, top.cells[0].inst, y))})"
+                else:
+                    res_txt = "omega2(residual)"
+                witnesses.append(
+                    f"omega2({p.fmt_instance(_whisker(x, inst, y))}) = {base_w} !> {top_w}"
+                    f" = {res_txt} [vertical {p.fmt_step(_whisker(x, f, y))}]"
+                )
     except WeightError as exc:
         return Verdict("inconclusive", [], str(exc))
     if witnesses:
@@ -597,7 +595,7 @@ def report_to_dict(report: CheckReport, p: Presentation, include_timings: bool =
                 "word": p.fmt_word(cp.word),
                 "f": p.fmt_step(cp.f),
                 "g": p.fmt_step(cp.g),
-                "resolved": cp.resolved is not None,
+                "resolved": cp.resolved,
             }
             for cp in report.critical_pairs
         ],

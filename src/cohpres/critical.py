@@ -23,13 +23,7 @@ from .core import (
     instance_sides,
 )
 from .objects import steps_on, words_upto
-from .residuation import (
-    PairKey,
-    ResidualTable,
-    ResiduationError,
-    Residuator,
-    _pair_key,
-)
+from .residuation import ResidualTable, ResiduationError, Residuator, tile_key
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,7 @@ class CriticalPair:
     word: Word
     f: RewriteStep  # equational
     g: RewriteStep
-    resolved: PairKey | None = None
+    resolved: bool
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,9 @@ def _proper_overlap(a1: int, b1: int, a2: int, b2: int) -> bool:
 # critical pairs
 
 
-def enumerate_critical_pairs(p: Presentation, table: ResidualTable | None = None) -> list[CriticalPair]:
-    """All minimal genuine overlaps (equational step, any step)."""
+def enumerate_critical_pairs(p: Presentation, table: ResidualTable) -> list[CriticalPair]:
+    """All minimal genuine overlaps (equational step, any step), each marked
+    resolved when ``table`` has its tile."""
     out: list[CriticalPair] = []
     seen: set = set()
     gen_index = {g.name: i for i, g in enumerate(p.generators)}
@@ -113,12 +108,11 @@ def enumerate_critical_pairs(p: Presentation, table: ResidualTable | None = None
                 g = RewriteStep(word[:h_left], h.name, word[h_left + len(h.source) :])
                 if f == g:
                     continue
-                key = _pair_key(p, f, g)
+                key = tile_key((e_left, e.name), (h_left, h.name))
                 if key in seen:
                     continue
                 seen.add(key)
-                resolved = key if table is not None and key in table.entries else None
-                out.append(CriticalPair(word, f, g, resolved))
+                out.append(CriticalPair(word, f, g, key in table.entries))
     out.sort(
         key=lambda c: (gen_index[c.f.gen], gen_index[c.g.gen], len(c.f.left), len(c.g.left), c.word)
     )
@@ -248,17 +242,18 @@ def enumerate_critical_cylinders(
 
 
 def check_cylinder(
-    c: CriticalCylinder, res: Residuator, max_cells: int = 12, budget: int = 50_000
+    f: RewriteStep, base: RelationInstance, res: Residuator, max_cells: int, budget: int
 ) -> CylinderVerdict:
-    """Compare the vertical's residuals along the base's two sides and search
-    for the cylinder top connecting the sides' residuals.  The presentation
-    and the residual table are those of ``res``, whose memo several checks
-    may share."""
+    """Close the coincidence of the vertical step ``f`` with the relation
+    instance ``base``: compare the vertical's residuals along the base's two
+    sides and search for the top connecting the sides' residuals.  The
+    presentation and the residual table are those of ``res``, whose memo
+    several checks may share."""
     from . import oracle
 
     p = res.p
-    g1, g2 = instance_sides(p, c.base)
-    fpath = Path(g1.source, (c.f,))
+    g1, g2 = instance_sides(p, base)
+    fpath = Path(g1.source, (f,))
     try:
         fg1, g1f = res.pair(fpath, g1)
         fg2, g2f = res.pair(fpath, g2)

@@ -38,8 +38,6 @@ from .core import (
     untensor_ctx,
 )
 
-PairKey = tuple[Word, tuple[tuple[str, int], tuple[str, int]]]
-
 # bounds of the search that joins two residuals in ``cell_residual``
 JOIN_MAX_CELLS, JOIN_BUDGET = 12, 50_000
 
@@ -68,15 +66,18 @@ class TableEntry:
 
 @dataclass
 class ResidualTable:
-    entries: dict[PairKey, TableEntry] = field(default_factory=dict)
+    entries: dict[tuple, TableEntry] = field(default_factory=dict)  # by ``tile_key``
     diagnostics: list[str] = field(default_factory=list)
     conflicts: list[str] = field(default_factory=list)
 
 
-def _pair_key(p: Presentation, s1: RewriteStep, s2: RewriteStep) -> PairKey:
-    word = p.step_source(s1)
-    items = sorted([(s1.gen, len(s1.left)), (s2.gen, len(s2.left))])
-    return (word, (items[0], items[1]))
+def tile_key(f: Step, g: Step) -> tuple:
+    """The key of the tile of two coinitial steps: the sorted ``(gen,
+    offset)`` pairs of the two, offsets measured past their shared left
+    context.  For two overlapping well-typed steps it fixes the window word."""
+    nl = min(f[0], g[0])
+    a, b = (f[1], f[0] - nl), (g[1], g[0] - nl)
+    return (a, b) if a <= b else (b, a)
 
 
 def steps_disjoint(p: Presentation, f: Step, g: Step) -> bool:
@@ -161,7 +162,7 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
                 )
                 continue
             entry = TableEntry(f0m, g0m, r_fm, r_gm, rel.name, lhs_is_first, zl, zr)
-            key = _pair_key(p, f0m, g0m)
+            key = tile_key(position(f0), position(g0))
             prev = table.entries.get(key)
             if prev is None:
                 table.entries[key] = entry
@@ -231,20 +232,17 @@ class Residuator:
     Positions do not fix the word a sequence starts from, and the pair-mode
     memo does not ask for it: residuation commutes with whiskering (see
     ``coherence.CheckContext``), and the positions of two overlapping
-    well-typed steps past their shared left context fix their tile.  So a
-    pair-mode memo entry serves every word its sequences apply to, and
-    ``_work``, the number of sub-problems solved so far, never exceeds its
-    count under word-keyed sequences: a budget runs out later or never,
-    never earlier.  Witness mode keys on the source word too, because its
-    cells hold absolute contexts.
+    well-typed steps past their shared left context fix their tile
+    (``tile_key``).  So a pair-mode memo entry serves every word its
+    sequences apply to, and ``_work``, the number of sub-problems solved so
+    far, never exceeds its count under word-keyed sequences: a budget runs
+    out later or never, never earlier.  Witness mode keys on the source word
+    too, because its cells hold absolute contexts.
     """
 
     def __init__(self, p: Presentation, table: ResidualTable, budget: int = 200_000):
         self.p = p
         self.table = table
-        # the tiles by the sorted (gen, offset) pairs of their key alone,
-        # which fix the window word of two overlapping well-typed steps
-        self._tiles = {key[1]: entry for key, entry in table.entries.items()}
         self.budget = budget
         self._memo: dict = {}
         self._wmemo: dict = {}
@@ -304,12 +302,11 @@ class Residuator:
             return None
         if steps_disjoint(p, f, g):
             return [retype_step(p, g, f)], [retype_step(p, f, g)], None
-        nl = min(f[0], g[0])
-        fm, gm = (f[1], f[0] - nl), (g[1], g[0] - nl)
-        entry = self._tiles.get((fm, gm) if fm <= gm else (gm, fm))
+        entry = self.table.entries.get(tile_key(f, g))
         if entry is None:
             return None
-        f_is_first = fm == (entry.first.gen, len(entry.first.left))
+        nl = min(f[0], g[0])
+        f_is_first = (f[0] - nl, f[1]) == position(entry.first)
         a, b = entry.second_after_first, entry.first_after_second
         if not f_is_first:
             a, b = b, a

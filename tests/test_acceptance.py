@@ -14,7 +14,7 @@ from cohpres.constructions import (
     nf_functor_apply,
     quotient_presentation,
 )
-from cohpres.core import compose, parse_path
+from cohpres.core import compose, parse_path, position
 from cohpres.critical import enumerate_critical_cylinders, enumerate_critical_pairs
 from cohpres.objects import normalize, steps_on, transposition_number
 from cohpres.oracle import (
@@ -25,7 +25,7 @@ from cohpres.oracle import (
     search_trace,
     surjection_count,
 )
-from cohpres.residuation import Residuator, _pair_key
+from cohpres.residuation import Residuator, tile_key
 
 from conftest import all_words, paths_from
 
@@ -40,8 +40,8 @@ def test_criterion_1_residual_table_ds2(ds2, ds2_table):
     bm = parse_path("b[m]", ds2).steps[0]
     bg = parse_path("b[g]", ds2).steps[0]
     na = parse_path("[n]a", ds2).steps[0]
-    e1 = ds2_table.entries[_pair_key(ds2, ga, bm)]
-    e2 = ds2_table.entries[_pair_key(ds2, bg, na)]
+    e1 = ds2_table.entries[tile_key(position(ga), position(bm))]
+    e2 = ds2_table.entries[tile_key(position(bg), position(na))]
     assert ds2.fmt_path(e1.second_after_first) == "a[g] ; [m]b"  # bm/ga
     assert ds2.fmt_path(e1.first_after_second) == "[g]"  # ga/bm
     assert ds2.fmt_path(e2.second_after_first) == "[g]b ; a[n]"  # na/bg

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cohpres import cli, coherence, constructions
+from cohpres import cli, coherence, constructions, critical
 from cohpres.cli import main
+from cohpres.core import parse_presentation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -345,6 +346,55 @@ def test_ds2op_a3x_witnesses_weigh_the_context(capsys):
             "b) = (0, 0) !> (0, 1) = omega2(residual) [vertical ab[m]bb]",
         )
     ]
+
+
+# A1 passes, and 49 sampled base cores have side residuals that end on
+# different words.  Its opposite grows without bound (eqgen g0 : 0 -> b), so
+# it is checked with the opposite probe off.
+NONCOFINAL = """
+mode monoidal
+objects a b
+eqgen g0 : b -> 0
+gen g1 : aa -> a
+rel r0 : [g0]bb => bb[g0]
+rel r1 : b[g0]b ; [g0]b => bb[g0] ; b[g0]
+"""
+
+
+def test_noncofinal_base_core_has_no_top(capsys, tmp_path):
+    path = tmp_path / "noncofinal.cp"
+    path.write_text(NONCOFINAL, encoding="utf-8")
+    code = main(["check", str(path), "--assumption", "a3x", "--no-opposite"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "a1: PASS  (0 critical pairs resolved; terminating)",
+        "a2: INCONCLUSIVE  (no omega1 weight block supplied)",
+        "a3 (up to exchange): PASS  (0 critical cylinders close (up_to_exchange))",
+        "a4: INCONCLUSIVE  (missing omega2 weight block)",
+        "coherent: INCONCLUSIVE",
+    ]
+    p = parse_presentation(NONCOFINAL)
+    ctx = coherence.CheckContext(p)
+    records = {(p.fmt_step(r[0]), p.fmt_instance(r[1])): r for r in ctx.base_records}
+    f, inst, x, y, top, _ = records["[g0]bb", "(r1)"]
+    assert (x, y, top) == ((), (), None)
+    v = critical.check_cylinder(f, inst, ctx.residuator, 8, 20_000)
+    assert v.notes == "side residuals are not cofinal"
+
+
+def test_a4_without_weights_is_inconclusive_on_sampled_bases(capsys, tmp_path):
+    path = tmp_path / "noncofinal.cp"
+    path.write_text(NONCOFINAL, encoding="utf-8")
+    code, out = run(capsys, "check", path, "--no-opposite")
+    assert code == 1
+    assert "a4: INCONCLUSIVE  (missing omega2 weight block)" in out.splitlines()
+    ctx = coherence.CheckContext(parse_presentation(NONCOFINAL))
+    v = coherence.check_assumption(ctx, "a4")
+    assert (v.status, v.note) == ("inconclusive", "missing omega2 weight block")
+    assert len(ctx.base_samples) == 1148
+    # decided from the samples alone, without residuating a base core
+    assert "base_records" not in vars(ctx)
 
 
 def test_closed_pipe_exits_2():

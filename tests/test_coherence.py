@@ -94,6 +94,33 @@ def test_a2_verdicts(ds2):
     )
     v = check_a2(CheckContext(zeroed))
     assert v.status == "fail"
+    # the tiles come first, in their fixed order, then the exchange residuals
+    tiles = [
+        "omega1 not decreasing on tile residual a[g] ; [m]b of b[m]: (0,) !< (0,)",
+        "omega1 strictness lost under whiskering (0)...(a) of tile for b[m]: (0,) !< (0,)",
+        "omega1 not decreasing on tile residual [g]b ; a[n] of [n]a: (0,) !< (0,)",
+        "omega1 strictness lost under whiskering (0)...(a) of tile for [n]a: (0,) !< (0,)",
+    ]
+    exchanges = """
+        ab[m] ba[m] [g]aa  [m]ab [m]ba aa[g]  aba[m] baa[m] [g]aaa  [m]aab [m]aba aaa[g]
+        abb[m] bab[m] [g]baa  [m]bab [m]bba aab[g]  abaa[m] baaa[m] [g]aaaa
+        [m]aaab [m]aaba aaaa[g]  abab[m] baab[m] [g]abaa  [m]abab [m]abba aaab[g]
+        abba[m] baba[m] [g]baaa  [m]baab [m]baba aaba[g]  abbb[m] babb[m] [g]bbaa
+        [m]bbab [m]bbba aabb[g]  ab[n] ba[n] [g]bb  [n]ab [n]ba bb[g]
+        aba[n] baa[n] [g]abb  [n]aab [n]aba bba[g]  abb[n] bab[n] [g]bbb
+        [n]bab [n]bba bbb[g]  abaa[n] baaa[n] [g]aabb  [n]aaab [n]aaba bbaa[g]
+        abab[n] baab[n] [g]abbb  [n]abab [n]abba bbab[g]  abba[n] baba[n] [g]babb
+        [n]baab [n]baba bbba[g]  abbb[n] babb[n] [g]bbbb  [n]bbab [n]bbba bbbb[g]
+        ab[g] ba[g] [g]ba  [g]ab [g]ba ba[g]  aba[g] baa[g] [g]aba  [g]aab [g]aba baa[g]
+        abb[g] bab[g] [g]bba  [g]bab [g]bba bab[g]  abaa[g] baaa[g] [g]aaba
+        [g]aaab [g]aaba baaa[g]  abab[g] baab[g] [g]abba  [g]abab [g]abba baab[g]
+        abba[g] baba[g] [g]baba  [g]baab [g]baba baba[g]  abbb[g] babb[g] [g]bbba
+        [g]bbab [g]bbba babb[g]
+    """.split()
+    assert v.witnesses == tiles + [
+        f"omega1 not decreasing on exchange residual {r} of {g} after {f}: (0,) !< (0,)"
+        for r, g, f in zip(exchanges[::3], exchanges[1::3], exchanges[2::3])
+    ]
 
 
 def parse_zero():
@@ -406,16 +433,19 @@ def test_check_assumption_gates(ds2op, huet):
 
 
 def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
+    # one check per critical cylinder, then one per distinct sampled base core
     checked = []
     real = coherence.check_cylinder
 
-    def counting(c, *args, **kwargs):
-        checked.append(c)
-        return real(c, *args, **kwargs)
+    def counting(f, base, *args):
+        checked.append((f, base))
+        return real(f, base, *args)
 
     monkeypatch.setattr(coherence, "check_cylinder", counting)
     ctx = CheckContext(ds2op)
     assert check_a3(ctx, "strict").status == "fail"
     assert check_a3(ctx, "up_to_exchange").status == "pass"
     assert check_a4(ctx, True).status == "pass"
-    assert checked == ctx.cylinders
+    cores = list(dict.fromkeys((f, inst) for f, inst, *_ in ctx.base_records))
+    assert len(cores) == 137
+    assert checked == [(c.f, c.base) for c in ctx.cylinders] + cores

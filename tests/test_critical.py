@@ -6,7 +6,7 @@ from cohpres.critical import (
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
 )
-from cohpres.residuation import Residuator, _pair_key, steps_disjoint
+from cohpres.residuation import Residuator, steps_disjoint, tile_key
 
 from conftest import all_words
 
@@ -16,7 +16,7 @@ def test_ds2_exactly_two_pairs(ds2, ds2_table):
     assert len(pairs) == 2
     rendered = {(ds2.fmt_step(c.f), ds2.fmt_step(c.g), ds2.fmt_word(c.word)) for c in pairs}
     assert rendered == {("[g]a", "b[m]", "baa"), ("b[g]", "[n]a", "bba")}
-    assert all(c.resolved is not None for c in pairs)
+    assert all(c.resolved for c in pairs)
 
 
 def test_ds2op_exactly_two_pairs(ds2op, ds2op_table):
@@ -44,7 +44,7 @@ def test_pair_cores_genuinely_overlap(ds2, ds2_table):
 def test_pair_enumeration_complete_on_small_words(ds2, ds2_table):
     # brute force: every genuine equational-involving overlap on words of
     # length <= 6 is a context instance of an enumerated pair
-    enumerated = {_pair_key(ds2, c.f, c.g) for c in enumerate_critical_pairs(ds2, ds2_table)}
+    enumerated = {tile_key(position(c.f), position(c.g)) for c in enumerate_critical_pairs(ds2, ds2_table)}
     for w in all_words(ds2, 6):
         steps = []
         for g in ds2.generators:
@@ -62,7 +62,7 @@ def test_pair_enumeration_complete_on_small_words(ds2, ds2_table):
                 nr = min(len(f.right), len(g.right))
                 fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
                 gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
-                assert _pair_key(ds2, fm, gm) in enumerated
+                assert tile_key(position(fm), position(gm)) in enumerated
 
 
 def test_ds2_exactly_three_cylinders(ds2, ds2_table):
@@ -94,7 +94,7 @@ def test_huet_no_cylinders(huet, huet_table):
 
 def test_ds2_cylinder_verdicts(ds2, ds2_table):
     for cyl in enumerate_critical_cylinders(ds2, ds2_table):
-        v = check_cylinder(cyl, Residuator(ds2, ds2_table))
+        v = check_cylinder(cyl.f, cyl.base, Residuator(ds2, ds2_table), 12, 50_000)
         assert v.residual_targets_equal == "equal"
         assert v.top is not None
         # the top connects the two side residuals exactly
@@ -112,7 +112,7 @@ def test_ds2_cylinder_top_cells(ds2, ds2_table):
         "(exch(n,0,m))": ["delta", "exch(g,g)", "exch(m,n)", "gamma"],
     }
     for cyl in enumerate_critical_cylinders(ds2, ds2_table):
-        v = check_cylinder(cyl, Residuator(ds2, ds2_table))
+        v = check_cylinder(cyl.f, cyl.base, Residuator(ds2, ds2_table), 12, 50_000)
         kinds = sorted(
             c.inst.name if c.inst.name else f"exch({c.inst.exch[0]},{c.inst.exch[2]})"
             for c in v.top.cells
@@ -123,7 +123,7 @@ def test_ds2_cylinder_top_cells(ds2, ds2_table):
 
 def test_ds2op_cylinder_exchange_equal(ds2op, ds2op_table):
     cyl = enumerate_critical_cylinders(ds2op, ds2op_table)[0]
-    v = check_cylinder(cyl, Residuator(ds2op, ds2op_table))
+    v = check_cylinder(cyl.f, cyl.base, Residuator(ds2op, ds2op_table), 12, 50_000)
     assert v.residual_targets_equal == "exchange_equal"
     r1, r2 = v.vertical_residuals
     assert ds2op.fmt_path(r1) == "a[g]b ; ab[g] ; [g]ba ; b[g]a"

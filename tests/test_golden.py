@@ -1,8 +1,9 @@
 """Golden CLI outputs: stdout and exit code of small runs on the corpus.
 
-Each file in ``tests/golden/`` holds ``exit <code>`` on its first line and
-the run's stdout after it.  The bounds are small so the whole set runs in
-about a second.
+Each ``.txt`` file in ``tests/golden/`` holds ``exit <code>`` on its first
+line and the run's stdout after it; each ``-report.json`` file holds the
+report that ``check --report`` writes for the case named by the rest of the
+file name.  The bounds are small so the whole set runs in about a second.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ CASES = {
 }
 
 
+REPORTS = ("check-ds2", "check-ds2op-a3x-strong")
+
+
 def run_case(argv: list[str], capsys) -> str:
     """``exit <code>`` and stdout of one case, the second word naming a corpus file."""
     code = main([argv[0], str(CORPUS / f"{argv[1]}.cp"), *argv[2:]])
@@ -43,3 +47,12 @@ def run_case(argv: list[str], capsys) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
     assert run_case(CASES[name], capsys) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_check_report_matches_golden(name, capsys, tmp_path):
+    report = tmp_path / "report.json"
+    out = run_case([*CASES[name], "--report", str(report)], capsys)
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    expected = (GOLDEN / f"{name}-report.json").read_text(encoding="utf-8")
+    assert report.read_text(encoding="utf-8") == expected

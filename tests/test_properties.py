@@ -191,7 +191,7 @@ def test_path_mode_critical_cylinder_end_to_end():
     table = derive_residual_table(p)
     cyls = enumerate_critical_cylinders(p, table)
     assert [(p.fmt_step(c.f), p.fmt_instance(c.base)) for c in cyls] == [("[u]", "(e12)")]
-    v = check_cylinder(cyls[0], Residuator(p, table))
+    v = check_cylinder(cyls[0].f, cyls[0].base, Residuator(p, table), 12, 50_000)
     assert v.residual_targets_equal == "equal"
     assert v.top is not None and len(v.top.cells) == 1
     assert v.top.cells[0].inst.name == "eb"

@@ -31,8 +31,8 @@ from cohpres.oracle import oracle_residual_pair
 from cohpres.residuation import (
     ResiduationError,
     Residuator,
-    _pair_key,
     derive_residual_table,
+    tile_key,
 )
 
 from conftest import all_words, load, paths_from
@@ -41,7 +41,7 @@ from conftest import all_words, load, paths_from
 def entry_for(table, p, f_text, g_text):
     f = parse_path(f_text, p).steps[0]
     g = parse_path(g_text, p).steps[0]
-    return table.entries[_pair_key(p, f, g)]
+    return table.entries[tile_key(position(f), position(g))]
 
 
 def test_ds2_table_entries_byte_exact(ds2, ds2_table):
@@ -422,7 +422,7 @@ def ref_step_pair(p, table, f, g):
     zl, zr = f.left[:nl], f.right[len(f.right) - nr :]
     fm = RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr])
     gm = RewriteStep(g.left[nl:], g.gen, g.right[: len(g.right) - nr])
-    entry = table.entries.get(_pair_key(p, fm, gm))
+    entry = table.entries.get(tile_key(position(fm), position(gm)))
     if entry is None:
         raise ResiduationError(
             f"no residuation tile for the overlapping pair "
