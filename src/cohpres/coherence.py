@@ -12,7 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import add
+from itertools import product
+from operator import add, mul, sub
 
 from .core import (
     CellTrace,
@@ -29,6 +30,7 @@ from .critical import (
     CriticalPair,
     CylinderVerdict,
     check_cylinder,
+    close_exchange_core,
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
     trivial_equational_base_samples,
@@ -112,6 +114,80 @@ def weight_of_trace(
     return total
 
 
+class _Whiskered:
+    """Weights under ``spec`` of items whiskered by a context ``(x, y)``,
+    each item weighed once and each context once.
+
+    A part ``(w, rows)`` is the items' summed weight and, per coordinate,
+    what whiskering adds to it: coefficients (None when all are zero) of the
+    context features ``("L", a)`` = #a(x), ``("R", a)`` = #a(y) and ``("T",
+    b, a)`` = ``transposition_number(x + y, b, a)``.  Counts add up over
+    x·item·y, and T(u·v) = T(u) + T(v) + #b(u)·#a(v), so a (b, a)
+    transposition term over the item's word C gains T(x·y) + #b(x)·#a(C) +
+    #b(C)·#a(y)."""
+
+    def __init__(self, spec: WeightSpec, p: Presentation):
+        self.spec, self.p = spec, p
+        feats: dict[tuple, None] = {}
+        for terms in spec.entries.values():
+            for t in terms:
+                if t.kind in ("countL", "countR"):
+                    feats[t.kind[-1], t.args[0]] = None
+                elif t.kind in ("ctx_transp", "word_transp"):
+                    b, a = t.args
+                    feats.update(dict.fromkeys([("T", b, a), ("L", b), ("R", a)]))
+        self.feats = {k: i for i, k in enumerate(feats)}
+        self.zero = (0,) * spec.dim
+        self._contexts: dict[tuple[Word, Word], tuple[int, ...]] = {}
+
+    def part(self, items) -> tuple:
+        """The summed weight of ``items``, steps or instances, and its
+        coefficient rows; raises WeightError where ``eval_weight`` would."""
+        w, rows = self.zero, [[0] * len(self.feats) for _ in self.zero]
+        for item in items:
+            w = tuple(map(add, w, eval_weight(self.spec, item, self.p)))
+            key, left, right, body = _item_data(item, self.p)
+            for row, t in zip(rows, self.spec.entries[key]):
+                if t.kind in ("countL", "countR"):
+                    row[self.feats[t.kind[-1], t.args[0]]] += 1
+                elif t.kind in ("ctx_transp", "word_transp"):
+                    b, a = t.args
+                    c = left + right if t.kind == "ctx_transp" else left + body + right
+                    row[self.feats["T", b, a]] += 1
+                    row[self.feats["L", b]] += c.count(a)
+                    row[self.feats["R", a]] += c.count(b)
+        return w, tuple(tuple(r) if any(r) else None for r in rows)
+
+    def at(self, part: tuple, x: Word, y: Word) -> tuple[int, ...]:
+        """The weight of a part's items, each whiskered by ``x`` and ``y``."""
+        phi = self._contexts.get((x, y))
+        if phi is None:
+            phi = self._contexts[x, y] = tuple(
+                x.count(k[1]) if k[0] == "L" else y.count(k[1]) if k[0] == "R"
+                else transposition_number(x + y, k[1], k[2])
+                for k in self.feats
+            )
+        return tuple([v + sum(map(mul, r, phi)) if r else v for v, r in zip(*part)])
+
+    def settled(self, a: tuple, b: tuple) -> bool | None:
+        """True when, whiskered by every context, part ``a``'s items weigh
+        less than ``b``'s; False when by none; None when that depends on the
+        context.  Both orders compare a - b with zero, and features are never
+        negative, so a coordinate of a - b whose coefficients all have its
+        weight's sign keeps that sign."""
+        w = tuple(map(sub, a[0], b[0]))
+        none = (0,) * len(self.feats)
+        rows = [tuple(map(sub, ra or none, rb or none)) for ra, rb in zip(a[1], b[1])]
+        if self.spec.order != "lex":
+            return weight_less(self.spec, w, self.zero) if not any(map(any, rows)) else None
+        for v, r in zip(w, rows):
+            if any(r):
+                return v < 0 if v < 0 and max(r) <= 0 or v > 0 and min(r) >= 0 else None
+            if v:
+                return v < 0
+        return False
+
+
 def _whisker(x: Word, item, y: Word):
     """The step or instance ``item`` whiskered by ``x`` and ``y``."""
     return replace(item, left=x + item.left, right=item.right + y)
@@ -154,7 +230,7 @@ class CheckReport:
 
 BaseRecord = tuple[RewriteStep, RelationInstance, Word, Word, CellTrace | None, Path | None]
 
-# bounds of the top search that closes each sampled base core
+# bounds of the top search of each sampled base core left to check_cylinder
 BASE_MAX_CELLS, BASE_BUDGET = 8, 20_000
 
 
@@ -169,32 +245,42 @@ class CheckContext:
 
     ``term_budget`` and ``max_len`` bound the termination exploration of A1;
     ``max_cells`` and ``budget`` bound each critical cylinder's top-trace
-    search, and ``BASE_MAX_CELLS`` and ``BASE_BUDGET`` each base core's.
+    search, and ``BASE_MAX_CELLS`` and ``BASE_BUDGET`` that of each base
+    core left to ``check_cylinder``.
 
     A base record ``(f, inst, x, y, top, fg)`` stands for one sampled
     trivially completable coincidence x·(f | inst)·y of a vertical step with
     an equational-sided base, in sample order.  It holds the sample's
     context-stripped core ``(f, inst)``, its context ``(x, y)`` and the
-    core's results, which ``check_cylinder`` computes as for a critical
-    cylinder: the vertical residual ``fg`` along the base's second side and
-    the top trace joining the two residuals of the base's sides (``None``
-    when residuation fails, the residuals are not cofinal or the search runs
-    out).  Each core is closed once.  Its results, whiskered by ``(x, y)``,
-    are the sample's: the checks read them so and whisker a step or instance
-    only to print it.  This is exact because every step of the computation
-    commutes with whiskering: the residual of x·g·y after x·f·y is x·(g/f)·y (equality,
+    core's results: the vertical residual ``fg`` along the base's second
+    side and the top trace joining the two residuals of the base's sides
+    (``None`` when residuation fails, the residuals are not cofinal or the
+    search runs out).  Each core is closed once.  An exchange core whose
+    side residuals naturality of exchange fixes, and finds exchange-equal,
+    is built directly (``critical.close_exchange_core``); the others, named
+    bases among them, go to ``check_cylinder`` as critical cylinders do.
+    Both give the results ``check_cylinder`` gives.  A core's results,
+    whiskered by ``(x, y)``, are the sample's: the checks read them so,
+    weigh them as the core's weight plus the context's contribution
+    (``_Whiskered``), and whisker a step or instance only to print it.
+
+    This is exact because every step of the computation commutes with
+    whiskering.  The residual of x·g·y after x·f·y is x·(g/f)·y: equality,
     disjointness, retyping and tile lookup only see the positions relative
-    to the shared context), and the top-trace search from x·l·y to x·r·y
-    visits the whiskerings of the states it visits from l to r, move for
-    move and in the same order, so it returns the whiskered trace and runs
-    out of its cell or node budget exactly when the core search does.  The
-    search needs one condition for this: every side of every relation has a
-    step with empty left context and one with empty right context.  A side
-    whose outer letters no step touches (an identity side above all) can
-    match with its window reaching into the context, a move the core does
-    not have, so a presentation with such a side is sampled without
-    stripping.  The shared ``Residuator`` spends its budget across the whole
-    run rather than per call, and memo hits cost nothing.
+    to the shared context, in the zig-zag and in the construction alike.
+    Exchange-canonical forms and their moves whisker move for move, so the
+    exchange trace of two whiskered paths is the whiskered trace.  The
+    top-trace search from x·l·y to x·r·y visits the whiskerings of the
+    states it visits from l to r, move for move and in the same order, so
+    it returns the whiskered trace and runs out of its cell or node budget
+    exactly when the core search does.  The search needs one condition for
+    this: every side of every relation has a step with empty left context
+    and one with empty right context.  A side whose outer letters no step
+    touches (an identity side above all) can match with its window reaching
+    into the context, a move the core does not have, so a presentation with
+    such a side is sampled without stripping.  The shared ``Residuator``
+    spends its budget across the whole run rather than per call, and memo
+    hits cost nothing.
     """
 
     def __init__(
@@ -238,15 +324,24 @@ class CheckContext:
 
     @cached_property
     def base_records(self) -> list[BaseRecord]:
-        cores: dict[tuple[RewriteStep, RelationInstance], tuple] = {}
+        closed: dict[int, tuple] = {}  # by core; a core's samples share one object
         records = []
         for core, x, y in self.base_samples:
-            if core not in cores:
-                v = check_cylinder(*core, self.residuator, BASE_MAX_CELLS, BASE_BUDGET)
-                fg = None if v.vertical_residuals is None else v.vertical_residuals[1]
-                cores[core] = v.top, fg
-            records.append((*core, x, y, *cores[core]))
+            done = closed.get(id(core))
+            if done is None:
+                done = closed[id(core)] = self._close(*core)
+            records.append((*core, x, y, *done))
         return records
+
+    def _close(self, f: RewriteStep, inst: RelationInstance) -> tuple:
+        """``(top, fg)`` of a base core: by naturality for an exchange base
+        where it fixes them, else from ``check_cylinder``."""
+        if inst.exch is not None:
+            built = close_exchange_core(f, inst, self.residuator)
+            if built is not None:
+                return built
+        v = check_cylinder(f, inst, self.residuator, BASE_MAX_CELLS, BASE_BUDGET)
+        return v.top, None if v.vertical_residuals is None else v.vertical_residuals[1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +393,7 @@ def check_a2(ctx: CheckContext) -> Verdict:
             witnesses.append(f"omega1 not decreasing on {what}: {res_w} !< {orig_w}")
 
     contexts = words_upto(p, 3)
+    weights = _Whiskered(w1, p)
     try:
         # the tiles in the order of the text of (window, sorted heads), the
         # order of A2's witness lines; a sort on ``tile_key`` would reorder them
@@ -308,29 +404,27 @@ def check_a2(ctx: CheckContext) -> Verdict:
         for e in sorted(ctx.table.entries.values(), key=order):
             if p.is_equational_step(e.second):
                 continue
+            res, orig = weights.part(e.second_after_first.steps), weights.part([e.second])
             strict(
-                weight_of_path(w1, e.second_after_first, p),
-                eval_weight(w1, e.second, p),
+                res[0],
+                orig[0],
                 f"tile residual {p.fmt_path(e.second_after_first)} of {p.fmt_step(e.second)}",
             )
             if p.mode != "monoidal":
                 continue
             # context compatibility, sampled over whiskering contexts
-            for x in contexts:
-                for y in contexts:
-                    if not x and not y:
-                        continue
-                    wres = weight_of_path(w1, e.second_after_first, p, x, y)
-                    worig = eval_weight(w1, e.second, p, x, y)
-                    if not weight_less(w1, wres, worig):
-                        witnesses.append(
-                            f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "
-                            f"of tile for {p.fmt_step(e.second)}: {wres} !< {worig}"
-                        )
-                        break
-                else:
+            if weights.settled(res, orig):
+                continue
+            for x, y in product(contexts, contexts):
+                if not (x or y):
                     continue
-                break
+                wres, worig = weights.at(res, x, y), weights.at(orig, x, y)
+                if not weight_less(w1, wres, worig):
+                    witnesses.append(
+                        f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "
+                        f"of tile for {p.fmt_step(e.second)}: {wres} !< {worig}"
+                    )
+                    break
         # exchange residuals: all generator pairs, middle words up to length 2
         if p.mode == "monoidal":
             mids = words_upto(p, 2)
@@ -451,6 +545,8 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
                 witnesses.append(
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
+        weights = _Whiskered(w2b, p) if w2b is not None else None
+        parts: dict[int, tuple] = {}  # by top; the records of a core share one
         for f, inst, x, y, top, rv in ctx.base_records:
             if top is None:
                 inconclusive_notes.append(
@@ -459,8 +555,13 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
                 continue
             if exempt(rv):
                 continue
-            base_w = eval_weight(w2b, inst, p, x, y)
-            top_w = weight_of_trace(w2b, top, p, x, y)
+            if id(top) not in parts:
+                base, over = weights.part([inst]), weights.part([c.inst for c in top.cells])
+                parts[id(top)] = base, over, weights.settled(over, base)
+            base, over, settled = parts[id(top)]
+            if settled:
+                continue
+            base_w, top_w = weights.at(base, x, y), weights.at(over, x, y)
             if not weight_less(w2b, top_w, base_w):
                 if len(top.cells) == 1:
                     res_txt = f"omega2({p.fmt_instance(_whisker(x, top.cells[0].inst, y))})"

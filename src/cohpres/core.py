@@ -228,6 +228,15 @@ class Presentation:
             raise TypeCheckError(f"step [{name}] at {off} does not apply to {self.fmt_word(w)}")
         return RewriteStep(w[:off], name, w[off + len(src) :])
 
+    def path_at(self, w: Word, steps) -> Path:
+        """The path of the positional ``steps`` from ``w``, each step checked
+        against the word it lands on (see ``step_at``)."""
+        source, out = w, []
+        for s in steps:
+            out.append(self.step_at(w, s))
+            w = self.step_target(out[-1])
+        return Path(source, tuple(out))
+
     def path_words(self, p: Path) -> list[Word]:
         """The source of ``p`` and the word after each of its steps; raises
         TypeCheckError at the first step that does not compose."""
@@ -323,32 +332,22 @@ def untensor_ctx(p: Presentation, x: Word, path: Path, z: Word) -> Path | None:
 
 def instance_sides(p: Presentation, inst: RelationInstance) -> tuple[Path, Path]:
     """The (from, to) paths of an instance, whiskered and oriented."""
+    x, z = inst.left, inst.right
     if inst.name is not None:
         rel = p.relation_map.get(inst.name)
         if rel is None:
             raise TypeCheckError(f"unknown relation '{inst.name}'")
-        a, b = rel.lhs, rel.rhs
+        a, b = tensor_ctx(p, x, rel.lhs, z), tensor_ctx(p, x, rel.rhs, z)
     else:
+        # built whiskered at once: exchanges occur in monoidal mode only,
+        # where tensor_ctx checks nothing; the f-first side applies f, then g
         fname, mid, gname = inst.exch  # type: ignore[misc]
         f, g = p.gen(fname), p.gen(gname)
-        # f-first side: apply f at the left position, then g on the right.
-        a = Path(
-            f.source + mid + g.source,
-            (
-                RewriteStep(EMPTY, fname, mid + g.source),
-                RewriteStep(f.target + mid, gname, EMPTY),
-            ),
-        )
-        b = Path(
-            f.source + mid + g.source,
-            (
-                RewriteStep(f.source + mid, gname, EMPTY),
-                RewriteStep(EMPTY, fname, mid + g.target),
-            ),
-        )
-    if not inst.forward:
-        a, b = b, a
-    return tensor_ctx(p, inst.left, a, inst.right), tensor_ctx(p, inst.left, b, inst.right)
+        steps = (RewriteStep(x, fname, mid + g.source + z), RewriteStep(x + f.target + mid, gname, z))
+        a = Path(x + f.source + mid + g.source + z, steps)
+        steps = (RewriteStep(x + f.source + mid, gname, z), RewriteStep(x, fname, mid + g.target + z))
+        b = Path(a.source, steps)
+    return (a, b) if inst.forward else (b, a)
 
 
 def invert_instance(inst: RelationInstance) -> RelationInstance:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import oracle
 from .core import (
     CellTrace,
     Path,
@@ -21,8 +22,9 @@ from .core import (
     RewriteStep,
     Word,
     instance_sides,
+    position,
 )
-from .objects import steps_on, words_upto
+from .objects import words_upto
 from .residuation import ResidualTable, ResiduationError, Residuator, tile_key
 
 
@@ -249,8 +251,6 @@ def check_cylinder(
     sides and search for the top connecting the sides' residuals.  The
     presentation and the residual table are those of ``res``, whose memo
     several checks may share."""
-    from . import oracle
-
     p = res.p
     g1, g2 = instance_sides(p, base)
     fpath = Path(g1.source, (f,))
@@ -276,6 +276,51 @@ def check_cylinder(
     return CylinderVerdict(verdict, top, notes, (fg1, fg2), (g1f, g2f))
 
 
+def close_exchange_core(
+    f: RewriteStep, base: RelationInstance, res: Residuator
+) -> tuple[CellTrace, Path] | None:
+    """The top and the vertical residual along the second side of the
+    coincidence of ``f`` with the forward exchange ``base``, as
+    ``check_cylinder`` finds them, built by naturality of exchange; None
+    when naturality does not fix them.
+
+    Each side is a step h1, then a step h2.  f meets h1 in a tile or an
+    exchange (``Residuator.step_pair``), giving h1/f and f/h1; h2 is then
+    carried across each step of f/h1 the same way while it stays one step
+    distinct from that step.  The side's residual is h1/f followed by what
+    h2 became, and f's residual is what f/h1 became: the zig-zag's answer.
+    If the side residuals are equal or exchange-equal, the top is the trace
+    ``search_trace`` returns before searching (``oracle.exchange_trace``):
+    the factor f misses, carried across the other's residual."""
+    p = res.p
+    e1, mid, e2 = base.exch  # type: ignore[misc]
+    s1, t1 = p.gen(e1).source, p.gen(e1).target
+    a1, a2 = len(base.left), len(base.left) + len(s1) + len(mid)
+    residuals = []
+    for h1, h2 in (((a1, e1), (a2 + len(t1) - len(s1), e2)), ((a2, e2), (a1, e1))):
+        tile = res.step_pair(position(f), h1)
+        if tile is None:
+            return None
+        h, f_after = [h2], []
+        for s in tile[1]:
+            if len(h) != 1 or h[0] == s:
+                return None
+            tile2 = res.step_pair(s, h[0])
+            if tile2 is None:
+                return None
+            h = tile2[0]
+            f_after += tile2[1]
+        residuals.append((tile[0] + h, f_after))
+    after_f = p.step_target(f)
+    top = oracle.exchange_trace(
+        p, p.path_at(after_f, residuals[0][0]), p.path_at(after_f, residuals[1][0])
+    )
+    if top is None:
+        return None
+    after_base = base.left + t1 + mid + p.gen(e2).target + base.right
+    return top, p.path_at(after_base, residuals[1][1])
+
+
 # ---------------------------------------------------------------------------
 # trivially completable coincidences (sampled for the weight checks)
 
@@ -293,7 +338,15 @@ def trivial_equational_base_samples(
     share; equal cores are one object.  Presentations that fail the strip
     condition of ``coherence.CheckContext`` keep ``x`` and ``y`` empty.
     Samples come by base (exchanges by e1, e2 and mid, then the named
-    relations), then by x, by y and in ``steps_on`` order."""
+    relations), then by x, by y and in ``steps_on`` order.
+
+    No whiskered word is scanned.  A step at offset ``d`` from the window
+    reaches ``max(0, -d)`` letters into x and ``max(0, d + k - n)`` into y
+    (``k`` its source's length, ``n`` the window's), and it applies to
+    x·window·y when its letters match on the window and on each context.
+    The placements are listed once per base in generator order, then by
+    ``d``: ``steps_on`` order on every x·window·y.  Each x and each y marks
+    the placements it fits, and the samples of (x, y) are those both fit."""
     out: list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]] = []
     if p.mode != "monoidal":
         return out
@@ -302,34 +355,69 @@ def trivial_equational_base_samples(
         for r in p.relations
         for side in (r.lhs, r.rhs)
     )
-    words = words_upto(p, 2)
+    reach = 2
+    words = words_upto(p, reach)
 
     def sample(base: RelationInstance, critical) -> None:
         # skip a step whose interval relative to the window ``critical``
         # flags, and a side's whiskered first step: its gen at its offset
         sides = instance_sides(p, base)
         window = sides[0].source
+        n = len(window)
         heads = {
             (s.steps[0].gen, len(s.steps[0].left))
             for s in sides
             if s.steps and p.step_source(s.steps[0]) == window
         }
+        # placements matching on the window: (gen, d, how far it reaches
+        # into x and its source's letters there, the same for y)
+        places = []
+        for g in p.generators:
+            src, k = g.source, len(g.source)
+            for d in range(-reach, n + reach - k + 1):
+                lo, hi = max(d, 0), min(d + k, n)
+                if (g.name, d) in heads or critical(d, d + k):
+                    continue
+                if lo < hi and window[lo:hi] != src[lo - d : hi - d]:
+                    continue
+                lx, ly = max(0, -d), max(0, d + k - n)
+                places.append((g.name, d, lx, src[: min(k, lx)], ly, src[k - min(k, ly) :]))
+        # per context word and placement: (the word's part inside the core,
+        # the part left as context) if the placement fits it, else None
+        fit_x = {
+            x: [
+                ((x[len(x) - lx :], x[: len(x) - lx]) if strip else (x, ()))
+                if len(x) >= lx and x[len(x) - lx :][: len(sx)] == sx else None
+                for _, _, lx, sx, _, _ in places
+            ]
+            for x in words
+        }
+        fit_y = {
+            y: [
+                ((y[:ly], y[ly:]) if strip else (y, ()))
+                if len(y) >= ly and y[ly - len(sy) : ly] == sy else None
+                for *_, ly, sy in places
+            ]
+            for y in words
+        }
         cores: dict = {}
         for x in words:
+            fx = [(i, part) for i, part in enumerate(fit_x[x]) if part]
             for y in words:
-                for f in steps_on(x + window + y, p):
-                    at = (f.gen, len(f.left) - len(x))
-                    if at in heads or critical(at[1], at[1] + len(p.gen(f.gen).source)):
+                fy = fit_y[y]
+                for i, (in_x, ctx_x) in fx:
+                    if fy[i] is None:
                         continue
-                    nl = min(len(f.left), len(x)) if strip else 0
-                    nr = min(len(f.right), len(y)) if strip else 0
-                    key = (at, x[nl:], y[: len(y) - nr])
-                    if key not in cores:
-                        cores[key] = (
-                            RewriteStep(f.left[nl:], f.gen, f.right[: len(f.right) - nr]),
-                            replace(base, left=key[1], right=key[2]),
-                        )
-                    out.append((cores[key], x[:nl], y[len(y) - nr :]))
+                    in_y, ctx_y = fy[i]
+                    key = (i, in_x, in_y)
+                    core = cores.get(key)
+                    if core is None:
+                        gen, d = places[i][:2]
+                        word = in_x + window + in_y
+                        at = len(in_x) + d
+                        f = RewriteStep(word[:at], gen, word[at + len(p.gen(gen).source) :])
+                        core = cores[key] = (f, replace(base, left=in_x, right=in_y))
+                    out.append((core, ctx_x, ctx_y))
 
     eq_gens = [g for g in p.generators if g.equational]
     for e1 in eq_gens:

@@ -202,6 +202,27 @@ def _raw_key(path: Path):
     return (path.source, path.steps)
 
 
+def _splice(p: Presentation, start: Path, moves, back) -> CellTrace:
+    """The trace from ``start`` along ``moves`` and then ``back`` inverted,
+    in reverse order: a path reached from both ends of a search."""
+    flipped = tuple(Move(at, invert_instance(inst)) for at, inst in reversed(back))
+    return trace_from_moves(p, start, tuple(moves) + flipped)
+
+
+def exchange_trace(p: Presentation, start: Path, goal: Path) -> CellTrace | None:
+    """The trace start =>* goal that ``search_trace`` returns before its
+    search when the two paths are equal or exchange-equal: no cells, or the
+    exchange-canonical moves of ``start`` followed by those of ``goal``
+    inverted.  None when the paths are not exchange-equal."""
+    if start == goal:
+        return CellTrace(start, ())
+    canon, back = canonical_with_trace(goal, p)
+    if canon == start:  # a canonical form has no canonical moves
+        return _splice(p, start, (), back)
+    start_canon, moves = canonical_with_trace(start, p)
+    return _splice(p, start, moves, back) if start_canon == canon else None
+
+
 def search_trace(
     p: Presentation,
     start: Path,
@@ -213,11 +234,13 @@ def search_trace(
 
     Visited states are deduplicated on raw paths; the two searches meet on
     exchange-canonical forms, with the connecting exchange cells spliced in.
+    Exchange-equal paths meet before any search (``exchange_trace``).
     """
     if start.source != goal.source or p.path_target(start) != p.path_target(goal):
         raise CohpresError("search_trace requires parallel paths")
-    if start == goal:
-        return CellTrace(start, ())
+    met = exchange_trace(p, start, goal)
+    if met is not None:
+        return met
 
     # per side: the moves from its origin to each visited path, and for each
     # canonical form the first path reaching it with the moves from there
@@ -234,15 +257,7 @@ def search_trace(
         )
 
     def stitch(akey, ca, bkey, cb) -> CellTrace:
-        back = sides[1]["moves"][bkey] + cb
-        flipped = tuple(Move(at, invert_instance(inst)) for at, inst in reversed(back))
-        return trace_from_moves(p, start, sides[0]["moves"][akey] + ca + flipped)
-
-    # initial meet check
-    for ckey, (akey, ca) in sides[0]["canon"].items():
-        if ckey in sides[1]["canon"]:
-            bkey, cb = sides[1]["canon"][ckey]
-            return stitch(akey, ca, bkey, cb)
+        return _splice(p, start, sides[0]["moves"][akey] + ca, sides[1]["moves"][bkey] + cb)
 
     visited = 2
     while sides[0]["frontier"] or sides[1]["frontier"]:

@@ -281,19 +281,9 @@ class Residuator:
             i = tails[i]
         return out
 
-    def _path(self, w: Word, i: int) -> Path:
-        """The sequence ``i`` from ``w``, each step checked against the word
-        it lands on."""
-        p = self.p
-        source, steps = w, []
-        for s in self._steps(i):
-            steps.append(p.step_at(w, s))
-            w = p.step_target(steps[-1])
-        return Path(source, tuple(steps))
-
     # -- the zig-zag engine ----------------------------------------------------
 
-    def _step_pair(self, f: Step, g: Step):
+    def step_pair(self, f: Step, g: Step):
         """(g/f, f/g, tile) for distinct coinitial steps, or None when the
         residual is undefined; tile is None for an exchange and ``(entry,
         f_is_first)`` for a table tile."""
@@ -386,7 +376,7 @@ class Residuator:
                         fr[3:5] = key, 1
                         stack.append([after, tails[g], tails[f], None, 0])
                         continue
-                    tile = self._step_pair(f1, g1)
+                    tile = self.step_pair(f1, g1)
                     if tile is None:
                         raise self._undefined(stack, f1, g1)
                     fr[3:] = key, 2, *tile
@@ -415,11 +405,11 @@ class Residuator:
         g_end, f_end = p.path_target(g), p.path_target(f)
         g_ids, f_ids = (self._seq([position(s) for s in q.steps]) for q in (g, f))
         e, dh, tree = self._solve(g.source, g_ids, f_ids, witness)
-        gf = self._path(f_end, e)
+        gf = p.path_at(f_end, self._steps(e))
         trace = None
         if witness:
             trace = trace_from_moves(p, Path(f.source, f.steps + gf.steps), _witness_moves(tree))
-        return gf, self._path(g_end, dh), trace
+        return gf, p.path_at(g_end, self._steps(dh)), trace
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""

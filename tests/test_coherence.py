@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
+from operator import add
+from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohpres import coherence
+from cohpres import coherence, oracle
+from cohpres.cli import main
 from cohpres.coherence import (
     CheckContext,
     WeightSpec,
@@ -26,14 +32,18 @@ from cohpres.core import (
     CellTrace,
     Path,
     RelationInstance,
+    RewriteStep,
+    WeightTerm,
     instance_sides,
     parse_path,
     parse_presentation,
 )
-from cohpres.critical import _proper_overlap
+from cohpres.critical import _proper_overlap, close_exchange_core
 from cohpres.objects import steps_on, words_upto
 from cohpres.oracle import search_trace
 from cohpres.residuation import ResiduationError, Residuator
+
+CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
 
 
 def test_eval_weight_examples(ds2):
@@ -432,8 +442,10 @@ def test_check_assumption_gates(ds2op, huet):
         assert (v.status, v.note) == ("inconclusive", "skipped: A1 did not pass")
 
 
-def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
-    # one check per critical cylinder, then one per distinct sampled base core
+def _checked_cores(monkeypatch, p):
+    """A context whose critical cylinders and base records were computed, the
+    ``check_cylinder`` calls made on the way, the distinct base cores and
+    those that naturality leaves to the search."""
     checked = []
     real = coherence.check_cylinder
 
@@ -442,10 +454,151 @@ def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
         return real(f, base, *args)
 
     monkeypatch.setattr(coherence, "check_cylinder", counting)
-    ctx = CheckContext(ds2op)
+    ctx = CheckContext(p)
+    ctx.cylinder_verdicts
+    ctx.base_records
+    cores = list(dict.fromkeys((f, inst) for f, inst, *_ in ctx.base_records))
+    left = [
+        (f, inst)
+        for f, inst in cores
+        if inst.exch is None or close_exchange_core(f, inst, ctx.residuator) is None
+    ]
+    assert checked == [(c.f, c.base) for c in ctx.cylinders] + left
+    return ctx, cores, left
+
+
+def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
+    # one check per critical cylinder; every sampled base core is closed by
+    # naturality, so none of the 137 is checked
+    ctx, cores, left = _checked_cores(monkeypatch, ds2op)
+    assert (len(cores), left) == (137, [])
     assert check_a3(ctx, "strict").status == "fail"
     assert check_a3(ctx, "up_to_exchange").status == "pass"
     assert check_a4(ctx, True).status == "pass"
-    cores = list(dict.fromkeys((f, inst) for f, inst, *_ in ctx.base_records))
-    assert len(cores) == 137
-    assert checked == [(c.f, c.base) for c in ctx.cylinders] + cores
+
+
+def test_context_checks_named_and_untiled_base_cores(monkeypatch):
+    # named bases, and exchange cores of [m] whose overlap has no tile, are
+    # checked after the critical cylinders, once each, in sample order
+    _, cores, left = _checked_cores(monkeypatch, parse_presentation(ASSOC))
+    named = [c for c in cores if c[1].name]
+    assert set(named) < set(left) < set(cores)
+
+
+@pytest.mark.parametrize(
+    "argv", [["ds2"], ["ds2op", "--assumption", "a3x", "--strong"]], ids=["ds2", "ds2op-a3x"]
+)
+def test_check_searches_only_critical_cylinders(monkeypatch, argv):
+    # a full check searches for the tops of critical cylinders only: every
+    # sampled base core of the corpus is closed by naturality
+    searched, inside = [], []
+    real_search, real_check = oracle.search_trace, coherence.check_cylinder
+
+    def search(*args, **kwargs):
+        searched.append(inside[-1] if inside else None)
+        return real_search(*args, **kwargs)
+
+    def check(f, base, *args):
+        inside.append((f, base))
+        try:
+            return real_check(f, base, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oracle, "search_trace", search)
+    monkeypatch.setattr(coherence, "check_cylinder", check)
+    path = CORPUS / f"{argv[0]}.cp"
+    main(["check", str(path), *argv[1:]])
+    p = parse_presentation(path.read_text(encoding="utf-8"))
+    critical = {(c.f, c.base) for q in (p, opposite(p)) for c in CheckContext(q).cylinders}
+    assert searched and set(searched) <= critical
+
+
+def _whiskered_items(spec, f, inst, top):
+    """The items of a base record that ``spec`` weighs, as the base and the top."""
+    if spec.on == "steps":
+        return [f], []
+    return [inst], [c.inst for c in top.cells]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "opposite"])
+@pytest.mark.parametrize("name", ["ds2", "ds2op"])
+def test_whiskered_weights_match_eval_weight_on_every_sample(request, name, dual):
+    p = request.getfixturevalue(name)
+    if dual:
+        p = opposite(p)
+    ctx = CheckContext(p)
+    for spec in p.weights.values():
+        weights = coherence._Whiskered(spec, p)
+        for f, inst, x, y, top, _ in ctx.base_records:
+            sides = []
+            for items in _whiskered_items(spec, f, inst, top):
+                expected = (0,) * spec.dim
+                for item in items:
+                    expected = tuple(map(add, expected, eval_weight(spec, item, p, x, y)))
+                assert weights.at(weights.part(items), x, y) == expected
+                sides.append((weights.part(items), expected))
+            (base, base_w), (over, top_w) = sides
+            settled = weights.settled(over, base)
+            assert settled in (None, weight_less(spec, top_w, base_w))
+
+
+TERM_KINDS = ("const", "countL", "countR", "ctx_transp", "word_transp")
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_whiskered_weight_is_core_weight_plus_context(ds2, data):
+    # random weight terms, items and contexts of up to 4 letters: the
+    # decomposed weight equals eval_weight of the whiskered items, and a
+    # comparison settled for every context holds in each of up to 2 letters
+    p = ds2
+    word = st.lists(st.sampled_from(p.objects), max_size=4).map(tuple)
+    letter = st.sampled_from(p.objects)
+
+    def term():
+        kind = data.draw(st.sampled_from(TERM_KINDS))
+        if kind == "const":
+            return WeightTerm(kind, (), data.draw(st.integers(0, 3)))
+        arity = 1 if kind.startswith("count") else 2
+        return WeightTerm(kind, tuple(data.draw(letter) for _ in range(arity)))
+
+    dim = data.draw(st.integers(1, 3))
+    keys = [g.name for g in p.generators] + [r.name for r in p.relations] + ["exch"]
+    order = data.draw(st.sampled_from(["lex", "pointwise"]))
+    spec = WeightSpec("w", "rels", order, dim, {k: tuple(term() for _ in range(dim)) for k in keys})
+
+    def items():
+        out = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            left, right = data.draw(word), data.draw(word)
+            kind = data.draw(st.sampled_from(["step", "rel", "exch"]))
+            if kind == "step":
+                gen = data.draw(st.sampled_from([g.name for g in p.generators]))
+                out.append(RewriteStep(left, gen, right))
+            elif kind == "rel":
+                rel = data.draw(st.sampled_from([r.name for r in p.relations]))
+                out.append(RelationInstance(left, right, True, name=rel))
+            else:
+                gens = st.sampled_from([g.name for g in p.generators])
+                exch = (data.draw(gens), data.draw(word), data.draw(gens))
+                out.append(RelationInstance(left, right, True, exch=exch))
+        return out
+
+    def whiskered(side, x, y):
+        total = (0,) * dim
+        for item in side:
+            total = tuple(map(add, total, eval_weight(spec, item, p, x, y)))
+        return total
+
+    # b shares a prefix with a, so that the two often differ a little
+    a = items()
+    b = a[: data.draw(st.integers(0, len(a)))] + items()
+    x, y = data.draw(word), data.draw(word)
+    weights = coherence._Whiskered(spec, p)
+    for side in (a, b):
+        assert weights.at(weights.part(side), x, y) == whiskered(side, x, y)
+    settled = weights.settled(weights.part(a), weights.part(b))
+    if settled is not None:
+        for x, y in product(words_upto(p, 2), repeat=2):
+            assert settled == weight_less(spec, whiskered(a, x, y), whiskered(b, x, y))

@@ -3,7 +3,8 @@
 Each ``.txt`` file in ``tests/golden/`` holds ``exit <code>`` on its first
 line and the run's stdout after it; each ``-report.json`` file holds the
 report that ``check --report`` writes for the case named by the rest of the
-file name.  The bounds are small so the whole set runs in about a second.
+file name; ``check-ds2op-opposite-a4.txt`` holds A4 on the opposite of
+ds2op.  The bounds are small so the whole set runs in about a second.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from cohpres.cli import main
+from cohpres.constructions import opposite
+from cohpres.core import parse_presentation, print_presentation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,3 +59,15 @@ def test_check_report_matches_golden(name, capsys, tmp_path):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     expected = (GOLDEN / f"{name}-report.json").read_text(encoding="utf-8")
     assert report.read_text(encoding="utf-8") == expected
+
+
+def test_a4_base_record_witnesses_match_golden(capsys, tmp_path):
+    # A4 on the opposite of ds2op fails almost only on sampled base records:
+    # 875 of the 879 lines are "[vertical ...]" witnesses, each weighing a
+    # core whiskered by its sample's context
+    path = tmp_path / "ds2op-opposite.cp"
+    ds2op = parse_presentation((CORPUS / "ds2op.cp").read_text(encoding="utf-8"))
+    path.write_text(print_presentation(opposite(ds2op)), encoding="utf-8")
+    code = main(["check", str(path), "--assumption", "a4", "--no-opposite"])
+    out = f"exit {code}\n" + capsys.readouterr().out
+    assert out == (GOLDEN / "check-ds2op-opposite-a4.txt").read_text(encoding="utf-8")
