@@ -10,6 +10,7 @@ identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,7 +111,7 @@ def cmd_residual(args) -> int:
     print(f"of/after : {p.fmt_path(gf)}")
     print(f"after/of : {p.fmt_path(fg)}")
     if trace is not None:
-        print(f"witness ({len(trace.cells)} cells):")
+        print(f"witness ({len(trace)} cells):")
         for cell in trace.cells:
             print(f"  {p.fmt_instance(cell.inst)} after {p.fmt_path(cell.prefix)}")
     return 0
@@ -129,7 +130,7 @@ def cmd_critical(args) -> int:
     if not args.pairs:
         print(f"critical cylinders: {len(ctx.cylinders)}")
         for cyl, v in ctx.cylinder_verdicts:
-            tops = "-" if v.top is None else str(len(v.top.cells))
+            tops = "-" if v.top is None else str(len(v.top))
             print(
                 f"  {p.fmt_step(cyl.f)} | {p.fmt_instance(cyl.base)} "
                 f"[{cyl.flavor}] verticals={v.residual_targets_equal} top={tops}"
@@ -221,7 +222,9 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="cohpres",
         description="coherence checks for presentations of (monoidal) categories modulo",
@@ -244,39 +247,33 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--depth", type=non_negative_int, default=12, help="top-trace search depth")
     c.add_argument("--budget", type=non_negative_int, default=50_000)
     c.add_argument("--no-opposite", action="store_true", help="skip the opposite-presentation probe")
-    c.set_defaults(func=cmd_check)
 
     c = sub.add_parser("nf", help="normal form and normalization path of a word")
     c.add_argument("file")
     c.add_argument("word")
-    c.set_defaults(func=cmd_nf)
 
     c = sub.add_parser("residual", help="residuals of one path after another")
     c.add_argument("file")
     c.add_argument("--of", required=True)
     c.add_argument("--after", required=True)
     c.add_argument("--witness", action="store_true")
-    c.set_defaults(func=cmd_residual)
 
     c = sub.add_parser("critical", help="critical pairs and cylinders")
     c.add_argument("file")
     c.add_argument("--pairs", action="store_true", help="pairs only")
     c.add_argument("--cylinders", action="store_true", help="cylinders only")
-    c.set_defaults(func=cmd_critical)
 
     c = sub.add_parser("enumerate", help="bounded hom-set classes")
     c.add_argument("file")
     c.add_argument("src")
     c.add_argument("tgt")
     c.add_argument("--max-steps", type=non_negative_int, required=True)
-    c.set_defaults(func=cmd_enumerate)
 
     c = sub.add_parser("compare", help="compare NF / quotient / localization at desk scale")
     c.add_argument("file")
     c.add_argument("--max-word", type=non_negative_int, required=True)
     c.add_argument("--max-steps", type=non_negative_int, required=True)
     c.add_argument("--oracle", choices=["ds2"], default=None)
-    c.set_defaults(func=cmd_compare)
 
     c = sub.add_parser("fractions", help="fraction composition and equality")
     c.add_argument("file")
@@ -284,24 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--compose", nargs=4, metavar=("NUM1", "DEN1", "NUM2", "DEN2"))
     g.add_argument("--equal", nargs=4, metavar=("NUM1", "DEN1", "NUM2", "DEN2"))
     c.add_argument("--budget", type=non_negative_int, default=8)
-    c.set_defaults(func=cmd_fractions)
 
     c = sub.add_parser("tietze", help="apply a Tietze transformation script")
     c.add_argument("file")
     c.add_argument("--script", required=True)
     c.add_argument("-o", "--output", required=True)
-    c.set_defaults(func=cmd_tietze)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced ``cmd_*`` is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         # The reader went away; send what is still buffered to devnull so the
         # flush at interpreter exit does not raise again.  This clause must

@@ -104,13 +104,11 @@ def weight_of_path(
     return total
 
 
-def weight_of_trace(
-    spec: WeightSpec, trace: CellTrace, p: Presentation, x: Word = (), y: Word = ()
-) -> tuple[int, ...]:
-    """The weight of ``trace`` whiskered by ``x`` and ``y``."""
+def weight_of_trace(spec: WeightSpec, trace: CellTrace, p: Presentation) -> tuple[int, ...]:
+    """The weight of ``trace``, the sum of its cells' weights."""
     total = (0,) * spec.dim
-    for cell in trace.cells:
-        total = tuple(map(add, total, eval_weight(spec, cell.inst, p, x, y)))
+    for _, inst in trace.moves:
+        total = tuple(map(add, total, eval_weight(spec, inst, p)))
     return total
 
 
@@ -483,7 +481,7 @@ def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
         for cyl, v in ctx.cylinder_verdicts:
             if cyl.base.exch is None or v.top is None:
                 continue
-            if any(c.inst.exch is None for c in v.top.cells):
+            if any(m.inst.exch is None for m in v.top.moves):
                 failures.append(
                     f"residual of exchange base {p.fmt_instance(cyl.base)} uses "
                     "non-exchange cells"
@@ -496,7 +494,7 @@ def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
                     f"sampled exchange residual after {p.fmt_step(_whisker(x, f, y))} "
                     "not reconstructed"
                 )
-            elif any(c.inst.exch is None for c in top.cells):
+            elif any(m.inst.exch is None for m in top.moves):
                 failures.append(
                     f"sampled residual of {p.fmt_instance(_whisker(x, inst, y))} after "
                     f"{p.fmt_step(_whisker(x, f, y))} uses non-exchange cells"
@@ -556,15 +554,15 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
             if exempt(rv):
                 continue
             if id(top) not in parts:
-                base, over = weights.part([inst]), weights.part([c.inst for c in top.cells])
+                base, over = weights.part([inst]), weights.part([m.inst for m in top.moves])
                 parts[id(top)] = base, over, weights.settled(over, base)
             base, over, settled = parts[id(top)]
             if settled:
                 continue
             base_w, top_w = weights.at(base, x, y), weights.at(over, x, y)
             if not weight_less(w2b, top_w, base_w):
-                if len(top.cells) == 1:
-                    res_txt = f"omega2({p.fmt_instance(_whisker(x, top.cells[0].inst, y))})"
+                if len(top) == 1:
+                    res_txt = f"omega2({p.fmt_instance(_whisker(x, top.moves[0].inst, y))})"
                 else:
                     res_txt = "omega2(residual)"
                 witnesses.append(
@@ -706,7 +704,7 @@ def report_to_dict(report: CheckReport, p: Presentation, include_timings: bool =
                 "base": p.fmt_instance(c.base),
                 "flavor": c.flavor,
                 "verdict": None if v is None else v.residual_targets_equal,
-                "topCells": None if v is None or v.top is None else len(v.top.cells),
+                "topCells": None if v is None or v.top is None else len(v.top),
             }
             for c, v in report.cylinders
         ],

@@ -266,15 +266,9 @@ def nf_object(x: Word, y: Word, p: Presentation) -> Word:
 def nf_tensor(
     xhat: Word, f: Path, zhat: Word, p: Presentation, table: ResidualTable
 ) -> Path:
-    """Action of normal-form objects on a morphism: whisker, residuate along
-    the normalization of the source, renormalize the target."""
-    w0 = xhat + f.source + zhat
-    u = normalize(w0, p).path
-    whiskered = tensor_ctx(p, xhat, f, zhat)
-    res = Residuator(p, table)
-    r, _ = res.pair(whiskered, u)
-    v = normalize(p.path_target(r), p).path
-    return compose(p, r, v)
+    """Action of normal-form objects on a morphism: the normal-form functor
+    on the whiskered morphism."""
+    return nf_functor_apply(tensor_ctx(p, xhat, f, zhat), p, table)
 
 
 def nf_functor_apply(f: Path, p: Presentation, table: ResidualTable) -> Path:

@@ -25,6 +25,7 @@ written in diagrammatic order: ``b[m] ; [g]`` first applies ``m`` under a
 
 ``Presentation.path_words`` is the one checked walk along a path: the
 source and the word after each step.  ``path_target`` is its last word.
+``replay`` is the one checked walk along the moves of a 2-cell trace.
 """
 
 from __future__ import annotations
@@ -159,15 +160,39 @@ class CellStep:
     suffix: Path
 
 
+class Move(NamedTuple):
+    """One cell of a trace: ``inst`` with its from-side starting at step
+    ``at`` of the path the cell rewrites.  Whiskering a move by a one-step
+    prefix adds one to ``at``; a suffix changes nothing."""
+
+    at: int
+    inst: RelationInstance
+
+
 @dataclass(frozen=True)
 class CellTrace:
-    """A sequence of whiskered relation/exchange cells rewriting a path."""
+    """A 2-cell: whiskered relation/exchange cells rewriting ``source`` one
+    after another, each fixed by its move.
+
+    Made by ``trace_from_moves``, which checks the moves against ``pres``;
+    two traces are equal when their sources and moves are.  ``cells``
+    builds each cell with its prefix and suffix path only when read.
+    """
 
     source: Path
-    cells: tuple[CellStep, ...] = ()
+    moves: tuple[Move, ...]
+    pres: Presentation = field(compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.moves)
+
+    @cached_property
+    def cells(self) -> tuple[CellStep, ...]:
+        src, walk = self.source.source, replay(self.pres, self.source, self.moves)
+        return tuple(
+            CellStep(Path(src, tuple(steps[:at])), inst, Path(words[end], tuple(steps[end:])))
+            for (at, inst), (end, steps, words) in zip(self.moves, walk)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -354,51 +379,40 @@ def invert_instance(inst: RelationInstance) -> RelationInstance:
     return replace(inst, forward=not inst.forward)
 
 
-def apply_cell(p: Presentation, path: Path, cell: CellStep) -> Path:
-    lhs, rhs = instance_sides(p, cell.inst)
-    expect = cell.prefix.steps + lhs.steps + cell.suffix.steps
-    if path.steps != expect or path.source != cell.prefix.source:
-        raise TypeCheckError("cell does not apply at the indicated position")
-    return Path(path.source, cell.prefix.steps + rhs.steps + cell.suffix.steps)
+def replay(p: Presentation, source: Path, moves):
+    """Apply ``moves`` to ``source`` in turn, checking each from-side against
+    the current path; raises TypeCheckError at the first that does not apply.
+
+    After each move it yields ``(end, steps, words)``: the index just past the
+    cell's to-side, the current path's steps and the word at each index.  The
+    two lists are edited in place, so a cell costs the length of its sides,
+    not of the path, and a caller copies what it keeps.
+    """
+    steps, words = list(source.steps), p.path_words(source)
+    for at, inst in moves:
+        lhs, rhs = instance_sides(p, inst)
+        end = at + len(lhs.steps)
+        if not 0 <= at <= len(steps) or words[at] != lhs.source or tuple(steps[at:end]) != lhs.steps:
+            raise TypeCheckError(f"cell {p.fmt_instance(inst)} does not apply at step {at}")
+        steps[at:end] = rhs.steps
+        words[at:end] = p.path_words(rhs)[:-1]
+        yield at + len(rhs.steps), steps, words
+
+
+def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
+    """The trace of ``moves`` from ``source``, checked by ``replay``."""
+    moves = tuple(moves)
+    for _ in replay(p, source, moves):
+        pass
+    return CellTrace(source, moves, p)
 
 
 def check_trace(p: Presentation, trace: CellTrace) -> Path:
     """Validate a trace end to end and return its target path."""
-    cur = trace.source
-    p.path_words(cur)
-    for cell in trace.cells:
-        cur = apply_cell(p, cur, cell)
-    return cur
-
-
-class Move(NamedTuple):
-    """A cell under construction: ``inst`` with its from-side at step ``at``
-    of the current path.  Whiskering by a one-step prefix adds one to ``at``;
-    a suffix changes nothing."""
-
-    at: int
-    inst: RelationInstance
-
-
-def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
-    """Replay ``moves`` from ``source`` into a trace of whiskered cells,
-    checking each from-side against the current path.
-
-    The word at each index of the current path is kept up to date, so a
-    cell's prefix and suffix are slices and nothing is retyped.
-    """
-    steps = source.steps
-    words = p.path_words(source)
-    cells = []
-    for at, inst in moves:
-        lhs, rhs = instance_sides(p, inst)
-        end = at + len(lhs.steps)
-        if not 0 <= at <= len(steps) or words[at] != lhs.source or steps[at:end] != lhs.steps:
-            raise TypeCheckError(f"cell {p.fmt_instance(inst)} does not apply at step {at}")
-        cells.append(CellStep(Path(words[0], steps[:at]), inst, Path(words[end], steps[end:])))
-        steps = steps[:at] + rhs.steps + steps[end:]
-        words[at:end] = p.path_words(rhs)[:-1]
-    return CellTrace(source, tuple(cells))
+    steps = trace.source.steps
+    for _, steps, _ in replay(p, trace.source, trace.moves):
+        pass
+    return Path(trace.source.source, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,8 @@ def enumerate_critical_pairs(p: Presentation, table: ResidualTable) -> list[Crit
 # critical cylinders
 
 
-def _first_steps(p: Presentation, rel: Relation) -> tuple[RewriteStep, ...]:
-    heads = []
-    for side in (rel.lhs, rel.rhs):
-        if side.steps:
-            heads.append(side.steps[0])
-    return tuple(heads)
+def _first_steps(rel: Relation) -> tuple[RewriteStep, ...]:
+    return tuple(side.steps[0] for side in (rel.lhs, rel.rhs) if side.steps)
 
 
 def _named_cylinders(p: Presentation, vertical_pool, base_pool) -> list[CriticalCylinder]:
@@ -142,7 +138,7 @@ def _named_cylinders(p: Presentation, vertical_pool, base_pool) -> list[Critical
                 if rel.lhs.source != e.source:
                     continue
                 f = RewriteStep((), e.name, ())
-                heads = _first_steps(p, rel)
+                heads = _first_steps(rel)
                 if f in heads:
                     continue
                 out.append(
@@ -224,8 +220,6 @@ def enumerate_critical_cylinders(
         lhs, rhs = instance_sides(p, cyl.base)
         base_eq = p.is_equational_path(lhs) and p.is_equational_path(rhs)
         flavor = "equational_base" if base_eq else "equational_vertical"
-        if flavor == "equational_vertical" and not p.is_equational_step(cyl.f):
-            continue
         out.append(CriticalCylinder(cyl.f, cyl.base, flavor))
     out.sort(
         key=lambda c: (

@@ -215,7 +215,7 @@ def exchange_trace(p: Presentation, start: Path, goal: Path) -> CellTrace | None
     exchange-canonical moves of ``start`` followed by those of ``goal``
     inverted.  None when the paths are not exchange-equal."""
     if start == goal:
-        return CellTrace(start, ())
+        return trace_from_moves(p, start, ())
     canon, back = canonical_with_trace(goal, p)
     if canon == start:  # a canonical form has no canonical moves
         return _splice(p, start, (), back)

@@ -13,9 +13,10 @@ Paths become positions on the way in and ``RewriteStep``s on the way out.
 The pair-mode memo is keyed on positions alone, so one entry serves every
 whiskering of a sub-problem.  A computation can also return an explicit
 2-cell witness: each tile contributes one cell, kept in a tree whose depth
-is the cell's step, and the tree is flattened into moves and built into
-cells once, so a witness costs time linear in its cells apart from slicing
-each cell's prefix and suffix.
+is the cell's step, and the tree is flattened into moves and checked once,
+so each cell costs the length of its words, not of the path (one step after
+the 1,600-step normalization path of b⁴⁰a⁴⁰ in ds2, with its 1,560-cell
+witness, takes about 0.1 s).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .core import (
     RewriteStep,
     Step,
     Word,
-    apply_cell,
     position,
+    replay,
     trace_from_moves,
     untensor_ctx,
 )
@@ -457,9 +458,9 @@ class Residuator:
         cur = alpha
         for w, step in zip(p.path_words(f), f.steps):
             step_path = Path(w, (step,))
+            src = cur.source.source
             states = [cur.source]
-            for cell in cur.cells:
-                states.append(apply_cell(p, states[-1], cell))
+            states += (Path(src, tuple(steps)) for _, steps, _ in replay(p, cur.source, cur.moves))
             residuals = [self._residuals(s, step_path, False)[0] for s in states]
             moves: list[Move] = []
             for i in range(len(residuals) - 1):
@@ -473,6 +474,6 @@ class Residuator:
                         "no connecting trace found while residuating a 2-cell "
                         f"(cell {i}, after {p.fmt_path(step_path)})"
                     )
-                moves.extend(Move(len(c.prefix), c.inst) for c in top.cells)
+                moves.extend(top.moves)
             cur = trace_from_moves(p, residuals[0], moves)
         return cur

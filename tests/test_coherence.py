@@ -28,8 +28,7 @@ from cohpres.coherence import (
 )
 from cohpres.constructions import opposite
 from cohpres.core import (
-    CellStep,
-    CellTrace,
+    Move,
     Path,
     RelationInstance,
     RewriteStep,
@@ -37,6 +36,7 @@ from cohpres.core import (
     instance_sides,
     parse_path,
     parse_presentation,
+    trace_from_moves,
 )
 from cohpres.critical import _proper_overlap, close_exchange_core
 from cohpres.objects import steps_on, words_upto
@@ -316,7 +316,7 @@ def _per_sample_base_records(p, table):
             records.append((f, inst, None, None))
             continue
         if l_res == r_res:
-            top = CellTrace(l_res, ())
+            top = trace_from_moves(p, l_res, ())
         else:
             top = search_trace(p, l_res, r_res, max_cells=8, budget=20_000)
         records.append((f, inst, top, fg))
@@ -337,13 +337,8 @@ def _whiskered_records(ctx):
     out = []
     for f, inst, x, y, top, fg in ctx.base_records:
         if top is not None:
-            top = CellTrace(
-                path(x, top.source, y),
-                tuple(
-                    CellStep(path(x, c.prefix, y), whisker(x, c.inst, y), path(x, c.suffix, y))
-                    for c in top.cells
-                ),
-            )
+            moves = [Move(m.at, whisker(x, m.inst, y)) for m in top.moves]
+            top = trace_from_moves(p, path(x, top.source, y), moves)
         if fg is not None:
             fg = path(x, fg, y)
         out.append((whisker(x, f, y), whisker(x, inst, y), top, fg))

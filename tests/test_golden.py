@@ -20,6 +20,17 @@ from cohpres.core import parse_presentation, print_presentation
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+B4A4 = (
+    "bbb[g]aaa ; bb[g]baaa ; b[g]bbaaa ; [g]bbbaaa ; abbb[g]aa ; abb[g]baa ; ab[g]bbaa ; "
+    "a[g]bbbaa ; aabbb[g]a ; aabb[g]ba ; aab[g]bba ; aa[g]bbba ; aaabbb[g] ; aaabb[g]b ; "
+    "aaab[g]bb ; aaa[g]bbb"
+)
+A4B4 = (
+    "aaa[g]bbb ; aa[g]abbb ; a[g]aabbb ; [g]aaabbb ; baaa[g]bb ; baa[g]abb ; ba[g]aabb ; "
+    "b[g]aaabb ; bbaaa[g]b ; bbaa[g]ab ; bba[g]aab ; bb[g]aaab ; bbbaaa[g] ; bbbaa[g]a ; "
+    "bbba[g]aa ; bbb[g]aaa"
+)
+
 CASES = {
     "enumerate-ds2-aaa-aa-3": ["enumerate", "ds2", "aaa", "aa", "--max-steps", "3"],
     "enumerate-ds2-bbaa-ab-4": ["enumerate", "ds2", "bbaa", "ab", "--max-steps", "4"],
@@ -35,6 +46,17 @@ CASES = {
     "compare-ds2op": ["compare", "ds2op", "--max-word", "2", "--max-steps", "3"],
     "compare-huet": ["compare", "huet", "--max-word", "1", "--max-steps", "6"],
     "compare-deltas": ["compare", "deltas", "--max-word", "2", "--max-steps", "3"],
+    "nf-ds2-babbaa": ["nf", "ds2", "babbaa"],
+    "nf-ds2op-abaabb": ["nf", "ds2op", "abaabb"],
+    "residual-ds2-readme": [
+        "residual", "ds2", "--of", "[n]aa ; b[m]", "--after", "b[g]a", "--witness"
+    ],
+    # one step after the 16-step normalization path of b^4 a^4 (ds2) and of
+    # a^4 b^4 (ds2op): one witness line per cell, each with its prefix
+    "residual-ds2-b4a4": ["residual", "ds2", "--of", "[n]bbaaaa", "--after", B4A4, "--witness"],
+    "residual-ds2op-a4b4": [
+        "residual", "ds2op", "--of", "aaaa[n]bbb", "--after", A4B4, "--witness"
+    ],
 }
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +13,19 @@ from hypothesis import strategies as st
 
 from cohpres.core import (
     CellStep,
-    CellTrace,
     CohpresError,
+    Move,
     Path,
     RelationInstance,
     RewriteStep,
     TypeCheckError,
-    apply_cell,
     check_trace,
     compose,
     instance_sides,
     parse_path,
     position,
     tensor_ctx,
+    trace_from_moves,
 )
 from cohpres.objects import normalize, steps_on
 from cohpres.oracle import oracle_residual_pair
@@ -241,7 +242,7 @@ def test_cell_residual_degenerate(ds2, ds2_table):
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance((), (), True, name="gamma")
     src = parse_path("b[m] ; [g]", ds2)
-    trace = single_cell_trace(ds2, src, inst)
+    trace = trace_from_moves(ds2, src, [Move(0, inst)])
     fstep = parse_path("[g]a", ds2)  # the equational step of gamma's own tile
     out = res.cell_residual(trace, fstep)
     assert out.cells == ()
@@ -252,7 +253,7 @@ def test_cell_residual_b_alpha_after_gaa(ds2, ds2_table):
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance(("b",), (), True, name="alpha")
     src = parse_path("b[m]a ; b[m]", ds2)
-    trace = single_cell_trace(ds2, src, inst)
+    trace = trace_from_moves(ds2, src, [Move(0, inst)])
     fstep = parse_path("[g]aa", ds2)
     out = res.cell_residual(trace, fstep)
     assert len(out.cells) >= 1
@@ -274,7 +275,7 @@ def test_cell_residual_exchange_base_after_bga(ds2, ds2_table):
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance((), (), True, exch=("n", (), "m"))
     lhs, rhs = instance_sides(ds2, inst)
-    trace = single_cell_trace(ds2, lhs, inst)
+    trace = trace_from_moves(ds2, lhs, [Move(0, inst)])
     fstep = parse_path("b[g]a", ds2)
     out = res.cell_residual(trace, fstep)
     assert out.source == res.pair(lhs, fstep)[0]
@@ -313,17 +314,39 @@ def test_equational_equational_tile():
 # the iterative engine against the recursive definition
 #
 # The reference builds its witnesses by whiskering and concatenating whole
-# traces, with its own copy of that trace algebra.
+# traces of cells, with its own copy of that trace algebra; an engine trace
+# is compared with one through its cells.
 
 
-def trace_target(p, trace: CellTrace) -> Path:
+class RefTrace(NamedTuple):
+    source: Path
+    cells: tuple[CellStep, ...]
+
+
+def by_cells(out):
+    """An engine result with its witness, if any, as a ``RefTrace``."""
+    if len(out) == 3:
+        gf, fg, trace = out
+        return gf, fg, RefTrace(trace.source, trace.cells)
+    return out
+
+
+def ref_apply_cell(p, path: Path, cell: CellStep) -> Path:
+    lhs, rhs = instance_sides(p, cell.inst)
+    expect = cell.prefix.steps + lhs.steps + cell.suffix.steps
+    if path.steps != expect or path.source != cell.prefix.source:
+        raise TypeCheckError("cell does not apply at the indicated position")
+    return Path(path.source, cell.prefix.steps + rhs.steps + cell.suffix.steps)
+
+
+def trace_target(p, trace: RefTrace) -> Path:
     cur = trace.source
     for cell in trace.cells:
-        cur = apply_cell(p, cur, cell)
+        cur = ref_apply_cell(p, cur, cell)
     return cur
 
 
-def trace_concat(p, *traces: CellTrace) -> CellTrace:
+def trace_concat(p, *traces: RefTrace) -> RefTrace:
     traces = tuple(t for t in traces if t is not None)
     if not traces:
         raise ValueError("empty concatenation")
@@ -334,10 +357,10 @@ def trace_concat(p, *traces: CellTrace) -> CellTrace:
             raise TypeCheckError("traces do not chain")
         cells.extend(t.cells)
         cur = trace_target(p, t)
-    return CellTrace(traces[0].source, tuple(cells))
+    return RefTrace(traces[0].source, tuple(cells))
 
 
-def trace_whisker(p, pre: Path, trace: CellTrace, post: Path) -> CellTrace:
+def trace_whisker(p, pre: Path, trace: RefTrace, post: Path) -> RefTrace:
     """Extend every cell of a trace by a fixed prefix and suffix path."""
     src = compose(p, compose(p, pre, trace.source), post)
     cells = []
@@ -345,16 +368,16 @@ def trace_whisker(p, pre: Path, trace: CellTrace, post: Path) -> CellTrace:
         cells.append(
             CellStep(compose(p, pre, c.prefix), c.inst, compose(p, c.suffix, post))
         )
-    return CellTrace(src, tuple(cells))
+    return RefTrace(src, tuple(cells))
 
 
-def single_cell_trace(p, source: Path, inst: RelationInstance) -> CellTrace:
+def single_cell_trace(p, source: Path, inst: RelationInstance) -> RefTrace:
     """A one-cell trace rewriting the whole of ``source``."""
     lhs, _ = instance_sides(p, inst)
     if lhs.steps != source.steps or lhs.source != source.source:
         raise TypeCheckError("instance does not match the whole path")
     end = p.path_target(source)
-    return CellTrace(source, (CellStep(Path(source.source, ()), inst, Path(end, ())),))
+    return RefTrace(source, (CellStep(Path(source.source, ()), inst, Path(end, ())),))
 
 
 # The step geometry the engine had before it ran on positions, frozen here
@@ -505,9 +528,9 @@ class RecursiveResiduator(Residuator):
             return Path(p.step_target(q.steps[0]), q.steps[1:])
 
         if not f.steps:
-            res = (g, p.identity(p.path_target(g)), CellTrace(g, ()))
+            res = (g, p.identity(p.path_target(g)), RefTrace(g, ()))
         elif not g.steps:
-            res = (p.identity(p.path_target(f)), f, CellTrace(f, ()))
+            res = (p.identity(p.path_target(f)), f, RefTrace(f, ()))
         elif f.steps[0] == g.steps[0]:
             res = gf, fg, inner = self._rec(rest(g), rest(f), witness)
             if witness:
@@ -557,7 +580,7 @@ def test_engine_matches_recursion_on_all_short_pairs(name, max_word):
         for g in paths:
             for f in paths:
                 for method in ("pair", "pair_with_witness"):
-                    got = _outcome(lambda: getattr(new, method)(g, f))
+                    got = _outcome(lambda: by_cells(getattr(new, method)(g, f)))
                     want = _outcome(lambda: getattr(ref, method)(g, f))
                     assert got == want, (method, p.fmt_path(g), p.fmt_path(f))
                     assert new._work == ref._work
@@ -574,7 +597,7 @@ def test_engine_matches_recursion_on_a_long_path(ds2, ds2_table, method, k):
     u = _bkak(ds2, k)
     g = parse_path("[n]" + "b" * (k - 2) + "a" * k, ds2)
     new, ref = Residuator(ds2, ds2_table), RecursiveResiduator(ds2, ds2_table)
-    assert getattr(new, method)(g, u) == getattr(ref, method)(g, u)
+    assert by_cells(getattr(new, method)(g, u)) == getattr(ref, method)(g, u)
     assert new._work == ref._work
 
 
@@ -679,6 +702,26 @@ def test_pair_matches_oracle_and_witness_checks(case):
     assert check_trace(p, trace) == compose(p, g, fg)
 
 
+@settings(max_examples=200)
+@given(coinitial_paths())
+def test_witness_cells_chain_from_source_to_target(case):
+    # the cells view against a replay of this test's own: each cell's prefix,
+    # from-side and suffix spell the path before it, its to-side the path
+    # after it, and the suffix starts on the word where the from-side ends
+    name, g, f = case
+    p, table = _loaded(name)
+    gf, fg, trace = Residuator(p, table).pair_with_witness(g, f)
+    cur = trace.source
+    for c in trace.cells:
+        lhs, rhs = instance_sides(p, c.inst)
+        assert c.prefix.source == cur.source
+        assert c.prefix.steps + lhs.steps + c.suffix.steps == cur.steps
+        assert c.suffix.source == p.path_words(cur)[len(c.prefix) + len(lhs)]
+        cur = Path(cur.source, c.prefix.steps + rhs.steps + c.suffix.steps)
+    assert cur == compose(p, g, fg)
+    assert len(trace) == len(trace.cells)
+
+
 @functools.cache
 def _shared(name):
     return Residuator(*_loaded(name))
@@ -693,7 +736,7 @@ def whisker_trace(p, x, trace, y):
         )
         for c in trace.cells
     )
-    return CellTrace(tensor_ctx(p, x, trace.source, y), cells)
+    return RefTrace(tensor_ctx(p, x, trace.source, y), cells)
 
 
 @settings(max_examples=200)
@@ -712,4 +755,4 @@ def test_residuals_commute_with_whiskering(case, data):
     gf, fg, trace = res.pair_with_witness(g, f)
     wgf, wfg, wtrace = res.pair_with_witness(xgy, xfy)
     assert (wgf, wfg) == (tensor_ctx(p, x, gf, y), tensor_ctx(p, x, fg, y))
-    assert wtrace == whisker_trace(p, x, trace, y)
+    assert RefTrace(wtrace.source, wtrace.cells) == whisker_trace(p, x, trace, y)
