@@ -17,7 +17,6 @@ from .core import (
     CellTrace,
     Path,
     Presentation,
-    Relation,
     RelationInstance,
     RewriteStep,
     Word,
@@ -125,30 +124,24 @@ def enumerate_critical_pairs(p: Presentation, table: ResidualTable) -> list[Crit
 # critical cylinders
 
 
-def _first_steps(rel: Relation) -> tuple[RewriteStep, ...]:
-    return tuple(side.steps[0] for side in (rel.lhs, rel.rhs) if side.steps)
+def _flavor(base_eq: bool) -> str:
+    return "equational_base" if base_eq else "equational_vertical"
 
 
-def _named_cylinders(p: Presentation, vertical_pool, base_pool) -> list[CriticalCylinder]:
+def _named_cylinders(p: Presentation) -> list[CriticalCylinder]:
+    """Steps whose core properly overlaps a relation's source window (in
+    path mode: starts where the relation does), other than a side's head."""
     out = []
-    for rel in base_pool:
+    for rel in p.relations:
         window = rel.lhs.source
-        for e in vertical_pool:
-            if p.mode == "path":
-                if rel.lhs.source != e.source:
-                    continue
-                f = RewriteStep((), e.name, ())
-                heads = _first_steps(rel)
-                if f in heads:
-                    continue
-                out.append(
-                    CriticalCylinder(f, RelationInstance((), (), True, name=rel.name), "")
-                )
+        base_eq = p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs)
+        for e in p.generators:
+            if not (e.equational or base_eq):
                 continue
             for d, word in _placements(window, e.source):
                 w_start = max(0, -d)
                 c_start = w_start + d
-                if not _proper_overlap(
+                if p.mode == "monoidal" and not _proper_overlap(
                     w_start, w_start + len(window), c_start, c_start + len(e.source)
                 ):
                     continue
@@ -157,19 +150,20 @@ def _named_cylinders(p: Presentation, vertical_pool, base_pool) -> list[Critical
                 lhs, rhs = instance_sides(p, inst)
                 if (lhs.steps and f == lhs.steps[0]) or (rhs.steps and f == rhs.steps[0]):
                     continue
-                out.append(CriticalCylinder(f, inst, ""))
+                out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
     return out
 
 
-def _exchange_cylinders(p: Presentation, vertical_pool, pair_pool) -> list[CriticalCylinder]:
+def _exchange_cylinders(p: Presentation) -> list[CriticalCylinder]:
     """Verticals whose core touches both factors of an exchange base."""
     out = []
-    for g1 in pair_pool:
-        for g2 in pair_pool:
-            s1, s2 = p.gen(g1).source, p.gen(g2).source
-            for e in vertical_pool:
+    for g1 in p.generators:
+        for g2 in p.generators:
+            s1, s2 = g1.source, g2.source
+            base_eq = g1.equational and g2.equational
+            for e in p.generators:
                 core = e.source
-                if len(core) < 2:
+                if len(core) < 2 or not (e.equational or base_eq):
                     continue
                 # first k1 letters of the core close g1's source, last k2 open g2's
                 for k1 in range(1, min(len(core), len(s1)) + 1):
@@ -179,48 +173,24 @@ def _exchange_cylinders(p: Presentation, vertical_pool, pair_pool) -> list[Criti
                         if s2[:k2] != core[len(core) - k2 :]:
                             continue
                         mid = core[k1 : len(core) - k2]
-                        word = s1 + mid + s2
                         f = RewriteStep(s1[: len(s1) - k1], e.name, s2[k2:])
-                        inst = RelationInstance((), (), True, exch=(g1, mid, g2))
+                        inst = RelationInstance((), (), True, exch=(g1.name, mid, g2.name))
                         lhs, rhs = instance_sides(p, inst)
                         if f == lhs.steps[0] or f == rhs.steps[0]:
                             continue
-                        out.append(CriticalCylinder(f, inst, ""))
+                        out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
     return out
 
 
 def enumerate_critical_cylinders(
     p: Presentation, table: ResidualTable
 ) -> list[CriticalCylinder]:
-    """All critical (step, relation instance) coincidences, both flavors."""
-    eq_gens = [g for g in p.generators if g.equational]
-    all_gens = list(p.generators)
+    """All critical (step, relation instance) coincidences whose vertical
+    step is equational or whose base has equational sides.  The flavor is
+    ``equational_base`` when the base has equational sides, else
+    ``equational_vertical``."""
     gen_index = {g.name: i for i, g in enumerate(p.generators)}
-    out: list[CriticalCylinder] = []
-
-    # flavor 1: equational vertical step against any base
-    named1 = _named_cylinders(p, eq_gens, p.relations)
-    exch1 = _exchange_cylinders(p, eq_gens, [g.name for g in all_gens])
-
-    # flavor 2: any vertical step against a base with equational sides
-    eq_named = [
-        r
-        for r in p.relations
-        if p.is_equational_path(r.lhs) and p.is_equational_path(r.rhs)
-    ]
-    named2 = _named_cylinders(p, all_gens, eq_named)
-    exch2 = _exchange_cylinders(p, all_gens, [g.name for g in eq_gens])
-
-    seen = set()
-    for cyl in named1 + exch1 + named2 + exch2:
-        key = (cyl.f, cyl.base.left, cyl.base.right, cyl.base.name, cyl.base.exch)
-        if key in seen:
-            continue
-        seen.add(key)
-        lhs, rhs = instance_sides(p, cyl.base)
-        base_eq = p.is_equational_path(lhs) and p.is_equational_path(rhs)
-        flavor = "equational_base" if base_eq else "equational_vertical"
-        out.append(CriticalCylinder(cyl.f, cyl.base, flavor))
+    out = _named_cylinders(p) + _exchange_cylinders(p)
     out.sort(
         key=lambda c: (
             0 if c.flavor == "equational_vertical" else 1,

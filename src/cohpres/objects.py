@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import CohpresError, Path, Presentation, RewriteStep, Word
+from .core import CohpresError, MorGen, Path, Presentation, RewriteStep, Word
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,23 @@ class BudgetExhausted(CohpresError):
     pass
 
 
+def _redexes(w: Word, gens: list[MorGen], start: int = 0) -> Iterator[tuple[int, MorGen]]:
+    """Each ``(offset, generator)`` of ``gens`` whose source occurs in ``w``
+    at that offset, lazily, by offset from ``start`` on, then in the order
+    of ``gens``."""
+    for i in range(start, len(w) + 1):
+        for g in gens:
+            if w[i : i + len(g.source)] == g.source:
+                yield i, g
+
+
 def steps_on(w: Word, p: Presentation, equational: bool = False) -> list[RewriteStep]:
     """Every step applicable to ``w``, in the order the module docstring fixes."""
-    out: list[RewriteStep] = []
-    for g in p.generators:
-        if equational and not g.equational:
-            continue
-        k = len(g.source)
-        for pos in range(len(w) - k + 1):
-            if w[pos : pos + k] == g.source:
-                out.append(RewriteStep(w[:pos], g.name, w[pos + k :]))
-    if equational:
-        out.sort(key=lambda s: len(s.left))
-    return out
+    gens = [g for g in p.generators if g.equational or not equational]
+    hits = list(_redexes(w, gens))
+    if not equational:
+        hits.sort(key=lambda hit: gens.index(hit[1]))
+    return [RewriteStep(w[:i], g.name, w[i + len(g.source) :]) for i, g in hits]
 
 
 def words_upto(p: Presentation, n: int) -> list[Word]:
@@ -97,26 +101,6 @@ def paths_from(
         frontier = nxt
 
 
-def _seed_words(p: Presentation, max_len: int) -> list[Word]:
-    seeds: list[Word] = []
-    seen: set[Word] = set()
-
-    def add(w: Word) -> None:
-        if w not in seen:
-            seen.add(w)
-            seeds.append(w)
-
-    for g in p.generators:
-        add(g.source)
-        add(g.target)
-    for r in p.relations:
-        add(r.lhs.source)
-        add(p.path_target(r.lhs))
-    for w in words_upto(p, 1)[1:] if p.mode == "path" else words_upto(p, max_len):
-        add(w)
-    return seeds
-
-
 def check_equational_termination(
     p: Presentation, budget: int = 10_000, max_len: int = 6
 ) -> TerminationVerdict:
@@ -125,44 +109,51 @@ def check_equational_termination(
     The universe is every word reachable from generator/relation endpoint
     words plus (in monoidal mode) all words of length at most ``max_len``.
     A ``budget_exhausted`` verdict is inconclusive, never a pass.
+
+    The search is a depth-first colouring.  Each word on the DFS chain keeps
+    one lazy iterator over its children in ``steps_on`` order, so memory
+    holds the colours and the chain, not every successor list.  ``explored``
+    counts the words coloured, seeds included; only a new non-seed word is
+    refused once it reaches ``budget``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    eqs = [g for g in p.generators if g.equational]
+
+    def children(w: Word) -> Iterator[Word]:
+        return (w[:i] + g.target + w[i + len(g.source) :] for i, g in _redexes(w, eqs))
+
+    seeds = [w for g in p.generators for w in (g.source, g.target)]
+    seeds += [w for r in p.relations for w in (r.lhs.source, p.path_target(r.lhs))]
+    seeds += words_upto(p, 1)[1:] if p.mode == "path" else words_upto(p, max_len)
     GRAY, BLACK = 1, 2
     color: dict[Word, int] = {}
-    succs: dict[Word, list[Word]] = {}
     explored = 0
-    for seed in _seed_words(p, max_len):
-        if color.get(seed) == BLACK:
+    for seed in seeds:
+        if seed in color:
             continue
         color[seed] = GRAY
         explored += 1
         chain: list[Word] = [seed]
-        cursor: list[int] = [0]
+        kids: list[Iterator[Word]] = [children(seed)]
         while chain:
-            w = chain[-1]
-            if w not in succs:
-                succs[w] = [p.step_target(s) for s in steps_on(w, p, equational=True)]
-            kids = succs[w]
-            if cursor[-1] < len(kids):
-                child = kids[cursor[-1]]
-                cursor[-1] += 1
-                state = color.get(child)
-                if state == GRAY:
-                    witness = tuple(chain[chain.index(child) :]) + (child,)
-                    return TerminationVerdict("cycle", explored, cycle=witness)
-                if state == BLACK:
-                    continue
-                if explored >= budget:
-                    return TerminationVerdict("budget_exhausted", explored, budget=budget)
-                color[child] = GRAY
-                explored += 1
-                chain.append(child)
-                cursor.append(0)
-            else:
-                color[w] = BLACK
-                chain.pop()
-                cursor.pop()
+            child = next(kids[-1], None)
+            if child is None:
+                color[chain.pop()] = BLACK
+                kids.pop()
+                continue
+            state = color.get(child)
+            if state == GRAY:
+                witness = tuple(chain[chain.index(child) :]) + (child,)
+                return TerminationVerdict("cycle", explored, cycle=witness)
+            if state == BLACK:
+                continue
+            if explored >= budget:
+                return TerminationVerdict("budget_exhausted", explored, budget=budget)
+            color[child] = GRAY
+            explored += 1
+            chain.append(child)
+            kids.append(children(child))
     return TerminationVerdict("terminating", explored)
 
 
@@ -178,8 +169,7 @@ def normalize(w: Word, p: Presentation, max_steps: int = 10_000) -> Normalizatio
     back = max([len(g.source) - 1 for g in eqs] + [0])
     cur, at, steps = w, 0, []
     for _ in range(max_steps):
-        redexes = ((i, g) for i in range(max(0, at - back), len(cur) + 1) for g in eqs)
-        hit = next(((i, g) for i, g in redexes if cur[i : i + len(g.source)] == g.source), None)
+        hit = next(_redexes(cur, eqs, max(0, at - back)), None)
         if hit is None:
             return NormalizationResult(w, cur, Path(w, tuple(steps)))
         at, g = hit

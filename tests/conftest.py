@@ -82,3 +82,55 @@ def paths_from(p, src, bound: int):
                         out.append(nq)
         frontier = nxt
     return out
+
+
+def random_presentation(rng, mode):
+    """A random valid presentation: 2 to 4 generators, about 40% equational,
+    and up to 3 relations between coinitial, cofinal paths of at most 3 steps."""
+    from cohpres.core import MorGen, Path as CPath, Presentation, Relation, RewriteStep
+
+    objects = ("a", "b") if mode == "monoidal" else ("x", "y", "z")
+    gens = []
+    for name in ["f", "g", "h", "k"][: rng.randint(2, 4)]:
+        if mode == "path":
+            src = (rng.choice(objects),)
+            tgt = (rng.choice(objects),)
+        else:
+            src = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
+            tgt = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
+        gens.append(MorGen(name, src, tgt, equational=rng.random() < 0.4))
+    p0 = Presentation(mode, objects, tuple(gens), ())
+    rels = []
+    for ridx in range(rng.randint(0, 3)):
+        if mode == "path":
+            src = (rng.choice(objects),)
+        else:
+            src = tuple(rng.choice(objects) for _ in range(rng.randint(1, 3)))
+        paths = [CPath(src, ())]
+        frontier = [CPath(src, ())]
+        for _ in range(3):
+            nxt = []
+            for q in frontier:
+                w = p0.path_target(q)
+                for g in gens:
+                    k = len(g.source)
+                    for pos in range(len(w) - k + 1):
+                        if w[pos : pos + k] == g.source:
+                            nq = CPath(
+                                src, q.steps + (RewriteStep(w[:pos], g.name, w[pos + k :]),)
+                            )
+                            nxt.append(nq)
+                            paths.append(nq)
+                if len(paths) > 300:
+                    break
+            frontier = nxt[:50]
+        by_tgt = {}
+        for q in paths:
+            by_tgt.setdefault(p0.path_target(q), []).append(q)
+        cands = [grp for grp in by_tgt.values() if len(grp) >= 2]
+        if not cands:
+            continue
+        grp = rng.choice(cands)
+        lhs, rhs = rng.sample(grp, 2)
+        rels.append(Relation(f"r{ridx}", lhs, rhs))
+    return Presentation(mode, objects, tuple(gens), tuple(rels))

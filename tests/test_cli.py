@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -414,3 +415,30 @@ def test_closed_pipe_exits_2():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err.count("error:") <= 1
+
+
+GROW = "mode monoidal\nobjects a b\ngen m : a a -> a\neqgen e : a -> a a\n"
+
+
+def test_check_on_growing_rule_runs_in_bounded_memory(tmp_path):
+    # termination walks a, aa, aaa, ... to the budget; each word of length L
+    # has L children
+    path = tmp_path / "grow.cp"
+    path.write_text(GROW, encoding="utf-8")
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohpres.cli", "check", str(path), "--term-budget", "1600", "--no-opposite"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_address_space,
+        timeout=300,  # a safety net; the limit on memory is the assertion
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[0] == "a1: FAIL"

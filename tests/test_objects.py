@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import functools
+import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohpres.constructions import opposite
 from cohpres.core import Path, parse_presentation
 from cohpres.objects import (
     BudgetExhausted,
+    TerminationVerdict,
     check_equational_termination,
     normalize,
     paths_from,
@@ -17,7 +22,7 @@ from cohpres.objects import (
     words_upto,
 )
 
-from conftest import all_words, load
+from conftest import all_words, load, random_presentation
 from conftest import paths_from as reference_paths_from
 
 
@@ -220,3 +225,88 @@ def test_incremental_normalize_matches_rescanning(name, max_len, max_steps):
         exhausted += want is None
     # the small budgets run out on some words, the default one on none
     assert (exhausted > 0) == (max_steps < 100)
+
+
+def eager_termination(p, budget, max_len):
+    """The termination check with every successor list built when the DFS
+    first reaches its word and kept to the end, each seed listed once."""
+    seeds, seen = [], set()
+    ends = [w for g in p.generators for w in (g.source, g.target)]
+    ends += [w for r in p.relations for w in (r.lhs.source, p.path_target(r.lhs))]
+    ends += words_upto(p, 1)[1:] if p.mode == "path" else words_upto(p, max_len)
+    for w in ends:
+        if w not in seen:
+            seen.add(w)
+            seeds.append(w)
+    GRAY, BLACK = 1, 2
+    color, succs, explored = {}, {}, 0
+    for seed in seeds:
+        if color.get(seed) == BLACK:
+            continue
+        color[seed] = GRAY
+        explored += 1
+        chain, cursor = [seed], [0]
+        while chain:
+            w = chain[-1]
+            if w not in succs:
+                succs[w] = [p.step_target(s) for s in steps_on(w, p, equational=True)]
+            kids = succs[w]
+            if cursor[-1] < len(kids):
+                child = kids[cursor[-1]]
+                cursor[-1] += 1
+                state = color.get(child)
+                if state == GRAY:
+                    cycle = tuple(chain[chain.index(child) :]) + (child,)
+                    return TerminationVerdict("cycle", explored, cycle=cycle)
+                if state == BLACK:
+                    continue
+                if explored >= budget:
+                    return TerminationVerdict("budget_exhausted", explored, budget=budget)
+                color[child] = GRAY
+                explored += 1
+                chain.append(child)
+                cursor.append(0)
+            else:
+                color[w] = BLACK
+                chain.pop()
+                cursor.pop()
+    return TerminationVerdict("terminating", explored)
+
+
+def _termination_cases():
+    for name in ("ds2", "ds2op", "huet", "deltas"):
+        yield _corpus(name), 10_000, 6
+        yield opposite(_corpus(name)), 10_000, 6
+    rng = random.Random(11)
+    small = [parse_presentation(text) for text in (MIXED, EMPTY_SOURCE, GROWING)]
+    small += [random_presentation(rng, "path" if i % 3 == 0 else "monoidal") for i in range(150)]
+    # the eager reference keeps every successor list, so its memory grows as
+    # the cube of the budget on a growing rule: keep the budgets small
+    for p in small:
+        for budget in (1, 10, 60):
+            for max_len in (2, 3):
+                yield p, budget, max_len
+
+
+def test_termination_matches_eager_reference():
+    statuses = Counter()
+    for p, budget, max_len in _termination_cases():
+        want = eager_termination(p, budget, max_len)
+        assert check_equational_termination(p, budget, max_len) == want, (p, budget, max_len)
+        statuses[want.status] += 1
+    assert sum(statuses.values()) == 926
+    assert set(statuses) == {"terminating", "cycle", "budget_exhausted"}
+
+
+def test_termination_memory_holds_colours_and_chain():
+    # the chain a, aa, aaa, ...: each word of length L has L children
+    p = parse_presentation("mode monoidal\nobjects a\neqgen e : a -> a a\n")
+    tracemalloc.start()
+    try:
+        v = check_equational_termination(p, budget=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.status, v.explored) == ("budget_exhausted", 300)
+    assert peak <= 4 * 2**20
+

@@ -13,7 +13,7 @@ from cohpres.oracle import (
 )
 from cohpres.residuation import Residuator
 
-from conftest import all_words, paths_from
+from conftest import all_words, paths_from, random_presentation
 
 
 def test_residuation_compatible_with_exchange_on_ds2op(ds2op, ds2op_table):
@@ -199,56 +199,6 @@ def test_path_mode_critical_cylinder_end_to_end():
     assert rep.coherent == "pass" and rep.faithful_embedding == "pass"
 
 
-def _random_presentation(rng, mode):
-    from cohpres.core import MorGen, Path as CPath, Presentation, Relation, RewriteStep
-
-    objects = ("a", "b") if mode == "monoidal" else ("x", "y", "z")
-    gens = []
-    for name in ["f", "g", "h", "k"][: rng.randint(2, 4)]:
-        if mode == "path":
-            src = (rng.choice(objects),)
-            tgt = (rng.choice(objects),)
-        else:
-            src = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
-            tgt = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
-        gens.append(MorGen(name, src, tgt, equational=rng.random() < 0.4))
-    p0 = Presentation(mode, objects, tuple(gens), ())
-    rels = []
-    for ridx in range(rng.randint(0, 3)):
-        if mode == "path":
-            src = (rng.choice(objects),)
-        else:
-            src = tuple(rng.choice(objects) for _ in range(rng.randint(1, 3)))
-        paths = [CPath(src, ())]
-        frontier = [CPath(src, ())]
-        for _ in range(3):
-            nxt = []
-            for q in frontier:
-                w = p0.path_target(q)
-                for g in gens:
-                    k = len(g.source)
-                    for pos in range(len(w) - k + 1):
-                        if w[pos : pos + k] == g.source:
-                            nq = CPath(
-                                src, q.steps + (RewriteStep(w[:pos], g.name, w[pos + k :]),)
-                            )
-                            nxt.append(nq)
-                            paths.append(nq)
-                if len(paths) > 300:
-                    break
-            frontier = nxt[:50]
-        by_tgt = {}
-        for q in paths:
-            by_tgt.setdefault(p0.path_target(q), []).append(q)
-        cands = [grp for grp in by_tgt.values() if len(grp) >= 2]
-        if not cands:
-            continue
-        grp = rng.choice(cands)
-        lhs, rhs = rng.sample(grp, 2)
-        rels.append(Relation(f"r{ridx}", lhs, rhs))
-    return Presentation(mode, objects, tuple(gens), tuple(rels))
-
-
 def test_fuzz_random_presentations_never_crash():
     # seeded sweep: parse/print round-trips, all checks complete with budgets,
     # reports are json-serializable and deterministic
@@ -261,7 +211,7 @@ def test_fuzz_random_presentations_never_crash():
     rng = random.Random(7)
     for i in range(20):
         mode = "path" if i % 3 == 0 else "monoidal"
-        p = _random_presentation(rng, mode)
+        p = random_presentation(rng, mode)
         assert validate(p) == []
         assert parse_presentation(print_presentation(p)) == p
         rep = check_all(
