@@ -22,6 +22,12 @@ It also holds the three enumerators every bounded construction is built on:
   most ``bound`` steps with its target, as ``(path, target)`` pairs,
   shortest first, extending each path by ``steps_on`` of the target it
   carries; the first pair is the empty path and ``x``.
+
+One private scanner, ``_redexes``, finds where generators apply: it yields
+``(offset, generator)`` pairs lazily, by offset and then declaration order,
+from a start offset.  ``steps_on`` lists it, ``normalize`` takes its first
+pair from a little left of the last rewrite, and the termination check
+draws each word's children from it one at a time.
 """
 
 from __future__ import annotations
@@ -113,8 +119,8 @@ def check_equational_termination(
     The search is a depth-first colouring.  Each word on the DFS chain keeps
     one lazy iterator over its children in ``steps_on`` order, so memory
     holds the colours and the chain, not every successor list.  ``explored``
-    counts the words coloured, seeds included; only a new non-seed word is
-    refused once it reaches ``budget``.
+    counts the words coloured, seeds included; once it reaches ``budget``,
+    the next new word that is not a seed ends the search.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
