@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import product
 from operator import add, mul, sub
 
+from . import constructions
 from .core import (
     CellTrace,
     Path,
@@ -23,7 +24,6 @@ from .core import (
     RewriteStep,
     WeightSpec,
     Word,
-    position,
 )
 from .critical import (
     CriticalCylinder,
@@ -431,21 +431,20 @@ def check_a2(ctx: CheckContext) -> Verdict:
                     continue
                 for h in p.generators:
                     for mid in mids:
-                        for e_left in (True, False):
-                            if e_left:
-                                f = RewriteStep((), e.name, mid + h.source)
-                                g = RewriteStep(e.source + mid, h.name, ())
-                            else:
-                                f = RewriteStep(h.source + mid, e.name, ())
-                                g = RewriteStep((), h.name, mid + e.source)
-                            if not steps_disjoint(p, position(f), position(g)):
+                        e_at, h_at = len(e.source + mid), len(h.source + mid)
+                        for word, f, g in (
+                            (e.source + mid + h.source, (0, e.name), (e_at, h.name)),
+                            (h.source + mid + e.source, (h_at, e.name), (0, h.name)),
+                        ):
+                            if not steps_disjoint(p, f, g):
                                 continue
-                            res = p.step_at(p.step_target(f), retype_step(p, position(g), position(f)))
+                            fs, gs = p.step_at(word, f), p.step_at(word, g)
+                            res = p.step_at(p.step_target(fs), retype_step(p, g, f))
                             strict(
                                 eval_weight(w1, res, p),
-                                eval_weight(w1, g, p),
-                                f"exchange residual {p.fmt_step(res)} of {p.fmt_step(g)} "
-                                f"after {p.fmt_step(f)}",
+                                eval_weight(w1, gs, p),
+                                f"exchange residual {p.fmt_step(res)} of {p.fmt_step(gs)} "
+                                f"after {p.fmt_step(fs)}",
                             )
     except WeightError as exc:
         return Verdict("inconclusive", [], str(exc))
@@ -647,9 +646,7 @@ def check_all(
         coherent = "inconclusive"
     faithful, note = "inconclusive", "opposite presentation not checked"
     if run_opposite:
-        from .constructions import opposite
-
-        op = opposite(p)
+        op = constructions.opposite(p)
         t0 = time.perf_counter()
         # the opposite keeps the default search bounds
         op_ctx = CheckContext(op, term_budget, max_len)

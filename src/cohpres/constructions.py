@@ -9,7 +9,8 @@ equational denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from .core import (
@@ -22,11 +23,13 @@ from .core import (
     TypeCheckError,
     Word,
     compose,
+    parse_path,
+    parse_word,
     tensor_ctx,
     validate,
 )
 from .objects import normalize, paths_from, words_upto
-from .oracle import search_trace
+from .oracle import UnionFind, search_trace
 from .residuation import ResidualTable, ResiduationError, Residuator
 
 
@@ -62,23 +65,12 @@ def opposite(p: Presentation) -> Presentation:
 def quotient_class_map(p: Presentation) -> dict[str, str]:
     """Object -> representative of its class under the equational zig-zag
     closure (representative = first declared member)."""
-    parent = {o: o for o in p.objects}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    order = {o: i for i, o in enumerate(p.objects)}
+    index = {o: i for i, o in enumerate(p.objects)}
+    uf = UnionFind(len(p.objects))
     for g in p.generators:
-        if not g.equational:
-            continue
-        a, b = find(g.source[0]), find(g.target[0])
-        if a != b:
-            lo, hi = (a, b) if order[a] < order[b] else (b, a)
-            parent[hi] = lo
-    return {o: find(o) for o in p.objects}
+        if g.equational:
+            uf.union(index[g.source[0]], index[g.target[0]])
+    return {o: p.objects[uf.find(i)] for o, i in index.items()}
 
 
 def quotient_presentation(p: Presentation) -> Presentation:
@@ -145,11 +137,6 @@ def localization_presentation(p: Presentation, sigma: set[str]) -> Presentation:
 # Tietze transformations
 
 
-def _without_relation(p: Presentation, name: str) -> Presentation:
-    rels = tuple(r for r in p.relations if r.name != name)
-    return Presentation(p.mode, p.objects, p.generators, rels, dict(p.weights))
-
-
 def _uses_gen(path: Path, name: str) -> bool:
     return any(s.gen == name for s in path.steps)
 
@@ -162,10 +149,6 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
     must be derivable within the search budget, otherwise the transformation
     is refused (inconclusive, never unsound).
     """
-    import re
-
-    from .core import parse_path, parse_word
-
     cur = p
     for ln, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,11 +167,11 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
             body = parse_path(pt, cur)
             if body.source != src or cur.path_target(body) != tgt:
                 raise TypeCheckError(f"tietze line {ln}: defining path has wrong endpoints")
-            gens = cur.generators + (MorGen(name, src, tgt, False),)
-            cur = Presentation(cur.mode, cur.objects, gens, cur.relations, dict(cur.weights))
             defrel = Relation(f"{name}_def", Path(src, (RewriteStep((), name, ()),)), body)
-            cur = Presentation(
-                cur.mode, cur.objects, cur.generators, cur.relations + (defrel,), dict(cur.weights)
+            cur = replace(
+                cur,
+                generators=cur.generators + (MorGen(name, src, tgt, False),),
+                relations=cur.relations + (defrel,),
             )
         elif verb == "rmgen":
             name = line.split()[1]
@@ -213,9 +196,11 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
                     raise TietzeRefusal(
                         f"generator '{name}' still occurs in relation '{r.name}'"
                     )
-            gens = tuple(g for g in cur.generators if g.name != name)
-            rels = tuple(r for r in cur.relations if r.name != defining.name)
-            cur = Presentation(cur.mode, cur.objects, gens, rels, dict(cur.weights))
+            cur = replace(
+                cur,
+                generators=tuple(g for g in cur.generators if g.name != name),
+                relations=tuple(r for r in cur.relations if r.name != defining.name),
+            )
         elif verb == "addrel":
             m = re.match(r"^addrel\s+(\S+)\s*:\s*(.*?)\s*=>\s*(.*)$", line)
             if not m:
@@ -227,19 +212,13 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable within budget; refusing to add"
                 )
-            cur = Presentation(
-                cur.mode,
-                cur.objects,
-                cur.generators,
-                cur.relations + (Relation(name, lhs, rhs),),
-                dict(cur.weights),
-            )
+            cur = replace(cur, relations=cur.relations + (Relation(name, lhs, rhs),))
         elif verb == "rmrel":
             name = line.split()[1]
             rel = cur.relation_map.get(name)
             if rel is None:
                 raise TypeCheckError(f"tietze line {ln}: unknown relation '{name}'")
-            rest = _without_relation(cur, name)
+            rest = replace(cur, relations=tuple(r for r in cur.relations if r.name != name))
             if search_trace(rest, rel.lhs, rel.rhs, TIETZE_MAX_CELLS, TIETZE_BUDGET) is None:
                 raise TietzeRefusal(
                     f"relation '{name}' not derivable from the others within budget; "

@@ -544,20 +544,9 @@ def _parse_weight_terms(body: str, line: int) -> dict[str, tuple[WeightTerm, ...
     for m in _ENTRY_RE.finditer(body):
         key, tuple_body = m.group(1), m.group(2)
         terms: list[WeightTerm] = []
-        depth = 0
-        part = ""
-        parts = []
-        for ch in tuple_body + ",":
-            if ch == "," and depth == 0:
-                parts.append(part.strip())
-                part = ""
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            part += ch
-        for raw in parts:
+        # _ENTRY_RE nests parentheses one level deep at most, so a comma
+        # between terms is one with no ")" ahead of the next "("
+        for raw in (part.strip() for part in re.split(r",(?![^(]*\))", tuple_body)):
             if not raw:
                 continue
             if re.fullmatch(r"-?\d+", raw):

@@ -6,6 +6,10 @@ whose active areas properly interfere: for a named base the step's core and
 the base's source window must overlap with neither containing the other,
 for an exchange base the core must touch both exchanged factors (anything
 less is completable by pure exchange, the trivially-true shape).
+
+Every overlap is found by placing a generator's source against a window at
+each offset where the two agree on their shared letters (``_placements``);
+``_side_heads`` lists once per base the steps that start its own sides.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .core import (
     position,
 )
 from .objects import words_upto
-from .residuation import ResidualTable, ResiduationError, Residuator, tile_key
+from .residuation import ResidualTable, ResiduationError, Residuator, steps_disjoint, tile_key
 
 
 @dataclass(frozen=True)
@@ -59,27 +63,21 @@ class CylinderVerdict:
 # overlap geometry
 
 
-def _placements(u: Word, v: Word) -> list[tuple[int, Word]]:
-    """Relative offsets d of factor v against factor u (u starting at 0) such
-    that the two genuinely interfere, with the merged word they live on."""
-    lu, lv = len(u), len(v)
-    out: list[tuple[int, Word]] = []
-    if lu == 0 and lv == 0:
-        return [(0, ())]
-    if lv == 0:
-        return [(d, u) for d in range(1, lu)]
-    if lu == 0:
-        return [(-d, v) for d in range(1, lv)]
-    for d in range(-(lv - 1), lu):
-        lo, hi = max(0, d), min(lu, d + lv)
-        if lo >= hi:
-            continue
-        if any(u[i] != v[i - d] for i in range(lo, hi)):
-            continue
-        left = v[: -d] if d < 0 else ()
-        right = v[lu - d :] if d + lv > lu else ()
-        out.append((d, left + u + right))
-    return out
+def _placements(window: Word, src: Word, reach: int) -> list[int]:
+    """The offsets d of ``src`` against ``window`` (the window at 0), from
+    ``-reach`` to ``len(window) + reach - len(src)``, at which the two agree
+    on the letters they share."""
+    n, k = len(window), len(src)
+    return [
+        d
+        for d in range(-reach, n + reach - k + 1)
+        if window[max(d, 0) : max(d + k, 0)] == src[max(-d, 0) : max(n - d, 0)]
+    ]
+
+
+def _side_heads(p: Presentation, base: RelationInstance) -> set[tuple[str, int]]:
+    """The ``(gen, offset)`` of each side's first step on the unwhiskered base."""
+    return {(s.steps[0].gen, len(s.steps[0].left)) for s in instance_sides(p, base) if s.steps}
 
 
 def _proper_overlap(a1: int, b1: int, a2: int, b2: int) -> bool:
@@ -103,16 +101,17 @@ def enumerate_critical_pairs(p: Presentation, table: ResidualTable) -> list[Crit
         if not e.equational:
             continue
         for h in p.generators:
-            for d, word in _placements(e.source, h.source):
-                e_left, h_left = max(0, -d) if d < 0 else 0, max(0, d)
-                f = RewriteStep(word[:e_left], e.name, word[e_left + len(e.source) :])
-                g = RewriteStep(word[:h_left], h.name, word[h_left + len(h.source) :])
-                if f == g:
+            for d in _placements(e.source, h.source, len(h.source)):
+                a = max(0, -d)
+                f, g = (a, e.name), (a + d, h.name)
+                if f == g or steps_disjoint(p, f, g):
                     continue
-                key = tile_key((e_left, e.name), (h_left, h.name))
+                key = tile_key(f, g)
                 if key in seen:
                     continue
                 seen.add(key)
+                word = h.source[:a] + e.source + h.source[len(e.source) - d :]
+                f, g = p.step_at(word, f), p.step_at(word, g)
                 out.append(CriticalPair(word, f, g, key in table.entries))
     out.sort(
         key=lambda c: (gen_index[c.f.gen], gen_index[c.g.gen], len(c.f.left), len(c.g.left), c.word)
@@ -133,23 +132,22 @@ def _named_cylinders(p: Presentation) -> list[CriticalCylinder]:
     path mode: starts where the relation does), other than a side's head."""
     out = []
     for rel in p.relations:
-        window = rel.lhs.source
+        window, n = rel.lhs.source, len(rel.lhs.source)
         base_eq = p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs)
+        heads = _side_heads(p, RelationInstance((), (), True, name=rel.name))
         for e in p.generators:
             if not (e.equational or base_eq):
                 continue
-            for d, word in _placements(window, e.source):
-                w_start = max(0, -d)
-                c_start = w_start + d
-                if p.mode == "monoidal" and not _proper_overlap(
-                    w_start, w_start + len(window), c_start, c_start + len(e.source)
-                ):
+            k = len(e.source)
+            for d in _placements(window, e.source, k - 1):
+                if (e.name, d) in heads:
                     continue
-                f = RewriteStep(word[:c_start], e.name, word[c_start + len(e.source) :])
-                inst = RelationInstance(word[:w_start], word[w_start + len(window) :], True, name=rel.name)
-                lhs, rhs = instance_sides(p, inst)
-                if (lhs.steps and f == lhs.steps[0]) or (rhs.steps and f == rhs.steps[0]):
+                if p.mode == "monoidal" and not _proper_overlap(0, n, d, d + k):
                     continue
+                a = max(0, -d)
+                word = e.source[:a] + window + e.source[n - d :]
+                inst = RelationInstance(word[:a], word[a + n :], True, name=rel.name)
+                f = p.step_at(word, (a + d, e.name))
                 out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
     return out
 
@@ -175,9 +173,6 @@ def _exchange_cylinders(p: Presentation) -> list[CriticalCylinder]:
                         mid = core[k1 : len(core) - k2]
                         f = RewriteStep(s1[: len(s1) - k1], e.name, s2[k2:])
                         inst = RelationInstance((), (), True, exch=(g1.name, mid, g2.name))
-                        lhs, rhs = instance_sides(p, inst)
-                        if f == lhs.steps[0] or f == rhs.steps[0]:
-                            continue
                         out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
     return out
 
@@ -322,27 +317,17 @@ def trivial_equational_base_samples(
     reach = 2
     words = words_upto(p, reach)
 
-    def sample(base: RelationInstance, critical) -> None:
+    def sample(base: RelationInstance, window: Word, critical) -> None:
         # skip a step whose interval relative to the window ``critical``
         # flags, and a side's whiskered first step: its gen at its offset
-        sides = instance_sides(p, base)
-        window = sides[0].source
-        n = len(window)
-        heads = {
-            (s.steps[0].gen, len(s.steps[0].left))
-            for s in sides
-            if s.steps and p.step_source(s.steps[0]) == window
-        }
+        n, heads = len(window), _side_heads(p, base)
         # placements matching on the window: (gen, d, how far it reaches
         # into x and its source's letters there, the same for y)
         places = []
         for g in p.generators:
             src, k = g.source, len(g.source)
-            for d in range(-reach, n + reach - k + 1):
-                lo, hi = max(d, 0), min(d + k, n)
+            for d in _placements(window, src, reach):
                 if (g.name, d) in heads or critical(d, d + k):
-                    continue
-                if lo < hi and window[lo:hi] != src[lo - d : hi - d]:
                     continue
                 lx, ly = max(0, -d), max(0, d + k - n)
                 places.append((g.name, d, lx, src[: min(k, lx)], ly, src[k - min(k, ly) :]))
@@ -377,9 +362,7 @@ def trivial_equational_base_samples(
                     core = cores.get(key)
                     if core is None:
                         gen, d = places[i][:2]
-                        word = in_x + window + in_y
-                        at = len(in_x) + d
-                        f = RewriteStep(word[:at], gen, word[at + len(p.gen(gen).source) :])
+                        f = p.step_at(in_x + window + in_y, (len(in_x) + d, gen))
                         core = cores[key] = (f, replace(base, left=in_x, right=in_y))
                     out.append((core, ctx_x, ctx_y))
 
@@ -391,12 +374,14 @@ def trivial_equational_base_samples(
                 c2 = (c1[1] + len(mid), c1[1] + len(mid) + len(e2.source))
                 sample(
                     RelationInstance((), (), True, exch=(e1.name, mid, e2.name)),
+                    e1.source + mid + e2.source,
                     lambda a, b: min(b, c1[1]) > max(a, c1[0]) and min(b, c2[1]) > max(a, c2[0]),
                 )
     for rel in p.relations:
         if p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs):
             sample(
                 RelationInstance((), (), True, name=rel.name),
+                rel.lhs.source,
                 lambda a, b: _proper_overlap(a, b, 0, len(rel.lhs.source)),
             )
     return out

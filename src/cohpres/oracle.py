@@ -314,7 +314,9 @@ class HomClasses:
         return len(self.classes)
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets of 0..n-1; each class's root is its smallest member."""
+
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -335,7 +337,7 @@ def _classes(p: Presentation, paths: list[Path], bound: int) -> tuple[tuple[Path
     built from lists, which size them exactly (``tuple(generator)`` over-allocates)."""
     keys = [tuple([v for s in q.steps for v in (len(s.left), s.gen)]) for q in paths]
     index = {key: i for i, key in enumerate(keys)}
-    uf = _UnionFind(len(paths))
+    uf = UnionFind(len(paths))
     for i, (q, key) in enumerate(zip(paths, keys)):
         new_keys = [
             key[: 2 * j]

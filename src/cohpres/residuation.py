@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import oracle
 from .core import (
     CellTrace,
     CohpresError,
@@ -452,8 +453,6 @@ class Residuator:
         endpoint residuals are joined by a bounded search for a connecting
         trace (the local cylinder top).
         """
-        from . import oracle  # local import to avoid a module cycle
-
         p = self.p
         cur = alpha
         for w, step in zip(p.path_words(f), f.steps):

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
-from cohpres.core import RewriteStep, position
+import random
+from collections import Counter
+
+from cohpres.constructions import opposite
+from cohpres.core import RelationInstance, RewriteStep, instance_sides, position
 from cohpres.critical import (
+    CriticalCylinder,
+    CriticalPair,
+    _flavor,
+    _named_cylinders,
+    _proper_overlap,
     check_cylinder,
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
 )
-from cohpres.residuation import Residuator, steps_disjoint, tile_key
+from cohpres.residuation import Residuator, derive_residual_table, steps_disjoint, tile_key
 
-from conftest import all_words
+from conftest import all_words, load, random_presentation
 
 
 def test_ds2_exactly_two_pairs(ds2, ds2_table):
@@ -218,3 +227,94 @@ def test_exchange_cylinder_completeness_on_small_words(ds2, ds2_table):
                                     (g1.name, w[core1[1] : j], g2.name),
                                 )
                                 assert key in reported, (ds2.fmt_step(f), key, w)
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration: each empty-source case and each side head spelt out
+
+
+def ref_placements(u, v):
+    """Offsets d of factor v against factor u (u at 0) at which the two
+    genuinely interfere, with the merged word they live on."""
+    lu, lv = len(u), len(v)
+    out = []
+    if lu == 0 and lv == 0:
+        return [(0, ())]
+    if lv == 0:
+        return [(d, u) for d in range(1, lu)]
+    if lu == 0:
+        return [(-d, v) for d in range(1, lv)]
+    for d in range(-(lv - 1), lu):
+        lo, hi = max(0, d), min(lu, d + lv)
+        if lo >= hi or any(u[i] != v[i - d] for i in range(lo, hi)):
+            continue
+        left = v[:-d] if d < 0 else ()
+        right = v[lu - d :] if d + lv > lu else ()
+        out.append((d, left + u + right))
+    return out
+
+
+def ref_enumerate_critical_pairs(p, table):
+    out, seen = [], set()
+    gen_index = {g.name: i for i, g in enumerate(p.generators)}
+    for e in p.generators:
+        if not e.equational:
+            continue
+        for h in p.generators:
+            for d, word in ref_placements(e.source, h.source):
+                e_left, h_left = max(0, -d), max(0, d)
+                f = RewriteStep(word[:e_left], e.name, word[e_left + len(e.source) :])
+                g = RewriteStep(word[:h_left], h.name, word[h_left + len(h.source) :])
+                key = tile_key((e_left, e.name), (h_left, h.name))
+                if f == g or key in seen:
+                    continue
+                seen.add(key)
+                out.append(CriticalPair(word, f, g, key in table.entries))
+    out.sort(
+        key=lambda c: (gen_index[c.f.gen], gen_index[c.g.gen], len(c.f.left), len(c.g.left), c.word)
+    )
+    return out
+
+
+def ref_named_cylinders(p):
+    out = []
+    for rel in p.relations:
+        window = rel.lhs.source
+        base_eq = p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs)
+        for e in p.generators:
+            if not (e.equational or base_eq):
+                continue
+            for d, word in ref_placements(window, e.source):
+                w_start = max(0, -d)
+                c_start = w_start + d
+                if p.mode == "monoidal" and not _proper_overlap(
+                    w_start, w_start + len(window), c_start, c_start + len(e.source)
+                ):
+                    continue
+                f = RewriteStep(word[:c_start], e.name, word[c_start + len(e.source) :])
+                inst = RelationInstance(word[:w_start], word[w_start + len(window) :], True, name=rel.name)
+                if any(side.steps and f == side.steps[0] for side in instance_sides(p, inst)):
+                    continue
+                out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
+    return out
+
+
+def test_critical_enumeration_matches_reference():
+    # the corpus and 600 seeded random presentations, each with its opposite;
+    # 140 of them have two or more empty-source generators, at least one of
+    # them equational, whose placements all sit at gaps
+    rng = random.Random(11)
+    base = [load(n) for n in ("ds2", "ds2op", "huet", "deltas")]
+    base += [random_presentation(rng, "path" if i % 3 == 0 else "monoidal") for i in range(600)]
+    two_empty = pairs = cylinders = 0
+    for p in (q for b in base for q in (b, opposite(b))):
+        table = derive_residual_table(p)
+        want = ref_enumerate_critical_pairs(p, table)
+        assert enumerate_critical_pairs(p, table) == want, p
+        assert Counter(_named_cylinders(p)) == Counter(ref_named_cylinders(p)), p
+        empty = [g for g in p.generators if not g.source]
+        two_empty += len(empty) >= 2 and any(g.equational for g in empty)
+        pairs += len(want)
+        cylinders += len(enumerate_critical_cylinders(p, table))
+    assert two_empty == 140
+    assert (pairs, cylinders) == (1731, 1240)
