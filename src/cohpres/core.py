@@ -341,20 +341,6 @@ def tensor_ctx(p: Presentation, x: Word, path: Path, z: Word) -> Path:
     return Path(x + path.source + z, steps)
 
 
-def untensor_ctx(p: Presentation, x: Word, path: Path, z: Word) -> Path | None:
-    """Inverse of tensor_ctx when every step carries the given contexts."""
-    nx, nz = len(x), len(z)
-    if path.source[:nx] != x or (nz and path.source[-nz:] != z):
-        return None
-    steps = []
-    for s in path.steps:
-        if s.left[:nx] != x or (nz and s.right[-nz:] != z):
-            return None
-        steps.append(RewriteStep(s.left[nx:], s.gen, s.right[: len(s.right) - nz]))
-    src = path.source[nx : len(path.source) - nz] if nz else path.source[nx:]
-    return Path(src, tuple(steps))
-
-
 def instance_sides(p: Presentation, inst: RelationInstance) -> tuple[Path, Path]:
     """The (from, to) paths of an instance, whiskered and oriented."""
     x, z = inst.left, inst.right

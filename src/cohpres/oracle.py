@@ -89,7 +89,9 @@ def _swap_consecutive(
     bt = at + len(p.gen(t.gen).source)
     t_back = RewriteStep(w[:at], t.gen, w[bt:])
     w2 = p.step_target(t_back)
-    if bt <= a_s:  # t' left of s: the exchange of (t', s), backwards
+    # t' is left of s when t was: the exchange of (t', s), backwards; at a
+    # gap, where t' and s start together, only t's own interval tells
+    if len(t.left) + len(p.gen(t.gen).source) <= a_s:
         shift = len(w2) - len(w)
         inst = RelationInstance(w[:at], w[b_s:], False, exch=(t.gen, w[bt:a_s], s.gen))
     else:

@@ -10,13 +10,14 @@ explicit work stack over hash-consed sequences of positional steps
 ``(offset, gen)`` with a memo, so neither the Python stack, the copying of
 sub-paths nor the length of the context words grows the cost of a tile.
 Paths become positions on the way in and ``RewriteStep``s on the way out.
-The pair-mode memo is keyed on positions alone, so one entry serves every
-whiskering of a sub-problem.  A computation can also return an explicit
-2-cell witness: each tile contributes one cell, kept in a tree whose depth
-is the cell's step, and the tree is flattened into moves and checked once,
+The memo is keyed on positions alone, so one entry serves every whiskering
+of a sub-problem, with a witness or without.  A computation can also return
+an explicit 2-cell witness: each tile contributes one cell, kept as its two
+heads in a tree whose depth is the cell's step.  Flattening the tree from
+the source word fixes each cell's context, and the moves are checked once,
 so each cell costs the length of its words, not of the path (one step after
 the 1,600-step normalization path of b⁴⁰a⁴⁰ in ds2, with its 1,560-cell
-witness, takes about 0.1 s).
+witness, takes about 0.06 s).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .core import (
     position,
     replay,
     trace_from_moves,
-    untensor_ctx,
 )
 
 # bounds of the search that joins two residuals in ``cell_residual``
@@ -152,17 +152,22 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
                 continue
             if steps_disjoint(p, position(f0), position(g0)):
                 continue
-            # the context the two heads share, and the heads without it
+            # the context the two heads share: the tails keep it when every
+            # step leaves nl letters on its left and nr on its right, and the
+            # entry holds the heads and tails without it
             nl, nr = min(len(f0.left), len(g0.left)), min(len(f0.right), len(g0.right))
-            zl, zr = f0.left[:nl], f0.right[len(f0.right) - nr :]
-            f0m, g0m = (RewriteStep(s.left[nl:], s.gen, s.right[: len(s.right) - nr]) for s in (f0, g0))
-            r_fm = untensor_ctx(p, zl, r_f, zr)
-            r_gm = untensor_ctx(p, zl, r_g, zr)
-            if r_fm is None or r_gm is None:
+            if any(len(s.left) < nl or len(s.right) < nr for s in r_f.steps + r_g.steps):
                 table.diagnostics.append(
                     f"relation '{rel.name}': residual tails do not live in the overlap context"
                 )
                 continue
+            w = p.step_source(f0)
+            zl, zr = w[:nl], w[len(w) - nr :]
+            f0m, g0m = (p.step_at(w[nl : len(w) - nr], (len(s.left) - nl, s.gen)) for s in (f0, g0))
+            r_fm, r_gm = (
+                p.path_at(q.source[nl : len(q.source) - nr], [(len(s.left) - nl, s.gen) for s in q.steps])
+                for q in (r_f, r_g)
+            )
             entry = TableEntry(f0m, g0m, r_fm, r_gm, rel.name, lhs_is_first, zl, zr)
             key = tile_key(position(f0), position(g0))
             prev = table.entries.get(key)
@@ -198,27 +203,6 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
 # path residuals
 
 
-def _witness_moves(tree) -> list[Move]:
-    """The moves of a witness tree, in order.
-
-    A node ``(before, inst, after)`` stands for the moves of ``before``
-    whiskered by one step, then ``inst`` at step 0, then those of ``after``
-    whiskered by one step; ``inst`` is None for a bare whisker and ``()`` is
-    the empty tree.  So a cell's step is its depth, and shared sub-trees are
-    never copied or shifted.
-    """
-    moves = []
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, RelationInstance):
-            moves.append(Move(depth, node))
-        elif node:
-            before, inst, after = node
-            stack += ((after, depth + 1), (inst, depth), (before, depth + 1))
-    return moves
-
-
 class Residuator:
     """Memoizing, iterative implementation of the zig-zag residuation strategy.
 
@@ -231,15 +215,16 @@ class Residuator:
     compares by content, and a residual shares its tail with the
     sub-residual it was built from instead of copying it.
 
-    Positions do not fix the word a sequence starts from, and the pair-mode
-    memo does not ask for it: residuation commutes with whiskering (see
+    Positions do not fix the word a sequence starts from, and the memo does
+    not ask for it: residuation commutes with whiskering (see
     ``coherence.CheckContext``), and the positions of two overlapping
     well-typed steps past their shared left context fix their tile
-    (``tile_key``).  So a pair-mode memo entry serves every word its
-    sequences apply to, and ``_work``, the number of sub-problems solved so
-    far, never exceeds its count under word-keyed sequences: a budget runs
-    out later or never, never earlier.  Witness mode keys on the source word
-    too, because its cells hold absolute contexts.
+    (``tile_key``).  So one memo entry serves every word its sequences apply
+    to, in ``pair`` and ``pair_with_witness`` alike, and ``_work``, the
+    number of sub-problems solved so far, never exceeds its count under
+    word-keyed sequences: a budget runs out later or never, never earlier.
+    An entry's witness tree holds heads, not cells, so the words of its
+    cells are fixed only when a witness is flattened (``_witness_moves``).
     """
 
     def __init__(self, p: Presentation, table: ResidualTable, budget: int = 200_000):
@@ -247,7 +232,6 @@ class Residuator:
         self.table = table
         self.budget = budget
         self._memo: dict = {}
-        self._wmemo: dict = {}
         self._work = 0
         self._ids: dict = {}
         self._heads: list = [None]
@@ -305,12 +289,12 @@ class Residuator:
         a, b = ([(len(s.left) + nl, s.gen) for s in q.steps] for q in (a, b))
         return a, b, (entry, f_is_first)
 
-    def _undefined(self, stack: list, f: Step, g: Step) -> ResiduationError:
-        """The error for the top frame's pair, at the word replayed from the
-        bottom frame's source (a frame at stage 3 descended past f1, else g1)."""
-        p, w = self.p, stack[0][0]
+    def _undefined(self, w: Word, stack: list, f: Step, g: Step) -> ResiduationError:
+        """The error for the top frame's pair, at the word replayed from ``w``,
+        the bottom frame's source (a frame at stage 3 descended past f1, else g1)."""
+        p = self.p
         for fr in stack[:-1]:
-            w = p.step_target(p.step_at(w, self._heads[fr[2] if fr[4] == 3 else fr[1]]))
+            w = p.step_target(p.step_at(w, self._heads[fr[1] if fr[2] == 3 else fr[0]]))
         fs, gs = p.step_at(w, f), p.step_at(w, g)
         if not (p.is_equational_step(fs) or p.is_equational_step(gs)):
             return ResiduationError(
@@ -321,7 +305,7 @@ class Residuator:
             f"({p.fmt_step(fs)}, {p.fmt_step(gs)}) on {p.fmt_word(w)}"
         )
 
-    def _solve(self, src: Word, g: int, f: int, witness: bool) -> tuple:
+    def _solve(self, src: Word, g: int, f: int) -> tuple:
         """(g/f, f/g, witness tree) for coinitial sequences ``g``, ``f`` at ``src``.
 
         The zig-zag strategy, with f1 and g1 the heads of f and g and f', g'
@@ -333,31 +317,27 @@ class Residuator:
           (c, d) = (g'/b, b/g') and (e, h) = ((a;c)/f', f'/(a;c)), and the
           result is (e, d;h).
 
-        The sub-problems run on an explicit stack of frames
-        ``[src, g, f, key, stage, a, b, tile, (c, d, t2)]``; ``ret`` hands
-        the result of the frame just finished to its parent.  They are
-        looked up, counted against the budget and memoized in the order of
-        the recursive definition, so the budget runs out at the same
-        sub-problem.  A pair-mode memo key is ``(g, f)`` and only the bottom
-        frame carries its source word; witness mode carries each frame's and
-        keys on ``(src, g, f)``.
+        The sub-problems run on an explicit stack of frames ``[g, f, stage,
+        a, b, tile, (c, d, t2)]``; ``ret`` hands the result of the frame just
+        finished to its parent.  They are looked up, counted against the
+        budget and memoized in the order of the recursive definition, so the
+        budget runs out at the same sub-problem.  The memo is keyed on ``(g,
+        f)`` and no frame holds a word: ``src`` serves only the message of a
+        missing tile.
 
-        With ``witness`` the tree's moves (see ``_witness_moves``) rewrite
-        f;(g/f) into g;(f/g): f1 = g1 whiskers the tree of (g', f') by f1,
-        and a tile gives the tree of (e, h) after f1, the tile cell, then
-        the tree of (c, d) after g1.  Otherwise the tree is empty.
+        The witness tree rewrites f;(g/f) into g;(f/g) and holds heads, not
+        cells (see ``_witness_moves``): f1 = g1 gives ``(f1, t)`` with t the
+        tree of (g', f'), or ``()`` when t is empty, and a tile gives ``(t3,
+        f1, g1, tile, t2)`` with t3 the tree of (e, h) and t2 that of (c, d).
         """
-        p = self.p
-        heads, tails = self._heads, self._tails
-        memo = self._wmemo if witness else self._memo
-        stack = [[src, g, f, None, 0]]
+        heads, tails, memo = self._heads, self._tails, self._memo
+        stack = [[g, f, 0]]
         ret = None
         while stack:
             fr = stack[-1]
-            src, g, f, key, stage = fr[:5]
+            g, f, stage = fr[:3]
             if stage == 0:
-                key = (src, g, f) if witness else (g, f)
-                hit = memo.get(key)
+                hit = memo.get((g, f))
                 if hit is not None:
                     ret = hit
                     stack.pop()
@@ -372,57 +352,82 @@ class Residuator:
                     ret = (g, 0, ())
                 elif not g:
                     ret = (0, f, ())
+                elif f1 == g1:
+                    fr[2] = 1
+                    stack.append([tails[g], tails[f], 0])
+                    continue
                 else:
-                    after = p.step_target(p.step_at(src, g1)) if witness else None
-                    if f1 == g1:
-                        fr[3:5] = key, 1
-                        stack.append([after, tails[g], tails[f], None, 0])
-                        continue
                     tile = self.step_pair(f1, g1)
                     if tile is None:
-                        raise self._undefined(stack, f1, g1)
-                    fr[3:] = key, 2, *tile
-                    stack.append([after, tails[g], self._seq(tile[1]), None, 0])
+                        raise self._undefined(src, stack, f1, g1)
+                    fr[2:] = 2, *tile
+                    stack.append([tails[g], self._seq(tile[1]), 0])
                     continue
             elif stage == 1:
                 if ret[2]:
-                    ret = (ret[0], ret[1], (ret[2], None, ()))
+                    ret = (ret[0], ret[1], (heads[f], ret[2]))
             elif stage == 2:
-                fr[4] = 3
+                fr[2] = 3
                 fr.append(ret)
-                after = p.step_target(p.step_at(src, heads[f])) if witness else None
-                stack.append([after, self._seq(fr[5], ret[0]), tails[f], None, 0])
+                stack.append([self._seq(fr[3], ret[0]), tails[f], 0])
                 continue
             else:
-                tile, (c, d, t2) = fr[7:]
+                tile, (c, d, t2) = fr[5:]
                 e, h, t3 = ret
-                tree = (t3, self._tile_instance(src, heads[f], heads[g], tile), t2) if witness else ()
-                ret = (e, self._seq(self._steps(d), h), tree)
-            memo[key] = ret
+                ret = (e, self._seq(self._steps(d), h), (t3, heads[f], heads[g], tile, t2))
+            memo[g, f] = ret
             stack.pop()
         return ret
+
+    def _witness_moves(self, tree, source: Word) -> list[Move]:
+        """The moves of a witness tree from ``source``, in order.
+
+        A node ``(f1, t)`` stands for the moves of t whiskered by the step
+        f1; a node ``(t3, f1, g1, tile, t2)`` for those of t3 whiskered by
+        f1, then the tile's cell at step 0, then those of t2 whiskered by
+        g1; ``()`` is the empty tree.  So a cell's step is its depth.  The
+        walk computes each node's source word from its parent's and builds
+        the tile cells there (``_tile_instance``), so a memoized sub-tree
+        serves every word it is reached at and is never copied or shifted.
+        """
+        p, moves = self.p, []
+        stack = [(tree, 0, source)]
+        while stack:
+            node, depth, w = stack.pop()
+            if isinstance(node, RelationInstance):
+                moves.append(Move(depth, node))
+            elif len(node) == 2:
+                stack.append((node[1], depth + 1, p.step_target(p.step_at(w, node[0]))))
+            elif node:
+                t3, f1, g1, tile, t2 = node
+                if t2:
+                    stack.append((t2, depth + 1, p.step_target(p.step_at(w, g1))))
+                stack.append((self._tile_instance(w, f1, g1, tile), depth, w))
+                if t3:
+                    stack.append((t3, depth + 1, p.step_target(p.step_at(w, f1))))
+        return moves
 
     def _residuals(self, g: Path, f: Path, witness: bool) -> tuple[Path, Path, CellTrace | None]:
         p = self.p
         g_end, f_end = p.path_target(g), p.path_target(f)
         g_ids, f_ids = (self._seq([position(s) for s in q.steps]) for q in (g, f))
-        e, dh, tree = self._solve(g.source, g_ids, f_ids, witness)
-        gf = p.path_at(f_end, self._steps(e))
-        trace = None
-        if witness:
-            trace = trace_from_moves(p, Path(f.source, f.steps + gf.steps), _witness_moves(tree))
-        return gf, p.path_at(g_end, self._steps(dh)), trace
+        e, dh, tree = self._solve(g.source, g_ids, f_ids)
+        gf, fg = p.path_at(f_end, self._steps(e)), p.path_at(g_end, self._steps(dh))
+        if not witness:
+            return gf, fg, None
+        moves = self._witness_moves(tree, g.source)
+        return gf, fg, trace_from_moves(p, Path(f.source, f.steps + gf.steps), moves)
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
         self._check(g, f)
-        gf, fg, _ = self._residuals(g, f, False)
-        return gf, fg
+        return self._residuals(g, f, False)[:2]
 
     # -- witnesses -----------------------------------------------------------
 
     def pair_with_witness(self, g: Path, f: Path) -> tuple[Path, Path, CellTrace]:
-        """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g)."""
+        """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g); the memo
+        entry ``pair`` leaves serves it, and only the flattening is new."""
         self._check(g, f)
         return self._residuals(g, f, True)
 
@@ -439,10 +444,8 @@ class Residuator:
             raise ResiduationError(
                 f"cannot attach witness relation '{entry.relation}' outside its declared context"
             )
-        outer_l = zl[: len(zl) - len(dl)] if dl else zl
-        outer_r = zr[len(dr) :]
-        forward = entry.lhs_is_first if f_is_first else not entry.lhs_is_first
-        return RelationInstance(left=outer_l, right=outer_r, forward=forward, name=entry.relation)
+        forward = entry.lhs_is_first == f_is_first
+        return RelationInstance(zl[: len(zl) - len(dl)], zr[len(dr) :], forward, name=entry.relation)
 
     # -- 2-cell residuals ------------------------------------------------------
 

@@ -143,6 +143,22 @@ def test_residual_command(capsys):
     assert "witness" in out
 
 
+def test_residual_witness_outside_declared_context(capsys, tmp_path):
+    # r is declared in left context a: its tile serves [h] after [e] too,
+    # but a witness cell of r needs the a
+    src = tmp_path / "decl.cp"
+    src.write_text(
+        "mode monoidal\nobjects a b c\neqgen e : b b -> b\ngen h : b b -> c\n"
+        "gen m : b -> c\nrel r : a[e] ; a[m] => a[h]\n"
+    )
+    assert main(["residual", str(src), "--of", "[h]", "--after", "[e]", "--witness"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot attach witness relation 'r' outside its declared context\n"
+    code, out = run(capsys, "residual", src, "--of", "a[h]", "--after", "a[e]", "--witness")
+    assert code == 0
+    assert "witness (1 cells):\n  (r) after id abb\n" in out
+
+
 def test_critical_command(capsys):
     code, out = run(capsys, "critical", CORPUS / "ds2.cp")
     assert code == 0

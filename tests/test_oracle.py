@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohpres import constructions as con
+from cohpres.coherence import CheckContext
 from cohpres.core import (
     Move,
     Path,
@@ -12,6 +15,7 @@ from cohpres.core import (
     RewriteStep,
     check_trace,
     parse_path,
+    parse_presentation,
     tensor_ctx,
     trace_from_moves,
 )
@@ -33,7 +37,7 @@ from cohpres.oracle import (
 )
 from cohpres.residuation import Residuator
 
-from conftest import all_words, load, paths_from
+from conftest import all_words, load, paths_from, random_presentation
 
 
 def test_exchange_canonical_example(ds2):
@@ -452,3 +456,31 @@ def test_partition_guard_counts_every_generated_path(ds2):
         enumerate_hom_classes(tuple("aaaaaa"), v, ds2, 3, guard=86) for v in tgts
     ]
     assert homs[tuple("aaa")].count == 10
+
+
+# ---------------------------------------------------------------------------
+# exchanges at a gap
+
+
+def test_exchange_side_at_a_gap():
+    # t' and s start at the same gap when s has an empty source and t is
+    # zero-width, so only t's interval before the swap says which is left
+    p = parse_presentation("mode monoidal\nobjects a b\neqgen f : 0 -> 0\neqgen k : 0 -> b b\n")
+    cells = {}
+    for text in ("[k]a ; bb[f]a", "[k]a ; [f]bba", "a[k] ; abb[f]", "a[k] ; a[f]bb"):
+        path = parse_path(text, p)
+        for new, move in rewrite_moves(p, path):
+            assert check_trace(p, trace_from_moves(p, path, (move,))) == new
+            cells[text] = p.fmt_instance(move.inst)
+    assert cells == {
+        "[k]a ; bb[f]a": "(exch(k,0,f))a",
+        "[k]a ; [f]bba": "(~exch(f,0,k))a",
+        "a[k] ; abb[f]": "a(exch(k,0,f))",
+        "a[k] ; a[f]bb": "a(~exch(f,0,k))",
+    }
+    # the 5th seeded random presentation has both generators; its base
+    # records used to raise from the top search's exchange moves
+    rng = random.Random(11)
+    fifth = [random_presentation(rng, "path" if i % 3 == 0 else "monoidal") for i in range(5)][4]
+    assert [g.name for g in fifth.generators if g.equational] == ["f", "k"]
+    assert len(CheckContext(fifth).base_records) == 22050

@@ -480,9 +480,11 @@ def at_word(p, w, steps):
 
 class RecursiveResiduator(Residuator):
     """The zig-zag strategy as a plain recursion over sliced sub-paths: the
-    reference for the engine.  Witness-mode memo keys are ``(source,
-    g.steps, f.steps)``; the pair-mode memo is keyed on the positions of
-    ``(g, f)`` and holds positions, rebuilt at the words of each hit."""
+    reference for the engine.  One memo serves both modes: it is keyed on
+    the positions of ``(g, f)`` and holds positions, rebuilt at the words of
+    each hit.  A witness-mode hit rebuilds its sub-trace at the current word
+    by the same recursion with counting and the memo off, so a witness costs
+    the work of its pair."""
 
     def pair(self, g, f):
         self._check(g, f)
@@ -509,20 +511,18 @@ class RecursiveResiduator(Residuator):
         src = Path(self.p.step_source(f1), (f1,) + a.steps)
         return single_cell_trace(self.p, src, self._ref_tile_instance(f1, g1, tile))
 
-    def _rec(self, g, f, witness):
+    def _rec(self, g, f, witness, counted=True):
         p = self.p
-        if witness:
-            memo, key = self._wmemo, (g.source, g.steps, f.steps)
-            if key in memo:
-                return memo[key]
-        else:
-            memo, key = self._memo, (positions(g), positions(f))
-            if key in memo:
-                gf, fg = memo[key]
+        key = (positions(g), positions(f))
+        if counted:
+            if key in self._memo:
+                if witness:
+                    return self._rec(g, f, True, counted=False)
+                gf, fg = self._memo[key]
                 return at_word(p, p.path_target(f), gf), at_word(p, p.path_target(g), fg), None
-        self._work += 1
-        if self._work > self.budget:
-            raise ResiduationError("residuation budget exhausted (nontermination suspected)")
+            self._work += 1
+            if self._work > self.budget:
+                raise ResiduationError("residuation budget exhausted (nontermination suspected)")
 
         def rest(q):
             return Path(p.step_target(q.steps[0]), q.steps[1:])
@@ -532,7 +532,7 @@ class RecursiveResiduator(Residuator):
         elif not g.steps:
             res = (p.identity(p.path_target(f)), f, RefTrace(f, ()))
         elif f.steps[0] == g.steps[0]:
-            res = gf, fg, inner = self._rec(rest(g), rest(f), witness)
+            res = gf, fg, inner = self._rec(rest(g), rest(f), witness, counted)
             if witness:
                 pre = Path(f.source, f.steps[:1])
                 end = p.path_target(compose(p, pre, inner.source))
@@ -540,8 +540,8 @@ class RecursiveResiduator(Residuator):
         else:
             f1, g1 = f.steps[0], g.steps[0]
             a, b, tile = ref_step_pair(p, self.table, f1, g1)
-            c, d, t2 = self._rec(rest(g), b, witness)
-            e, h, t3 = self._rec(compose(p, a, c), rest(f), witness)
+            c, d, t2 = self._rec(rest(g), b, witness, counted)
+            e, h, t3 = self._rec(compose(p, a, c), rest(f), witness, counted)
             trace = None
             if witness:
                 pre_f1, pre_g1 = Path(f.source, (f1,)), Path(g.source, (g1,))
@@ -555,7 +555,8 @@ class RecursiveResiduator(Residuator):
                     trace_whisker(p, pre_g1, t2, h),
                 )
             res = (e, compose(p, d, h), trace)
-        memo[key] = res if witness else (positions(res[0]), positions(res[1]))
+        if counted:
+            self._memo[key] = (positions(res[0]), positions(res[1]))
         return res
 
 
@@ -599,6 +600,22 @@ def test_engine_matches_recursion_on_a_long_path(ds2, ds2_table, method, k):
     new, ref = Residuator(ds2, ds2_table), RecursiveResiduator(ds2, ds2_table)
     assert by_cells(getattr(new, method)(g, u)) == getattr(ref, method)(g, u)
     assert new._work == ref._work
+
+
+def test_witness_shares_the_pair_memo(ds2, ds2_table):
+    # one memo serves both methods: after the pair, its witness solves no
+    # sub-problem, and on its own it solves as many as the pair
+    u = _bkak(ds2, 15)
+    g = parse_path("[n]" + "b" * 13 + "a" * 15, ds2)
+    res = Residuator(ds2, ds2_table)
+    gf, fg = res.pair(g, u)
+    assert res._work == 254
+    wgf, wfg, trace = res.pair_with_witness(g, u)
+    assert (wgf, wfg, res._work) == (gf, fg, 254)
+    assert check_trace(ds2, trace) == compose(ds2, g, fg)
+    alone = Residuator(ds2, ds2_table)
+    assert alone.pair_with_witness(g, u) == (gf, fg, trace)
+    assert alone._work == 254
 
 
 def test_budget_exhausts_at_the_same_sub_problem(ds2, ds2_table):
