@@ -17,7 +17,7 @@ heads in a tree whose depth is the cell's step.  Flattening the tree from
 the source word fixes each cell's context, and the moves are checked once,
 so each cell costs the length of its words, not of the path (one step after
 the 1,600-step normalization path of b⁴⁰a⁴⁰ in ds2, with its 1,560-cell
-witness, takes about 0.06 s).
+witness, takes about 0.09 s).
 """
 
 from __future__ import annotations
