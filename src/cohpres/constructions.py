@@ -26,7 +26,7 @@ from .core import (
     parse_path,
     parse_word,
     tensor_ctx,
-    validate,
+    validated,
 )
 from .objects import normalize, paths_from, words_upto
 from .oracle import UnionFind, search_trace
@@ -96,11 +96,7 @@ def quotient_presentation(p: Presentation) -> Presentation:
             rels.append(
                 Relation(f"{g.name}_id", Path(cls, (RewriteStep((), g.name, ()),)), Path(cls, ()))
             )
-    out = Presentation("path", objects, gens, tuple(rels))
-    problems = validate(out)
-    if problems:
-        raise TypeCheckError("; ".join(problems))
-    return out
+    return validated(Presentation("path", objects, gens, tuple(rels)))
 
 
 def localization_presentation(p: Presentation, sigma: set[str]) -> Presentation:
@@ -126,11 +122,7 @@ def localization_presentation(p: Presentation, sigma: set[str]) -> Presentation:
         rels.append(
             Relation(f"{g.name}_invr", Path(g.target, (bwd, fwd)), Path(g.target, ()))
         )
-    out = Presentation(p.mode, p.objects, tuple(gens), tuple(rels), dict(p.weights))
-    problems = validate(out)
-    if problems:
-        raise TypeCheckError("; ".join(problems))
-    return out
+    return validated(Presentation(p.mode, p.objects, tuple(gens), tuple(rels), dict(p.weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +169,10 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
             name = line.split()[1]
             if name not in cur.gen_map:
                 raise TypeCheckError(f"tietze line {ln}: unknown generator '{name}'")
-            defining = None
-            for r in cur.relations:
-                for one, other in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
-                    if (
-                        len(one.steps) == 1
-                        and one.steps[0] == RewriteStep((), name, ())
-                        and not _uses_gen(other, name)
-                    ):
-                        defining = r
-                        break
-                if defining:
-                    break
+            # the first relation with one side the bare generator, the other free of it
+            alone = (RewriteStep((), name, ()),)
+            sides = [(r, a, b) for r in cur.relations for a, b in ((r.lhs, r.rhs), (r.rhs, r.lhs))]
+            defining = next((r for r, a, b in sides if a.steps == alone and not _uses_gen(b, name)), None)
             if defining is None:
                 raise TietzeRefusal(f"no defining relation found for generator '{name}'")
             for r in cur.relations:
@@ -227,10 +211,7 @@ def tietze_apply(p: Presentation, script: str) -> Presentation:
             cur = rest
         else:
             raise TypeCheckError(f"tietze line {ln}: unknown verb '{verb}'")
-    problems = validate(cur)
-    if problems:
-        raise TypeCheckError("; ".join(problems))
-    return cur
+    return validated(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +232,10 @@ def nf_tensor(
 
 
 def nf_functor_apply(f: Path, p: Presentation, table: ResidualTable) -> Path:
-    """The normal-form functor on morphisms: u_target . (f / u_source)."""
-    u = normalize(f.source, p).path
-    res = Residuator(p, table)
-    r, _ = res.pair(f, u)
-    v = normalize(p.path_target(r), p).path
-    return compose(p, r, v)
+    """The normal-form functor on morphisms: (f / u_source) ; u_target, of
+    which only the residual f/u is built, from u's positional steps."""
+    r = Residuator(p, table).nf_residual(f, normalize(f.source, p))
+    return Path(r.source, r.steps + normalize(p.path_target(r), p).path.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,17 @@ class Presentation:
         return tuple(g.name for g in self.generators if g.equational)
 
     @cached_property
-    def single_char(self) -> bool:
-        return all(len(o) == 1 for o in self.objects)
+    def redex_patterns(self) -> dict[bool, tuple[tuple[Word, MorGen], ...]]:
+        """``(source, generator)`` of every generator (key False) and of the
+        equational ones (key True): what ``objects`` scans words for."""
+        pairs = tuple((g.source, g) for g in self.generators)
+        return {False: pairs, True: tuple(pair for pair in pairs if pair[1].equational)}
+
+    @cached_property
+    def letter_sep(self) -> str:
+        """What separates the letters of a printed word: nothing when every
+        object name is one character, else a space."""
+        return "" if all(len(o) == 1 for o in self.objects) else " "
 
     def gen(self, name: str) -> MorGen:
         try:
@@ -286,21 +295,12 @@ class Presentation:
     # -- formatting ----------------------------------------------------------
 
     def fmt_word(self, w: Word) -> str:
-        if not w:
-            return "0"
-        if self.single_char:
-            return "".join(w)
-        return " ".join(w)
+        return self.letter_sep.join(w) if w else "0"
 
     def fmt_step(self, s: RewriteStep) -> str:
-        if self.single_char:
-            l = "".join(s.left)
-            r = "".join(s.right)
-            return f"{l}[{s.gen}]{r}"
-        l = " ".join(s.left)
-        r = " ".join(s.right)
-        mid = f"[{s.gen}]"
-        return " ".join(x for x in (l, mid, r) if x)
+        sep = self.letter_sep
+        l, r = sep.join(s.left), sep.join(s.right)
+        return f"{l}{sep if l else ''}[{s.gen}]{sep if r else ''}{r}"
 
     def fmt_path(self, p: Path) -> str:
         if not p.steps:
@@ -313,10 +313,8 @@ class Presentation:
         else:
             f, mid, g = inst.exch  # type: ignore[misc]
             core = f"exch({f},{self.fmt_word(mid)},{g})"
-        l = self.fmt_word(inst.left) if inst.left else ""
-        r = self.fmt_word(inst.right) if inst.right else ""
-        arrow = "" if inst.forward else "~"
-        return f"{l}({arrow}{core}){r}"
+        sep, arrow = self.letter_sep, "" if inst.forward else "~"
+        return f"{sep.join(inst.left)}({arrow}{core}){sep.join(inst.right)}"
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +455,14 @@ def validate(p: Presentation) -> list[str]:
                     if a not in seen:
                         out.append(f"weight {spec.name}: undeclared symbol '{a}'")
     return out
+
+
+def validated(p: Presentation) -> Presentation:
+    """``p`` itself; raises TypeCheckError naming every violation if it is invalid."""
+    problems = validate(p)
+    if problems:
+        raise TypeCheckError("; ".join(problems))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +640,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(f"duplicate weight block '{wname}'", ln)
             weights[wname] = spec
 
-    result = Presentation(mode, obj_tuple, tuple(gens), tuple(relations), weights)
-    problems = validate(result)
-    if problems:
-        raise TypeCheckError("; ".join(problems))
-    return result
+    return validated(Presentation(mode, obj_tuple, tuple(gens), tuple(relations), weights))
 
 
 # ---------------------------------------------------------------------------

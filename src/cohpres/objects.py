@@ -25,24 +25,34 @@ It also holds the three enumerators every bounded construction is built on:
 
 One private scanner, ``_redexes``, finds where generators apply: it yields
 ``(offset, generator)`` pairs lazily, by offset and then declaration order,
-from a start offset.  ``steps_on`` lists it, ``normalize`` takes its first
-pair from a little left of the last rewrite, and the termination check
-draws each word's children from it one at a time.
+from a start offset.  ``steps_on`` lists it, the termination check draws
+each word's children from it one at a time, and ``normalize`` takes its
+first pair from a little left of the last rewrite, on one list it rewrites
+in place, and records each step as its position (``core.Step``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import CohpresError, MorGen, Path, Presentation, RewriteStep, Word
+from .core import CohpresError, MorGen, Path, Presentation, RewriteStep, Step, Word
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
+    """The normalization of ``input`` to ``normal`` by the equational
+    positional ``steps``; ``path`` builds them as a ``Path`` only when read."""
+
     input: Word
     normal: Word
-    path: Path  # all steps equational, input -> normal
+    steps: tuple[Step, ...]
+    pres: Presentation = field(compare=False, repr=False)
+
+    @cached_property
+    def path(self) -> Path:
+        return self.pres.path_at(self.input, self.steps)
 
 
 @dataclass(frozen=True)
@@ -57,22 +67,22 @@ class BudgetExhausted(CohpresError):
     pass
 
 
-def _redexes(w: Word, gens: list[MorGen], start: int = 0) -> Iterator[tuple[int, MorGen]]:
-    """Each ``(offset, generator)`` of ``gens`` whose source occurs in ``w``
-    at that offset, lazily, by offset from ``start`` on, then in the order
-    of ``gens``."""
+def _redexes(w: Word | list[str], patterns, start: int = 0) -> Iterator[tuple[int, MorGen]]:
+    """Each ``(offset, generator)`` of the ``(source, generator)`` pairs
+    ``patterns`` whose source, of the type of ``w`` (tuple or list), occurs
+    in ``w`` at that offset, lazily, by offset from ``start`` on."""
     for i in range(start, len(w) + 1):
-        for g in gens:
-            if w[i : i + len(g.source)] == g.source:
+        for src, g in patterns:
+            if w[i : i + len(src)] == src:
                 yield i, g
 
 
 def steps_on(w: Word, p: Presentation, equational: bool = False) -> list[RewriteStep]:
     """Every step applicable to ``w``, in the order the module docstring fixes."""
-    gens = [g for g in p.generators if g.equational or not equational]
-    hits = list(_redexes(w, gens))
+    patterns = p.redex_patterns[equational]
+    hits = list(_redexes(w, patterns))
     if not equational:
-        hits.sort(key=lambda hit: gens.index(hit[1]))
+        hits = [hit for _, g in patterns for hit in hits if hit[1] is g]
     return [RewriteStep(w[:i], g.name, w[i + len(g.source) :]) for i, g in hits]
 
 
@@ -124,7 +134,7 @@ def check_equational_termination(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    eqs = [g for g in p.generators if g.equational]
+    eqs = p.redex_patterns[True]
 
     def children(w: Word) -> Iterator[Word]:
         return (w[:i] + g.target + w[i + len(g.source) :] for i, g in _redexes(w, eqs))
@@ -166,22 +176,22 @@ def check_equational_termination(
 def normalize(w: Word, p: Presentation, max_steps: int = 10_000) -> NormalizationResult:
     """Rewrite ``w`` with the deterministic strategy until no rule applies.
 
-    Each step is ``steps_on(cur, p, equational=True)[0]``.  A rewrite at
-    offset ``i`` leaves the word left of ``i`` as it was, so the next
-    leftmost redex starts at ``i`` or overlaps the rewritten factor, and
+    Each step is ``steps_on(cur, p, equational=True)[0]``, recorded as its
+    position ``(offset, gen)``; the word is one list rewritten in place.  A
+    rewrite at offset ``i`` leaves the word left of ``i`` as it was, so the
+    next leftmost redex starts at ``i`` or overlaps the rewritten factor, and
     the scan resumes ``longest equational source - 1`` letters left of ``i``.
     """
-    eqs = [g for g in p.generators if g.equational]
-    back = max([len(g.source) - 1 for g in eqs] + [0])
-    cur, at, steps = w, 0, []
+    eqs = [(list(src), g) for src, g in p.redex_patterns[True]]
+    back = max([len(src) - 1 for src, _ in eqs] + [0])
+    cur, at, steps = list(w), 0, []
     for _ in range(max_steps):
         hit = next(_redexes(cur, eqs, max(0, at - back)), None)
         if hit is None:
-            return NormalizationResult(w, cur, Path(w, tuple(steps)))
+            return NormalizationResult(w, tuple(cur), tuple(steps), p)
         at, g = hit
-        left, right = cur[:at], cur[at + len(g.source) :]
-        steps.append(RewriteStep(left, g.name, right))
-        cur = left + g.target + right
+        cur[at : at + len(g.source)] = g.target
+        steps.append((at, g.name))
     raise BudgetExhausted(
         f"normalization of {p.fmt_word(w)} did not finish within {max_steps} steps"
     )

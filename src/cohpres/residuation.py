@@ -5,19 +5,16 @@ equational rewrite f has been performed.  Local residuals of overlapping
 steps come from a table extracted out of the declared relations; disjoint
 steps commute through exchange; shared outer context peels off.  Path-level
 residuals are computed by the convergent zig-zag strategy, which fills the
-grid of two paths tile by tile through the pasting laws.  It runs on an
-explicit work stack over hash-consed sequences of positional steps
-``(offset, gen)`` with a memo, so neither the Python stack, the copying of
-sub-paths nor the length of the context words grows the cost of a tile.
-Paths become positions on the way in and ``RewriteStep``s on the way out.
-The memo is keyed on positions alone, so one entry serves every whiskering
-of a sub-problem, with a witness or without.  A computation can also return
-an explicit 2-cell witness: each tile contributes one cell, kept as its two
-heads in a tree whose depth is the cell's step.  Flattening the tree from
-the source word fixes each cell's context, and the moves are checked once,
-so each cell costs the length of its words, not of the path (one step after
-the 1,600-step normalization path of b⁴⁰a⁴⁰ in ds2, with its 1,560-cell
-witness, takes about 0.09 s).
+grid of two paths tile by tile through the pasting laws (``Residuator``).
+Paths become positional steps ``(offset, gen)`` on the way in and
+``RewriteStep``s on the way out; ``Residuator.nf_residual`` takes the
+positional steps of a normalization as they are and builds only the
+residual the normal-form functor keeps.  A 2-cell witness keeps each tile's
+cell as its two heads in a tree whose depth is the cell's step; flattening
+it from the source word fixes each cell's context, and the moves are
+checked once, so a cell costs the length of its words, not of the path (one
+step after the 1,600-step normalization path of b⁴⁰a⁴⁰ in ds2, with its
+1,560-cell witness, takes about 0.09 s).
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .core import (
     replay,
     trace_from_moves,
 )
+from .objects import NormalizationResult
 
 # bounds of the search that joins two residuals in ``cell_residual``
 JOIN_MAX_CELLS, JOIN_BUDGET = 12, 50_000
@@ -206,8 +204,8 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
 class Residuator:
     """Memoizing, iterative implementation of the zig-zag residuation strategy.
 
-    It runs on positional steps ``(offset, gen)`` (``core.Step``), so a
-    tile costs integer arithmetic, not a copy of its context words.  Step
+    It runs on an explicit work stack over positional steps, so neither the
+    Python stack nor the context words grow the cost of a tile.  Step
     sequences are hash-consed: id 0 is the empty sequence and an id ``k >
     0`` stands for the step ``_heads[k]`` followed by the sequence
     ``_tails[k]``, every distinct sequence getting exactly one id.  A suffix
@@ -215,16 +213,15 @@ class Residuator:
     compares by content, and a residual shares its tail with the
     sub-residual it was built from instead of copying it.
 
-    Positions do not fix the word a sequence starts from, and the memo does
-    not ask for it: residuation commutes with whiskering (see
-    ``coherence.CheckContext``), and the positions of two overlapping
-    well-typed steps past their shared left context fix their tile
-    (``tile_key``).  So one memo entry serves every word its sequences apply
-    to, in ``pair`` and ``pair_with_witness`` alike, and ``_work``, the
-    number of sub-problems solved so far, never exceeds its count under
-    word-keyed sequences: a budget runs out later or never, never earlier.
-    An entry's witness tree holds heads, not cells, so the words of its
-    cells are fixed only when a witness is flattened (``_witness_moves``).
+    The memo is keyed on positions alone: residuation commutes with
+    whiskering (see ``coherence.CheckContext``), and the positions of two
+    overlapping well-typed steps past their shared left context fix their
+    tile (``tile_key``).  So one entry serves every word its sequences apply
+    to, in ``pair``, ``nf_residual`` and ``pair_with_witness`` alike, and
+    ``_work``, the number of sub-problems solved so far, never exceeds its
+    count under word-keyed sequences: a budget runs out later or never.  An
+    entry's witness tree holds heads, not cells, so the words of its cells
+    are fixed only when a witness is flattened (``_witness_moves``).
     """
 
     def __init__(self, p: Presentation, table: ResidualTable, budget: int = 200_000):
@@ -407,29 +404,40 @@ class Residuator:
                     stack.append((t3, depth + 1, p.step_target(p.step_at(w, f1))))
         return moves
 
-    def _residuals(self, g: Path, f: Path, witness: bool) -> tuple[Path, Path, CellTrace | None]:
+    def _path_seq(self, q: Path) -> int:
+        return self._seq([position(s) for s in q.steps])
+
+    def _residuals(self, g: Path, f: Path) -> tuple[Path, Path]:
+        """(g/f, f/g) without ``_check``; each input is checked as it is walked."""
         p = self.p
         g_end, f_end = p.path_target(g), p.path_target(f)
-        g_ids, f_ids = (self._seq([position(s) for s in q.steps]) for q in (g, f))
-        e, dh, tree = self._solve(g.source, g_ids, f_ids)
-        gf, fg = p.path_at(f_end, self._steps(e)), p.path_at(g_end, self._steps(dh))
-        if not witness:
-            return gf, fg, None
-        moves = self._witness_moves(tree, g.source)
-        return gf, fg, trace_from_moves(p, Path(f.source, f.steps + gf.steps), moves)
+        e, dh, _ = self._solve(g.source, self._path_seq(g), self._path_seq(f))
+        return p.path_at(f_end, self._steps(e)), p.path_at(g_end, self._steps(dh))
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
         self._check(g, f)
-        return self._residuals(g, f, False)[:2]
+        return self._residuals(g, f)
+
+    def nf_residual(self, g: Path, u: NormalizationResult) -> Path:
+        """g/u for the normalization u of g's source: ``pair(g, u.path)[0]``
+        with the same work, solved on u's positional steps and built at
+        ``u.normal``, so u is never walked and u/g never built."""
+        if g.source != u.input:
+            self._check(g, u.path)  # raises: not coinitial
+        self.p.path_words(g)
+        e = self._solve(g.source, self._path_seq(g), self._seq(u.steps))[0]
+        return self.p.path_at(u.normal, self._steps(e))
 
     # -- witnesses -----------------------------------------------------------
 
     def pair_with_witness(self, g: Path, f: Path) -> tuple[Path, Path, CellTrace]:
-        """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g); the memo
-        entry ``pair`` leaves serves it, and only the flattening is new."""
-        self._check(g, f)
-        return self._residuals(g, f, True)
+        """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g): ``pair``,
+        then the tree of the memo entry it leaves flattened from g's source."""
+        gf, fg = self.pair(g, f)
+        tree = self._memo[self._path_seq(g), self._path_seq(f)][2]
+        moves = self._witness_moves(tree, g.source)
+        return gf, fg, trace_from_moves(self.p, Path(f.source, f.steps + gf.steps), moves)
 
     def _tile_instance(self, w: Word, f1: Step, g1: Step, tile) -> RelationInstance:
         """The cell of a tile on ``w``, from f1;(g1/f1) to g1;(f1/g1)."""
@@ -463,7 +471,7 @@ class Residuator:
             src = cur.source.source
             states = [cur.source]
             states += (Path(src, tuple(steps)) for _, steps, _ in replay(p, cur.source, cur.moves))
-            residuals = [self._residuals(s, step_path, False)[0] for s in states]
+            residuals = [self._residuals(s, step_path)[0] for s in states]
             moves: list[Move] = []
             for i in range(len(residuals) - 1):
                 if residuals[i] == residuals[i + 1]:

@@ -433,28 +433,54 @@ def test_closed_pipe_exits_2():
     assert err.count("error:") <= 1
 
 
-GROW = "mode monoidal\nobjects a b\ngen m : a a -> a\neqgen e : a -> a a\n"
+GROW = Path(__file__).resolve().parent / "data" / "grow.cp"
 
 
-def test_check_on_growing_rule_runs_in_bounded_memory(tmp_path):
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = str(CORPUS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _limit_child():
+    # in the child only: a regression fails its test instead of exhausting
+    # the host's memory, or running on for ever where nothing else times it
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    resource.setrlimit(resource.RLIMIT_CPU, (300, 300))
+
+
+def test_check_on_growing_rule_runs_in_bounded_memory():
     # termination walks a, aa, aaa, ... to the budget; each word of length L
     # has L children
-    path = tmp_path / "grow.cp"
-    path.write_text(GROW, encoding="utf-8")
-    src = str(CORPUS.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
     proc = subprocess.run(
-        [sys.executable, "-m", "cohpres.cli", "check", str(path), "--term-budget", "1600", "--no-opposite"],
+        [sys.executable, "-m", "cohpres.cli", "check", str(GROW), "--term-budget", "1600", "--no-opposite"],
         capture_output=True,
         text=True,
-        env=env,
-        preexec_fn=limit_address_space,
+        env=_child_env(),
+        preexec_fn=_limit_child,
         timeout=300,  # a safety net; the limit on memory is the assertion
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines()[0] == "a1: FAIL"
+
+
+def test_nf_on_growing_rule_runs_in_bounded_memory(tmp_path):
+    # normalization rewrites a, aa, aaa, ... until its 10,000 steps run out;
+    # steps that kept their context words would hold 5 * 10^7 letters in all
+    with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cohpres.cli", "nf", str(GROW), "a"],
+            stdout=out,
+            stderr=err,
+            env=_child_env(),
+            preexec_fn=_limit_child,
+        )
+        # the child's own rusage, not that of every child this process reaped
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        assert (proc.returncode, out.read()) == (2, "")
+        assert err.read() == "error: normalization of a did not finish within 10000 steps\n"
+    assert usage.ru_maxrss <= 60 * 1024  # KiB

@@ -1,8 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cohpres.core import compose, parse_path, parse_presentation, print_presentation
+from cohpres.core import (
+    Path,
+    RewriteStep,
+    TypeCheckError,
+    compose,
+    parse_path,
+    parse_presentation,
+    print_presentation,
+)
 from cohpres.constructions import (
     Fraction,
     TietzeRefusal,
@@ -18,11 +28,11 @@ from cohpres.constructions import (
     sample_fraction_agreement,
     tietze_apply,
 )
-from cohpres.objects import BudgetExhausted
+from cohpres.objects import BudgetExhausted, normalize, steps_on
 from cohpres.oracle import normal_words, search_trace
-from cohpres.residuation import derive_residual_table
+from cohpres.residuation import ResiduationError, Residuator, derive_residual_table
 
-from conftest import paths_from
+from conftest import load, paths_from
 
 
 def test_opposite_is_involution(ds2, huet, deltas):
@@ -163,6 +173,52 @@ def test_nf_functor_functoriality(ds2, ds2_table):
                 assert search_trace(ds2, left, right, budget=30_000) is not None
                 checked += 1
     assert checked >= 50
+
+
+def reference_nf_functor_apply(f, p, table):
+    """The normal-form functor by its definition: the residual of f after
+    the normalization path u of its source, taken from both residuals of f
+    and u, then the normalization path of its target."""
+    r = Residuator(p, table).pair(f, normalize(f.source, p).path)[0]
+    return compose(p, r, normalize(p.path_target(r), p).path)
+
+
+# Non-equational steps keep a ds2 or ds2op word sorted, so there the target
+# of f/u is always normal; here s can unsort it, and the target's
+# normalization path is not empty.
+UNSORT = "mode monoidal\nobjects a b\ngen s : a -> b\neqgen g : b a -> a b\nrel t : [g] ; [s]b => b[s]\n"
+NF_PRES = {"ds2": load("ds2"), "ds2op": load("ds2op"), "unsort": parse_presentation(UNSORT)}
+NF_TABLES = {name: derive_residual_table(p) for name, p in NF_PRES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(NF_PRES))
+@settings(max_examples=150)
+@given(word=st.lists(st.sampled_from("ab"), max_size=30), data=st.data())
+def test_nf_functor_matches_its_definition(name, word, data):
+    # long random words give normalization paths of up to about 225 steps
+    p, table = NF_PRES[name], NF_TABLES[name]
+    steps = [s for s in steps_on(tuple(word), p) if not p.gen(s.gen).equational]
+    assume(steps)
+    f = Path(tuple(word), (data.draw(st.sampled_from(steps)),))
+    assert nf_functor_apply(f, p, table) == reference_nf_functor_apply(f, p, table)
+    # the residual alone costs the sub-problems of the pair it comes from
+    u = normalize(f.source, p)
+    alone, paired = Residuator(p, table), Residuator(p, table)
+    assert alone.nf_residual(f, u) == paired.pair(f, u.path)[0]
+    assert alone._work == paired._work > 0
+
+
+def test_nf_functor_rejects_paths_that_do_not_compose(ds2, ds2_table):
+    bad_first = Path(tuple("bba"), (RewriteStep((), "m", ("a",)),))
+    with pytest.raises(TypeCheckError, match=r"^step \[m\]a does not compose at bba$"):
+        nf_functor_apply(bad_first, ds2, ds2_table)
+    bbaa = tuple("bbaa")
+    bad_second = Path(bbaa, (RewriteStep(("b", "b"), "m", ()), RewriteStep((), "n", ("a", "a"))))
+    with pytest.raises(TypeCheckError, match=r"^step \[n\]aa does not compose at bba$"):
+        nf_functor_apply(bad_second, ds2, ds2_table)
+    # a normalization of another word is refused as pair refuses its path
+    with pytest.raises(ResiduationError, match=r"^paths \[n\]a and \[g\] are not coinitial$"):
+        Residuator(ds2, ds2_table).nf_residual(parse_path("[n]a", ds2), normalize(tuple("ba"), ds2))
 
 
 def test_nf_functor_identity_on_reduced_paths(ds2, ds2_table):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohpres.constructions import opposite
-from cohpres.core import Path, parse_presentation
+from cohpres.core import Path, parse_presentation, position
 from cohpres.objects import (
     BudgetExhausted,
     TerminationVerdict,
@@ -184,7 +184,7 @@ def rescanning_normalize(w, p, max_steps):
 
 def _normalize_or_none(w, p, max_steps):
     try:
-        return normalize(w, p, max_steps).path
+        return normalize(w, p, max_steps)
     except BudgetExhausted:
         return None
 
@@ -221,7 +221,12 @@ def test_incremental_normalize_matches_rescanning(name, max_len, max_steps):
     exhausted = 0
     for w in words_upto(p, max_len):
         want = rescanning_normalize(w, p, max_steps)
-        assert _normalize_or_none(w, p, max_steps) == want, w
+        got = _normalize_or_none(w, p, max_steps)
+        assert (got is None) == (want is None), w
+        if got is not None:
+            # normalize records positions and builds its path from them
+            assert got.steps == tuple(position(s) for s in want.steps), w
+            assert got.path == want and got.normal == p.path_target(want), w
         exhausted += want is None
     # the small budgets run out on some words, the default one on none
     assert (exhausted > 0) == (max_steps < 100)
