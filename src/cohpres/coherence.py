@@ -24,6 +24,7 @@ from .core import (
     RewriteStep,
     WeightSpec,
     Word,
+    instance_sides,
 )
 from .critical import (
     CriticalCylinder,
@@ -40,7 +41,6 @@ from .residuation import (
     Residuator,
     TableEntry,
     derive_residual_table,
-    retype_step,
     steps_disjoint,
 )
 
@@ -265,7 +265,8 @@ class CheckContext:
     This is exact because every step of the computation commutes with
     whiskering.  The residual of x·g·y after x·f·y is x·(g/f)·y: equality,
     disjointness, retyping and tile lookup only see the positions relative
-    to the shared context, in the zig-zag and in the construction alike.
+    to the shared context, in the zig-zag and in the construction alike, and
+    a tile's relation holds in every context (``TableEntry``).
     Exchange-canonical forms and their moves whisker move for move, so the
     exchange trace of two whiskered paths is the whiskered trace.  The
     top-trace search from x·l·y to x·r·y visits the whiskerings of the
@@ -396,18 +397,17 @@ def check_a2(ctx: CheckContext) -> Verdict:
         # the tiles in the order of the text of (window, sorted heads), the
         # order of A2's witness lines; a sort on ``tile_key`` would reorder them
         def order(e: TableEntry) -> str:
-            heads = sorted((s.gen, len(s.left)) for s in (e.first, e.second))
-            return str((p.step_source(e.first), tuple(heads)))
+            heads = sorted((gen, off) for off, gen in (e.first, e.second))
+            return str((p.relation_map[e.relation].lhs.source, tuple(heads)))
 
         for e in sorted(ctx.table.entries.values(), key=order):
-            if p.is_equational_step(e.second):
+            window = p.relation_map[e.relation].lhs.source
+            second = p.step_at(window, e.second)
+            if p.is_equational_step(second):
                 continue
-            res, orig = weights.part(e.second_after_first.steps), weights.part([e.second])
-            strict(
-                res[0],
-                orig[0],
-                f"tile residual {p.fmt_path(e.second_after_first)} of {p.fmt_step(e.second)}",
-            )
+            tail = p.path_at(p.step_target(p.step_at(window, e.first)), e.second_after_first)
+            res, orig = weights.part(tail.steps), weights.part([second])
+            strict(res[0], orig[0], f"tile residual {p.fmt_path(tail)} of {p.fmt_step(second)}")
             if p.mode != "monoidal":
                 continue
             # context compatibility, sampled over whiskering contexts
@@ -420,7 +420,7 @@ def check_a2(ctx: CheckContext) -> Verdict:
                 if not weight_less(w1, wres, worig):
                     witnesses.append(
                         f"omega1 strictness lost under whiskering ({p.fmt_word(x)})...({p.fmt_word(y)}) "
-                        f"of tile for {p.fmt_step(e.second)}: {wres} !< {worig}"
+                        f"of tile for {p.fmt_step(second)}: {wres} !< {worig}"
                     )
                     break
         # exchange residuals: all generator pairs, middle words up to length 2
@@ -431,15 +431,16 @@ def check_a2(ctx: CheckContext) -> Verdict:
                     continue
                 for h in p.generators:
                     for mid in mids:
-                        e_at, h_at = len(e.source + mid), len(h.source + mid)
-                        for word, f, g in (
-                            (e.source + mid + h.source, (0, e.name), (e_at, h.name)),
-                            (h.source + mid + e.source, (h_at, e.name), (0, h.name)),
+                        # on e·mid·h and h·mid·e, from-sides applying e first
+                        for inst in (
+                            RelationInstance((), (), True, exch=(e.name, mid, h.name)),
+                            RelationInstance((), (), False, exch=(h.name, mid, e.name)),
                         ):
+                            word, (f, g_after), (g, _) = instance_sides(p, inst)
                             if not steps_disjoint(p, f, g):
                                 continue
                             fs, gs = p.step_at(word, f), p.step_at(word, g)
-                            res = p.step_at(p.step_target(fs), retype_step(p, g, f))
+                            res = p.step_at(p.step_target(fs), g_after)
                             strict(
                                 eval_weight(w1, res, p),
                                 eval_weight(w1, gs, p),

@@ -188,11 +188,12 @@ class CellTrace:
 
     @cached_property
     def cells(self) -> tuple[CellStep, ...]:
-        src, walk = self.source.source, replay(self.pres, self.source, self.moves)
-        return tuple(
-            CellStep(Path(src, tuple(steps[:at])), inst, Path(words[end], tuple(steps[end:])))
-            for (at, inst), (end, steps, words) in zip(self.moves, walk)
-        )
+        # the path as RewriteSteps; each move rebuilds only its to-side's
+        p, src, path, out = self.pres, self.source.source, list(self.source.steps), []
+        for (at, inst), (end, steps, words) in zip(self.moves, replay(p, self.source, self.moves)):
+            path[at : len(path) - len(steps) + end] = p.path_at(words[at], steps[at:end]).steps
+            out.append(CellStep(Path(src, tuple(path[:at])), inst, Path(words[end], tuple(path[end:]))))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +340,25 @@ def tensor_ctx(p: Presentation, x: Word, path: Path, z: Word) -> Path:
     return Path(x + path.source + z, steps)
 
 
-def instance_sides(p: Presentation, inst: RelationInstance) -> tuple[Path, Path]:
-    """The (from, to) paths of an instance, whiskered and oriented."""
+def instance_sides(p: Presentation, inst: RelationInstance) -> tuple[Word, tuple, tuple]:
+    """The source word of an instance and its (from, to) sides as positional
+    steps on that word, whiskered and oriented."""
     x, z = inst.left, inst.right
     if inst.name is not None:
         rel = p.relation_map.get(inst.name)
         if rel is None:
             raise TypeCheckError(f"unknown relation '{inst.name}'")
-        a, b = tensor_ctx(p, x, rel.lhs, z), tensor_ctx(p, x, rel.rhs, z)
+        w = x + rel.lhs.source + z
+        a, b = (tuple((len(x) + len(s.left), s.gen) for s in side.steps) for side in (rel.lhs, rel.rhs))
     else:
-        # built whiskered at once: exchanges occur in monoidal mode only,
-        # where tensor_ctx checks nothing; the f-first side applies f, then g
+        # the f-first side applies f, then g; the other g, then f
         fname, mid, gname = inst.exch  # type: ignore[misc]
         f, g = p.gen(fname), p.gen(gname)
-        steps = (RewriteStep(x, fname, mid + g.source + z), RewriteStep(x + f.target + mid, gname, z))
-        a = Path(x + f.source + mid + g.source + z, steps)
-        steps = (RewriteStep(x + f.source + mid, gname, z), RewriteStep(x, fname, mid + g.target + z))
-        b = Path(a.source, steps)
-    return (a, b) if inst.forward else (b, a)
+        at_g = len(x) + len(f.source) + len(mid)
+        w = x + f.source + mid + g.source + z
+        a = ((len(x), fname), (at_g + len(f.target) - len(f.source), gname))
+        b = ((at_g, gname), (len(x), fname))
+    return (w, a, b) if inst.forward else (w, b, a)
 
 
 def invert_instance(inst: RelationInstance) -> RelationInstance:
@@ -368,19 +370,19 @@ def replay(p: Presentation, source: Path, moves):
     the current path; raises TypeCheckError at the first that does not apply.
 
     After each move it yields ``(end, steps, words)``: the index just past the
-    cell's to-side, the current path's steps and the word at each index.  The
-    two lists are edited in place, so a cell costs the length of its sides,
-    not of the path, and a caller copies what it keeps.
+    cell's to-side, the current path's positional steps and the word at each
+    index.  The two lists are edited in place, so a cell costs the length of
+    its sides, not of the path, and a caller copies what it keeps.
     """
-    steps, words = list(source.steps), p.path_words(source)
+    steps, words = [position(s) for s in source.steps], p.path_words(source)
     for at, inst in moves:
-        lhs, rhs = instance_sides(p, inst)
-        end = at + len(lhs.steps)
-        if not 0 <= at <= len(steps) or words[at] != lhs.source or tuple(steps[at:end]) != lhs.steps:
+        w, lhs, rhs = instance_sides(p, inst)
+        end = at + len(lhs)
+        if not 0 <= at <= len(steps) or words[at] != w or tuple(steps[at:end]) != lhs:
             raise TypeCheckError(f"cell {p.fmt_instance(inst)} does not apply at step {at}")
-        steps[at:end] = rhs.steps
-        words[at:end] = p.path_words(rhs)[:-1]
-        yield at + len(rhs.steps), steps, words
+        steps[at:end] = rhs
+        words[at:end] = p.path_words(p.path_at(w, rhs))[:-1]
+        yield at + len(rhs), steps, words
 
 
 def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
@@ -393,10 +395,10 @@ def trace_from_moves(p: Presentation, source: Path, moves) -> CellTrace:
 
 def check_trace(p: Presentation, trace: CellTrace) -> Path:
     """Validate a trace end to end and return its target path."""
-    steps = trace.source.steps
+    steps = [position(s) for s in trace.source.steps]
     for _, steps, _ in replay(p, trace.source, trace.moves):
         pass
-    return Path(trace.source.source, tuple(steps))
+    return p.path_at(trace.source.source, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _placements(window: Word, src: Word, reach: int) -> list[int]:
 
 def _side_heads(p: Presentation, base: RelationInstance) -> set[tuple[str, int]]:
     """The ``(gen, offset)`` of each side's first step on the unwhiskered base."""
-    return {(s.steps[0].gen, len(s.steps[0].left)) for s in instance_sides(p, base) if s.steps}
+    return {(side[0][1], side[0][0]) for side in instance_sides(p, base)[1:] if side}
 
 
 def _proper_overlap(a1: int, b1: int, a2: int, b2: int) -> bool:
@@ -211,8 +211,9 @@ def check_cylinder(
     presentation and the residual table are those of ``res``, whose memo
     several checks may share."""
     p = res.p
-    g1, g2 = instance_sides(p, base)
-    fpath = Path(g1.source, (f,))
+    w, side1, side2 = instance_sides(p, base)
+    g1, g2 = p.path_at(w, side1), p.path_at(w, side2)
+    fpath = Path(w, (f,))
     try:
         fg1, g1f = res.pair(fpath, g1)
         fg2, g2f = res.pair(fpath, g2)
@@ -252,11 +253,9 @@ def close_exchange_core(
     ``search_trace`` returns before searching (``oracle.exchange_trace``):
     the factor f misses, carried across the other's residual."""
     p = res.p
-    e1, mid, e2 = base.exch  # type: ignore[misc]
-    s1, t1 = p.gen(e1).source, p.gen(e1).target
-    a1, a2 = len(base.left), len(base.left) + len(s1) + len(mid)
+    w, *sides = instance_sides(p, base)
     residuals = []
-    for h1, h2 in (((a1, e1), (a2 + len(t1) - len(s1), e2)), ((a2, e2), (a1, e1))):
+    for h1, h2 in sides:
         tile = res.step_pair(position(f), h1)
         if tile is None:
             return None
@@ -276,8 +275,7 @@ def close_exchange_core(
     )
     if top is None:
         return None
-    after_base = base.left + t1 + mid + p.gen(e2).target + base.right
-    return top, p.path_at(after_base, residuals[1][1])
+    return top, p.path_at(p.path_target(p.path_at(w, sides[1])), residuals[1][1])
 
 
 # ---------------------------------------------------------------------------

@@ -447,14 +447,18 @@ def _oracle_tile(p: Presentation, f0: RewriteStep, g0: RewriteStep, word: Word):
         for side_a, side_b in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if side_a.source and len(side_a.source) > len(word):
                 continue
+            if not side_a.steps or not side_b.steps:
+                continue
+            # heads that share context make a relation that holds only there
+            (a1, b1), (a2, b2) = _interval(p, side_a.steps[0]), _interval(p, side_b.steps[0])
+            if min(a1, a2) > 0 or max(b1, b2) < len(side_a.source):
+                continue
             for cut in range(len(word) - len(side_a.source) + 1):
                 if word[cut : cut + len(side_a.source)] != side_a.source:
                     continue
                 x, y = word[:cut], word[cut + len(side_a.source) :]
                 wa = tensor_ctx(p, x, side_a, y)
                 wb = tensor_ctx(p, x, side_b, y)
-                if not wa.steps or not wb.steps:
-                    continue
                 if wa.steps[0] != f0 or wb.steps[0] != g0:
                     continue
                 rest_a, rest_b = _rest(wa, p), _rest(wb, p)

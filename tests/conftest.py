@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from cohpres.core import parse_presentation
+from cohpres.core import instance_sides, parse_presentation
 from cohpres.residuation import derive_residual_table
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -53,6 +53,30 @@ def ds2op_table(ds2op):
 @pytest.fixture(scope="session")
 def huet_table(huet):
     return derive_residual_table(huet)
+
+
+# ``r`` is declared in left context a, which its head steps a[e] and a[h]
+# share: it holds only in that context, so it is no residuation tile
+CONTEXT_BOUND = (
+    "mode monoidal\nobjects a b c\neqgen e : b b -> b\ngen h : b b -> c\n"
+    "gen m : b -> c\nrel r : a[e] ; a[m] => a[h]\n"
+)
+
+
+def tile_paths(p, entry):
+    """A tile's ``second_after_first`` and ``first_after_second`` as paths on
+    its relation's source word."""
+    w = p.relation_map[entry.relation].lhs.source
+    return tuple(
+        p.path_at(p.step_target(p.step_at(w, head)), tail)
+        for head, tail in ((entry.first, entry.second_after_first), (entry.second, entry.first_after_second))
+    )
+
+
+def side_paths(p, inst):
+    """The (from, to) sides of an instance as paths."""
+    w, lhs, rhs = instance_sides(p, inst)
+    return p.path_at(w, lhs), p.path_at(w, rhs)
 
 
 def all_words(p, max_len: int):

@@ -27,7 +27,7 @@ from cohpres.oracle import (
 )
 from cohpres.residuation import Residuator, tile_key
 
-from conftest import all_words, paths_from
+from conftest import all_words, paths_from, tile_paths
 
 
 def _ok(criterion: str, detail: str = "") -> None:
@@ -42,10 +42,11 @@ def test_criterion_1_residual_table_ds2(ds2, ds2_table):
     na = parse_path("[n]a", ds2).steps[0]
     e1 = ds2_table.entries[tile_key(position(ga), position(bm))]
     e2 = ds2_table.entries[tile_key(position(bg), position(na))]
-    assert ds2.fmt_path(e1.second_after_first) == "a[g] ; [m]b"  # bm/ga
-    assert ds2.fmt_path(e1.first_after_second) == "[g]"  # ga/bm
-    assert ds2.fmt_path(e2.second_after_first) == "[g]b ; a[n]"  # na/bg
-    assert ds2.fmt_path(e2.first_after_second) == "[g]"  # bg/na
+    (bm_ga, ga_bm), (na_bg, bg_na) = tile_paths(ds2, e1), tile_paths(ds2, e2)
+    assert ds2.fmt_path(bm_ga) == "a[g] ; [m]b"
+    assert ds2.fmt_path(ga_bm) == "[g]"
+    assert ds2.fmt_path(na_bg) == "[g]b ; a[n]"
+    assert ds2.fmt_path(bg_na) == "[g]"
     assert len(ds2_table.entries) == 2
     _ok("1 residual-table-ds2")
 

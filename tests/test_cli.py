@@ -11,7 +11,11 @@ import pytest
 
 from cohpres import cli, coherence, constructions, critical
 from cohpres.cli import main
-from cohpres.core import parse_presentation
+from cohpres.core import parse_path, parse_presentation
+from cohpres.oracle import OracleFailure, oracle_residual_pair
+from cohpres.residuation import derive_residual_table
+
+from conftest import CONTEXT_BOUND
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -144,19 +148,43 @@ def test_residual_command(capsys):
 
 
 def test_residual_witness_outside_declared_context(capsys, tmp_path):
-    # r is declared in left context a: its tile serves [h] after [e] too,
-    # but a witness cell of r needs the a
+    # r holds only in its declared context, so it is no tile: neither [h]
+    # after [e] on bb nor a[h] after a[e] on abb has a residual, the oracle
+    # agrees, and A1 reports the bare overlap of the heads unresolved
     src = tmp_path / "decl.cp"
-    src.write_text(
-        "mode monoidal\nobjects a b c\neqgen e : b b -> b\ngen h : b b -> c\n"
-        "gen m : b -> c\nrel r : a[e] ; a[m] => a[h]\n"
+    src.write_text(CONTEXT_BOUND)
+    p = parse_presentation(CONTEXT_BOUND)
+    table = derive_residual_table(p)
+    assert table.entries == {}
+    assert table.diagnostics == [
+        "relation 'r': its head steps share context",
+        "relation 'r': has an equational head but is not a residuation tile",
+    ]
+    for of, after, word in (("[h]", "[e]", "bb"), ("a[h]", "a[e]", "abb")):
+        for witness in ((), ("--witness",)):
+            assert main(["residual", str(src), "--of", of, "--after", after, *witness]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: no residuation tile for the overlapping pair ({after}, {of}) on {word}\n"
+        with pytest.raises(OracleFailure) as exc:
+            oracle_residual_pair(parse_path(of, p), parse_path(after, p), p)
+        assert str(exc.value) == f"no tile found for ({after}, {of}) on {word}"
+    code, out = run(capsys, "check", src, "--assumption", "a1")
+    assert code == 1
+    assert "WITNESS: unresolved critical pair ([e], [h]) on bb\n" in out
+
+
+def test_check_a3_search_exhaustion_is_inconclusive(capsys):
+    # no room for a top trace: each cylinder is an open question, and A3 is
+    # inconclusive, never a failure (its exit code is still 1)
+    code, out = run(capsys, "check", CORPUS / "ds2.cp", "--assumption", "a3", "--depth", "0")
+    assert code == 1
+    assert out == (
+        "a3 (strict): INCONCLUSIVE  (top-trace search exhausted)\n"
+        "WITNESS: cylinder ([g]aa | b(alpha)): no top trace found (top search exhausted (inconclusive))\n"
+        "WITNESS: cylinder (bb[g] | (beta)a): no top trace found (top search exhausted (inconclusive))\n"
+        "WITNESS: cylinder (b[g]a | (exch(n,0,m))): no top trace found "
+        "(top search exhausted (inconclusive))\n"
     )
-    assert main(["residual", str(src), "--of", "[h]", "--after", "[e]", "--witness"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: cannot attach witness relation 'r' outside its declared context\n"
-    code, out = run(capsys, "residual", src, "--of", "a[h]", "--after", "a[e]", "--witness")
-    assert code == 0
-    assert "witness (1 cells):\n  (r) after id abb\n" in out
 
 
 def test_critical_command(capsys):
@@ -214,6 +242,20 @@ def test_fractions_commands(capsys):
         "id x",
     )
     assert code == 1 and "fractions: unequal" in out
+
+
+def test_fractions_compose_command(capsys, ds2, ds2_table):
+    # aba -> baa, then baa -> ba: the gamma tile closes den1 = [g]a against
+    # num2 = b[m]
+    texts = ("id aba", "[g]a", "b[m]", "id ba")
+    code, out = run(capsys, "fractions", CORPUS / "ds2.cp", "--compose", *texts)
+    paths = [parse_path(t, ds2) for t in texts]
+    want = constructions.fraction_compose(
+        constructions.Fraction(*paths[:2]), constructions.Fraction(*paths[2:]), ds2, ds2_table
+    )
+    assert code == 0
+    assert out == f"num: {ds2.fmt_path(want.num)}\nden: {ds2.fmt_path(want.den)}\n"
+    assert out == "num: a[g] ; [m]b\nden: [g]\n"
 
 
 def test_tietze_command(capsys, tmp_path):

@@ -33,7 +33,6 @@ from cohpres.core import (
     RelationInstance,
     RewriteStep,
     WeightTerm,
-    instance_sides,
     parse_path,
     parse_presentation,
     trace_from_moves,
@@ -42,6 +41,8 @@ from cohpres.critical import _proper_overlap, close_exchange_core
 from cohpres.objects import steps_on, words_upto
 from cohpres.oracle import search_trace
 from cohpres.residuation import ResiduationError, Residuator
+
+from conftest import side_paths
 
 CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
 
@@ -269,7 +270,7 @@ def _whiskered_samples(p):
                     for y in words:
                         word = x + span + y
                         inst = RelationInstance(x, y, True, exch=(e1.name, mid, e2.name))
-                        lhs, rhs = instance_sides(p, inst)
+                        lhs, rhs = side_paths(p, inst)
                         for f in steps_on(word, p):
                             a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
                             c1 = (len(x) + i1[0], len(x) + i1[1])
@@ -290,8 +291,7 @@ def _whiskered_samples(p):
             for y in words:
                 word = x + window + y
                 inst = RelationInstance(x, y, True, name=rel.name)
-                lhs, rhs = instance_sides(p, inst)
-                heads = tuple(s.steps[0] for s in (lhs, rhs) if s.steps)
+                heads = tuple(s.steps[0] for s in side_paths(p, inst) if s.steps)
                 for f in steps_on(word, p):
                     a, b = len(f.left), len(f.left) + len(p.gen(f.gen).source)
                     if _proper_overlap(a, b, len(x), len(x) + len(window)):
@@ -307,7 +307,7 @@ def _per_sample_base_records(p, table):
     res = Residuator(p, table)
     records = []
     for f, inst in _whiskered_samples(p):
-        lhs, rhs = instance_sides(p, inst)
+        lhs, rhs = side_paths(p, inst)
         fpath = Path(lhs.source, (f,))
         try:
             _, l_res = res.pair(fpath, lhs)

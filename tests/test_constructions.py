@@ -32,7 +32,7 @@ from cohpres.objects import BudgetExhausted, normalize, steps_on
 from cohpres.oracle import normal_words, search_trace
 from cohpres.residuation import ResiduationError, Residuator, derive_residual_table
 
-from conftest import load, paths_from
+from conftest import CONTEXT_BOUND, load, paths_from
 
 
 def test_opposite_is_involution(ds2, huet, deltas):
@@ -287,6 +287,15 @@ def test_left_fractions_ds2(ds2, ds2_table):
 def test_left_fractions_huet_condition3(huet, huet_table):
     out = check_left_fractions(huet, huet_table, bound=3, coherent=False)
     assert out["condition3"].startswith("pass")
+
+
+def test_left_fractions_condition3_without_a_tile():
+    # [h] after [e] has no residual (the relation is bound to its context),
+    # and no completion within the bound either
+    p = parse_presentation(CONTEXT_BOUND)
+    out = check_left_fractions(p, derive_residual_table(p), bound=2)
+    assert out["condition3"] == "fail: no completion found for ([e], [h])"
+    assert out["overall"] == "fail"
 
 
 def test_left_fractions_empty_sigma(deltas):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 from cohpres.constructions import opposite
-from cohpres.core import RelationInstance, RewriteStep, instance_sides, position
+from cohpres.core import RelationInstance, RewriteStep, position
 from cohpres.critical import (
     CriticalCylinder,
     CriticalPair,
@@ -17,7 +17,7 @@ from cohpres.critical import (
 )
 from cohpres.residuation import Residuator, derive_residual_table, steps_disjoint, tile_key
 
-from conftest import all_words, load, random_presentation
+from conftest import all_words, load, random_presentation, side_paths
 
 
 def test_ds2_exactly_two_pairs(ds2, ds2_table):
@@ -293,7 +293,7 @@ def ref_named_cylinders(p):
                     continue
                 f = RewriteStep(word[:c_start], e.name, word[c_start + len(e.source) :])
                 inst = RelationInstance(word[:w_start], word[w_start + len(window) :], True, name=rel.name)
-                if any(side.steps and f == side.steps[0] for side in instance_sides(p, inst)):
+                if any(side.steps and f == side.steps[0] for side in side_paths(p, inst)):
                     continue
                 out.append(CriticalCylinder(f, inst, _flavor(base_eq)))
     return out

@@ -21,7 +21,6 @@ from cohpres.core import (
     TypeCheckError,
     check_trace,
     compose,
-    instance_sides,
     parse_path,
     position,
     tensor_ctx,
@@ -36,7 +35,7 @@ from cohpres.residuation import (
     tile_key,
 )
 
-from conftest import all_words, load, paths_from
+from conftest import all_words, load, paths_from, side_paths, tile_paths
 
 
 def entry_for(table, p, f_text, g_text):
@@ -48,12 +47,16 @@ def entry_for(table, p, f_text, g_text):
 def test_ds2_table_entries_byte_exact(ds2, ds2_table):
     assert len(ds2_table.entries) == 2
     gamma = entry_for(ds2_table, ds2, "[g]a", "b[m]")
-    assert ds2.fmt_path(gamma.second_after_first) == "a[g] ; [m]b"  # bm/ga
-    assert ds2.fmt_path(gamma.first_after_second) == "[g]"  # ga/bm
+    assert (gamma.first, gamma.second) == ((0, "g"), (1, "m"))
+    bm_ga, ga_bm = tile_paths(ds2, gamma)
+    assert ds2.fmt_path(bm_ga) == "a[g] ; [m]b"
+    assert ds2.fmt_path(ga_bm) == "[g]"
     assert gamma.relation == "gamma"
     delta = entry_for(ds2_table, ds2, "b[g]", "[n]a")
-    assert ds2.fmt_path(delta.second_after_first) == "[g]b ; a[n]"  # na/bg
-    assert ds2.fmt_path(delta.first_after_second) == "[g]"  # bg/na
+    assert (delta.first, delta.second) == ((1, "g"), (0, "n"))
+    na_bg, bg_na = tile_paths(ds2, delta)
+    assert ds2.fmt_path(na_bg) == "[g]b ; a[n]"
+    assert ds2.fmt_path(bg_na) == "[g]"
     assert delta.relation == "delta"
 
 
@@ -274,7 +277,7 @@ def test_cell_residual_exchange_base_after_bga(ds2, ds2_table):
     # the third critical cylinder: residual of the n/m exchange after b[g]a
     res = Residuator(ds2, ds2_table)
     inst = RelationInstance((), (), True, exch=("n", (), "m"))
-    lhs, rhs = instance_sides(ds2, inst)
+    lhs, rhs = side_paths(ds2, inst)
     trace = trace_from_moves(ds2, lhs, [Move(0, inst)])
     fstep = parse_path("b[g]a", ds2)
     out = res.cell_residual(trace, fstep)
@@ -332,7 +335,7 @@ def by_cells(out):
 
 
 def ref_apply_cell(p, path: Path, cell: CellStep) -> Path:
-    lhs, rhs = instance_sides(p, cell.inst)
+    lhs, rhs = side_paths(p, cell.inst)
     expect = cell.prefix.steps + lhs.steps + cell.suffix.steps
     if path.steps != expect or path.source != cell.prefix.source:
         raise TypeCheckError("cell does not apply at the indicated position")
@@ -373,7 +376,7 @@ def trace_whisker(p, pre: Path, trace: RefTrace, post: Path) -> RefTrace:
 
 def single_cell_trace(p, source: Path, inst: RelationInstance) -> RefTrace:
     """A one-cell trace rewriting the whole of ``source``."""
-    lhs, _ = instance_sides(p, inst)
+    lhs, _ = side_paths(p, inst)
     if lhs.steps != source.steps or lhs.source != source.source:
         raise TypeCheckError("instance does not match the whole path")
     end = p.path_target(source)
@@ -451,12 +454,15 @@ def ref_step_pair(p, table, f, g):
             f"no residuation tile for the overlapping pair "
             f"({p.fmt_step(f)}, {p.fmt_step(g)}) on {p.fmt_word(p.step_source(f))}"
         )
-    if (fm, gm) == (entry.first, entry.second):
-        g_res, f_res, f_is_first = entry.second_after_first, entry.first_after_second, True
-    elif (gm, fm) == (entry.first, entry.second):
-        g_res, f_res, f_is_first = entry.first_after_second, entry.second_after_first, False
+    # the entry's tails, as paths from the words after fm and gm
+    tails = (entry.second_after_first, entry.first_after_second)
+    if (position(fm), position(gm)) == (entry.first, entry.second):
+        (g_res, f_res), f_is_first = tails, True
+    elif (position(gm), position(fm)) == (entry.first, entry.second):
+        (f_res, g_res), f_is_first = tails, False
     else:
         raise ResiduationError(f"tile mismatch for pair ({p.fmt_step(f)}, {p.fmt_step(g)})")
+    g_res, f_res = at_word(p, p.step_target(fm), g_res), at_word(p, p.step_target(gm), f_res)
     return (
         tensor_ctx(p, zl, g_res, zr),
         tensor_ctx(p, zl, f_res, zr),
@@ -498,14 +504,8 @@ class RecursiveResiduator(Residuator):
         if tile[0] == "exchange":
             return ref_exchange_instance(self.p, f1, g1)
         _, entry, zl, zr, f_is_first = tile
-        dl, dr = entry.decl_left, entry.decl_right
-        if zl[len(zl) - len(dl) :] != dl or zr[: len(dr)] != dr:
-            raise ResiduationError(
-                f"cannot attach witness relation '{entry.relation}' outside its declared context"
-            )
-        outer_l = zl[: len(zl) - len(dl)] if dl else zl
         forward = entry.lhs_is_first if f_is_first else not entry.lhs_is_first
-        return RelationInstance(outer_l, zr[len(dr) :], forward, name=entry.relation)
+        return RelationInstance(zl, zr, forward, name=entry.relation)
 
     def _tile_trace(self, f1, g1, a, tile):
         src = Path(self.p.step_source(f1), (f1,) + a.steps)
@@ -730,7 +730,7 @@ def test_witness_cells_chain_from_source_to_target(case):
     gf, fg, trace = Residuator(p, table).pair_with_witness(g, f)
     cur = trace.source
     for c in trace.cells:
-        lhs, rhs = instance_sides(p, c.inst)
+        lhs, rhs = side_paths(p, c.inst)
         assert c.prefix.source == cur.source
         assert c.prefix.steps + lhs.steps + c.suffix.steps == cur.steps
         assert c.suffix.source == p.path_words(cur)[len(c.prefix) + len(lhs)]
