@@ -48,26 +48,15 @@ def _print_verdict(name: str, v: coherence.Verdict, ensure_witness: bool = False
 
 def cmd_check(args) -> int:
     p = _load(args.file)
+    ctx = coherence.CheckContext(p, args.term_budget, args.max_word_len, args.depth, args.budget)
     selected = args.assumption
     a3_mode = "up_to_exchange" if selected == "a3x" else "strict"
     if selected in coherence.GATES and not args.report:
         # one verdict and no report: compute only that verdict and its gates,
         # and skip the opposite probe, whose result would not be printed
-        ctx = coherence.CheckContext(
-            p, args.term_budget, args.max_word_len, args.depth, args.budget
-        )
         rep, v = None, coherence.check_assumption(ctx, selected, strong=args.strong)
     else:
-        rep = coherence.check_all(
-            p,
-            a3_mode=a3_mode,
-            strong=args.strong,
-            term_budget=args.term_budget,
-            max_len=args.max_word_len,
-            max_cells=args.depth,
-            budget=args.budget,
-            run_opposite=not args.no_opposite,
-        )
+        rep = coherence.check_all(ctx, a3_mode, args.strong, not args.no_opposite)
         v = rep.assumptions[selected] if selected in coherence.GATES else None
     if v is not None:
         _print_verdict(selected if selected != "a3" else "a3 (strict)", v, ensure_witness=True)

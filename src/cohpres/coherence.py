@@ -38,6 +38,7 @@ from .critical import (
 )
 from .objects import check_equational_termination, transposition_number, words_upto
 from .residuation import (
+    ResidualTable,
     Residuator,
     TableEntry,
     derive_residual_table,
@@ -94,13 +95,11 @@ def eval_weight(
     return tuple(out)
 
 
-def weight_of_path(
-    spec: WeightSpec, path: Path, p: Presentation, x: Word = (), y: Word = ()
-) -> tuple[int, ...]:
-    """The weight of ``path`` whiskered by ``x`` and ``y``."""
+def weight_of_path(spec: WeightSpec, path: Path, p: Presentation) -> tuple[int, ...]:
+    """The weight of ``path``, the sum of its steps' weights."""
     total = (0,) * spec.dim
     for s in path.steps:
-        total = tuple(map(add, total, eval_weight(spec, s, p, x, y)))
+        total = tuple(map(add, total, eval_weight(spec, s, p)))
     return total
 
 
@@ -233,13 +232,14 @@ BASE_MAX_CELLS, BASE_BUDGET = 8, 20_000
 
 
 class CheckContext:
-    """One presentation under one set of bounds: the only input of the
-    assumption checks.  It derives the residual table and computes, on first
-    use and at most once, the critical pairs and cylinders, one memoizing
-    ``Residuator``, the verdict of each critical cylinder, the sampled
-    equational-base coincidences and their records, and each assumption
-    verdict asked of ``check_assumption``.  The attempts of an opposite
-    probe and ``cohpres critical`` share them.
+    """One presentation under one set of bounds: the only input of a check
+    run, of ``check_all`` and of each assumption check.  Building one does no
+    work.  It computes, on first use and at most once, the residual table,
+    the critical pairs and cylinders, one memoizing ``Residuator``, the
+    verdict of each critical cylinder, the sampled equational-base
+    coincidences and their records, and each assumption verdict asked of
+    ``check_assumption``.  The attempts of an opposite probe and ``cohpres
+    critical`` share them.
 
     ``term_budget`` and ``max_len`` bound the termination exploration of A1;
     ``max_cells`` and ``budget`` bound each critical cylinder's top-trace
@@ -295,8 +295,11 @@ class CheckContext:
         self.max_len = max_len
         self.max_cells = max_cells
         self.budget = budget
-        self.table = derive_residual_table(p)
         self.verdicts: dict[tuple, Verdict] = {}
+
+    @cached_property
+    def table(self) -> ResidualTable:
+        return derive_residual_table(self.p)
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
@@ -614,20 +617,12 @@ def check_assumption(
 
 
 def check_all(
-    p: Presentation,
-    a3_mode: str = "strict",
-    strong: bool = False,
-    term_budget: int = 10_000,
-    max_len: int = 6,
-    max_cells: int = 12,
-    budget: int = 50_000,
-    run_opposite: bool = True,
+    ctx: CheckContext, a3_mode: str = "strict", strong: bool = False, run_opposite: bool = True
 ) -> CheckReport:
-    """Run A1 to A4 in order, derive coherence, and probe the opposite
-    presentation for the faithful-embedding conclusion."""
+    """Run A1 to A4 in order on ``ctx``, derive coherence, and probe the
+    opposite presentation for the faithful-embedding conclusion."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    ctx = CheckContext(p, term_budget, max_len, max_cells, budget)
     assumptions: dict[str, Verdict] = {}
     for name in GATES:
         assumptions[name] = check_assumption(ctx, name, a3_mode, strong)
@@ -647,14 +642,13 @@ def check_all(
         coherent = "inconclusive"
     faithful, note = "inconclusive", "opposite presentation not checked"
     if run_opposite:
-        op = constructions.opposite(p)
+        # the opposite keeps the run's termination bounds and the default search bounds
+        op_ctx = CheckContext(constructions.opposite(ctx.p), ctx.term_budget, ctx.max_len)
         t0 = time.perf_counter()
-        # the opposite keeps the default search bounds
-        op_ctx = CheckContext(op, term_budget, max_len)
         faithful, note = _faithful_embedding(op_ctx, a3_mode, strong)
         timings["opposite"] = time.perf_counter() - t0
     return CheckReport(
-        p.mode, a3_mode, strong, assumptions, ctx.pairs, results, coherent, faithful, note,
+        ctx.p.mode, a3_mode, strong, assumptions, ctx.pairs, results, coherent, faithful, note,
         timings=timings,
     )
 

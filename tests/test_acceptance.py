@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from cohpres.coherence import check_all, eval_weight, weight_less, weight_of_path
+from cohpres.coherence import CheckContext, check_all, eval_weight, weight_less, weight_of_path
 from cohpres.constructions import (
     localization_presentation,
     nf_functor_apply,
@@ -83,29 +83,33 @@ def test_criterion_3_critical_enumeration(ds2, ds2_table, ds2op, ds2op_table):
 
 
 def test_criterion_4_coherence_verdicts(ds2, ds2op, huet, deltas):
-    rep = check_all(ds2, run_opposite=False)
+    rep = check_all(CheckContext(ds2), run_opposite=False)
     assert rep.coherent == "pass"
     assert all(v.status == "pass" for v in rep.assumptions.values())
 
-    strict = check_all(ds2op, run_opposite=False)
+    strict = check_all(CheckContext(ds2op), run_opposite=False)
     assert strict.assumptions["a3"].status == "fail"
     assert any("exch(m,0,n)" in w for w in strict.assumptions["a3"].witnesses)
 
-    strong = check_all(ds2op, a3_mode="up_to_exchange", strong=True, run_opposite=False)
+    strong = check_all(
+        CheckContext(ds2op), a3_mode="up_to_exchange", strong=True, run_opposite=False
+    )
     assert strong.coherent == "pass"
 
-    weak = check_all(ds2op, a3_mode="up_to_exchange", strong=False, run_opposite=False)
+    weak = check_all(
+        CheckContext(ds2op), a3_mode="up_to_exchange", strong=False, run_opposite=False
+    )
     assert weak.assumptions["a4"].status == "fail"
     assert any(
         "omega2(ab(exch(g,0,g))) = (0, 1) !> (0, 2) = omega2(aab(exch(g,0,g)))" in w
         for w in weak.assumptions["a4"].witnesses
     )
 
-    hrep = check_all(huet, run_opposite=False)
+    hrep = check_all(CheckContext(huet), run_opposite=False)
     assert hrep.assumptions["a1"].status == "fail"
     assert any("x -> y -> x" in w for w in hrep.assumptions["a1"].witnesses)
 
-    drep = check_all(deltas, run_opposite=False)
+    drep = check_all(CheckContext(deltas), run_opposite=False)
     assert drep.coherent == "pass"
     assert "vacuous" in drep.assumptions["a2"].note
     _ok("4 coherence-verdicts")
@@ -264,8 +268,8 @@ def test_criterion_7_property_suites(ds2, ds2_table):
     t0 = time.perf_counter()
     from cohpres.coherence import report_to_dict
 
-    r1 = report_to_dict(check_all(ds2, run_opposite=False), ds2)
-    r2 = report_to_dict(check_all(ds2, run_opposite=False), ds2)
+    r1 = report_to_dict(check_all(CheckContext(ds2), run_opposite=False), ds2)
+    r2 = report_to_dict(check_all(CheckContext(ds2), run_opposite=False), ds2)
     assert r1 == r2
     dt_e = time.perf_counter() - t0
     assert dt_e < 60

@@ -63,7 +63,7 @@ def test_single_assumption_matches_check_all(capsys, name, strong, no_opposite):
     # a single-assumption report computes only its verdict and that
     # verdict's gates, but prints what the whole battery would select
     p = cli._load(str(CORPUS / f"{name}.cp"))
-    rep = coherence.check_all(p, "strict", strong, run_opposite=not no_opposite)
+    rep = coherence.check_all(coherence.CheckContext(p), "strict", strong, not no_opposite)
     flags = ["--strong"] * strong + ["--no-opposite"] * no_opposite
     for a in ("a1", "a2", "a3", "a4"):
         code, out = run(capsys, "check", CORPUS / f"{name}.cp", "--assumption", a, *flags)
@@ -312,6 +312,42 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([l for l in err.splitlines() if "error:" in l]) == 1
+
+
+def test_relation_sides_with_different_targets_exit_2(capsys, tmp_path):
+    path = tmp_path / "targets.cp"
+    path.write_text(
+        "mode monoidal\nobjects a b\ngen f : a -> b\ngen g : a -> a\nrel r : [f] => [g]\n",
+        encoding="utf-8",
+    )
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: relation 'r': sides have different targets\n")
+
+
+CONFLICTING_TILES = """
+mode monoidal
+objects a
+eqgen e : aa -> a
+gen h : aa -> a
+rel r1 : [e]a ; [e] => a[h] ; [e]
+rel r2 : [e]a ; [h] => a[h] ; [e]
+"""
+
+
+def test_a1_reports_conflicting_tiles(capsys, tmp_path):
+    # r1 and r2 both start with [e]a and a[h]: the table keeps r1's tile
+    path = tmp_path / "conflict.cp"
+    path.write_text(CONFLICTING_TILES, encoding="utf-8")
+    code, out = run(capsys, "check", path, "--assumption", "a1")
+    assert code == 1
+    assert out.splitlines() == [
+        "a1: FAIL",
+        "WITNESS: unresolved critical pair (a[e], [e]a) on aaa",
+        "WITNESS: unresolved critical pair ([e], [h]) on aa",
+        "WITNESS: unresolved critical pair (a[e], [h]a) on aaa",
+        "WITNESS: conflicting tiles for pair ([e]a, a[h]): 'r1' vs 'r2' (keeping the first)",
+    ]
 
 
 def test_compare_ds2_cli(capsys):

@@ -189,43 +189,43 @@ def test_a4_ds2op_strong_vs_nonstrong(ds2op):
 
 
 def test_check_all_verdicts(ds2, ds2op, huet, deltas):
-    rep = check_all(ds2, run_opposite=False)
+    rep = check_all(CheckContext(ds2), run_opposite=False)
     assert rep.coherent == "pass"
     assert all(v.status == "pass" for v in rep.assumptions.values())
 
-    rep = check_all(ds2op, run_opposite=False)
+    rep = check_all(CheckContext(ds2op), run_opposite=False)
     assert rep.assumptions["a3"].status == "fail"
     assert rep.coherent == "fail"
 
-    rep = check_all(ds2op, a3_mode="up_to_exchange", strong=True, run_opposite=False)
+    rep = check_all(CheckContext(ds2op), a3_mode="up_to_exchange", strong=True, run_opposite=False)
     assert rep.coherent == "pass"
 
-    rep = check_all(huet, run_opposite=False)
+    rep = check_all(CheckContext(huet), run_opposite=False)
     assert rep.assumptions["a1"].status == "fail"
     assert rep.coherent == "fail"
     for key in ("a2", "a3", "a4"):
         assert rep.assumptions[key].status == "inconclusive"
 
-    rep = check_all(deltas, run_opposite=False)
+    rep = check_all(CheckContext(deltas), run_opposite=False)
     assert rep.coherent == "pass"
 
 
 def test_faithful_embedding_flags(deltas, huet, ds2):
-    assert check_all(deltas).faithful_embedding == "pass"
-    assert check_all(huet).faithful_embedding == "fail"
+    assert check_all(CheckContext(deltas)).faithful_embedding == "pass"
+    assert check_all(CheckContext(huet)).faithful_embedding == "fail"
     # ds2's opposite needs dual weights which are not carried over
-    assert check_all(ds2).faithful_embedding == "inconclusive"
+    assert check_all(CheckContext(ds2)).faithful_embedding == "inconclusive"
 
 
 def test_report_determinism(ds2, ds2op):
     for p, kwargs in ((ds2, {}), (ds2op, dict(a3_mode="up_to_exchange", strong=True))):
-        r1 = report_to_dict(check_all(p, run_opposite=False, **kwargs), p)
-        r2 = report_to_dict(check_all(p, run_opposite=False, **kwargs), p)
+        r1 = report_to_dict(check_all(CheckContext(p), run_opposite=False, **kwargs), p)
+        r2 = report_to_dict(check_all(CheckContext(p), run_opposite=False, **kwargs), p)
         assert r1 == r2
 
 
 def test_report_schema(ds2):
-    rep = check_all(ds2, run_opposite=False)
+    rep = check_all(CheckContext(ds2), run_opposite=False)
     d = report_to_dict(rep, ds2)
     assert set(d["assumptions"]) == {"a1", "a2", "a3", "a4"}
     for v in d["assumptions"].values():
@@ -409,12 +409,27 @@ def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
         return real(p, *args, **kwargs)
 
     monkeypatch.setattr(coherence, "trivial_equational_base_samples", counting)
-    rep = check_all(ds2op, "up_to_exchange", strong=True)
+    rep = check_all(CheckContext(ds2op), "up_to_exchange", strong=True)
     assert rep.coherent == "pass"
     op = opposite(ds2op)
     assert sampled.count(ds2op) == 1
     assert sampled.count(op) <= 1
     assert len(sampled) == sampled.count(ds2op) + sampled.count(op)
+
+
+def test_check_all_derives_each_table_once_in_its_run(monkeypatch, ds2):
+    derived = []
+    real = coherence.derive_residual_table
+
+    def counting(p):
+        derived.append(p)
+        return real(p)
+
+    monkeypatch.setattr(coherence, "derive_residual_table", counting)
+    ctx = CheckContext(ds2)
+    assert derived == []  # building a context does no work
+    check_all(ctx)
+    assert derived == [ds2, opposite(ds2)]
 
 
 def test_check_assumption_gates(ds2op, huet):

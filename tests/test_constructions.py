@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cohpres import constructions
 from cohpres.core import (
     Path,
     RewriteStep,
@@ -309,6 +310,27 @@ def test_left_fractions_huet_condition4_sampled(huet, huet_table):
     out = check_left_fractions(huet, huet_table, bound=3, coherent=False)
     assert out["condition4"].startswith("pass")
     assert out["overall"] == "pass"
+
+
+def test_left_fractions_condition4_searches_for_coequalizers(monkeypatch, ds2op, ds2op_table):
+    # ds2op, not known coherent, has parallel pairs under an equational path
+    # within bound 2, so condition 4 searches for a co-equalizing morphism
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search_trace(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "search_trace", counting)
+    out = check_left_fractions(ds2op, ds2op_table, bound=2)
+    assert out == {
+        "condition1": "pass (equational morphisms compose)",
+        "condition2": "pass (identities are equational)",
+        "condition3": "pass (residuation closes sampled squares)",
+        "condition4": "pass (sampled co-equalizing morphisms found)",
+        "overall": "pass",
+    }
+    assert len(calls) == 6
 
 
 def test_fraction_equal_is_equivalence_on_samples(ds2, ds2_table):

@@ -127,12 +127,12 @@ weight omega2 on rels order lex dim 1 { t1 -> (1) }
 
 
 def test_coherent_path_mode_presentation():
-    from cohpres.coherence import check_all
+    from cohpres.coherence import CheckContext, check_all
     from cohpres.oracle import compare_constructions
     from cohpres.residuation import Residuator, derive_residual_table
 
     p = parse_presentation(COLLAPSE)
-    rep = check_all(p)
+    rep = check_all(CheckContext(p))
     assert rep.coherent == "pass"
     assert rep.faithful_embedding == "pass"
     cmp_rep = compare_constructions(p, max_word=1, max_steps=6)
@@ -148,18 +148,18 @@ def test_coherent_path_mode_presentation():
 
 
 def test_ds2op_faithful_probe_inconclusive(ds2op):
-    from cohpres.coherence import check_all
+    from cohpres.coherence import CheckContext, check_all
 
-    rep = check_all(ds2op, a3_mode="up_to_exchange", strong=True)
+    rep = check_all(CheckContext(ds2op), a3_mode="up_to_exchange", strong=True)
     assert rep.coherent == "pass"
     # the carried-over weights do not dualize, so the probe stays inconclusive
     assert rep.faithful_embedding == "inconclusive"
 
 
 def test_report_timings_opt_in(ds2):
-    from cohpres.coherence import check_all, report_to_dict
+    from cohpres.coherence import CheckContext, check_all, report_to_dict
 
-    rep = check_all(ds2, run_opposite=False)
+    rep = check_all(CheckContext(ds2), run_opposite=False)
     with_t = report_to_dict(rep, ds2, include_timings=True)
     assert "timings" in with_t and with_t["timings"]
 
@@ -183,7 +183,7 @@ weight omega2 on rels order lex dim 1 { t1 -> (0)  t2 -> (0)  e12 -> (1)  eb -> 
 
 
 def test_path_mode_critical_cylinder_end_to_end():
-    from cohpres.coherence import check_all
+    from cohpres.coherence import CheckContext, check_all
     from cohpres.critical import check_cylinder, enumerate_critical_cylinders
     from cohpres.residuation import Residuator, derive_residual_table
 
@@ -195,7 +195,7 @@ def test_path_mode_critical_cylinder_end_to_end():
     assert v.residual_targets_equal == "equal"
     assert v.top is not None and len(v.top.cells) == 1
     assert v.top.cells[0].inst.name == "eb"
-    rep = check_all(p)
+    rep = check_all(CheckContext(p))
     assert rep.coherent == "pass" and rep.faithful_embedding == "pass"
 
 
@@ -205,7 +205,7 @@ def test_fuzz_random_presentations_never_crash():
     import json
     import random
 
-    from cohpres.coherence import check_all, report_to_dict
+    from cohpres.coherence import CheckContext, check_all, report_to_dict
     from cohpres.core import print_presentation, validate
 
     rng = random.Random(7)
@@ -214,12 +214,8 @@ def test_fuzz_random_presentations_never_crash():
         p = random_presentation(rng, mode)
         assert validate(p) == []
         assert parse_presentation(print_presentation(p)) == p
-        rep = check_all(
-            p, term_budget=300, max_len=3, max_cells=6, budget=2000, run_opposite=False
-        )
+        rep = check_all(CheckContext(p, 300, 3, 6, 2000), run_opposite=False)
         d = report_to_dict(rep, p)
         json.dumps(d)
-        rep2 = check_all(
-            p, term_budget=300, max_len=3, max_cells=6, budget=2000, run_opposite=False
-        )
+        rep2 = check_all(CheckContext(p, 300, 3, 6, 2000), run_opposite=False)
         assert report_to_dict(rep2, p) == d
