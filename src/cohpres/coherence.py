@@ -10,14 +10,16 @@ are verified on deterministic bounded samples and reported as such.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from operator import add, mul, sub
+from operator import add, itemgetter, sub
 
 from . import constructions
 from .core import (
     CellTrace,
+    Move,
     Path,
     Presentation,
     RelationInstance,
@@ -25,8 +27,12 @@ from .core import (
     WeightSpec,
     Word,
     instance_sides,
+    trace_from_moves,
 )
 from .critical import (
+    SLOTS,
+    BaseSamples,
+    BaseShape,
     CriticalCylinder,
     CriticalPair,
     CylinderVerdict,
@@ -111,74 +117,88 @@ def weight_of_trace(spec: WeightSpec, trace: CellTrace, p: Presentation) -> tupl
     return total
 
 
+# the letters of the contexts x and y of a whiskered item, and every slot letter
+_X, _Y = "<x>", "<y>"
+_MARKS = frozenset((_X, _Y, *SLOTS))
+
+
 class _Whiskered:
     """Weights under ``spec`` of items whiskered by a context ``(x, y)``,
-    each item weighed once and each context once.
+    each item weighed once and each context once.  An item's words may hold
+    a marked shape's slot letters (``critical.SLOTS``), each any gap word.
 
-    A part ``(w, rows)`` is the items' summed weight and, per coordinate,
-    what whiskering adds to it: coefficients (None when all are zero) of the
-    context features ``("L", a)`` = #a(x), ``("R", a)`` = #a(y) and ``("T",
-    b, a)`` = ``transposition_number(x + y, b, a)``.  Counts add up over
-    x·item·y, and T(u·v) = T(u) + T(v) + #b(u)·#a(v), so a (b, a)
-    transposition term over the item's word C gains T(x·y) + #b(x)·#a(C) +
-    #b(C)·#a(y)."""
+    A part ``(w, rows)`` is the items' summed weight with every slot empty
+    and, per coordinate, the coefficients (a dict, None when empty) of the
+    features of the slots, x and y being two more slots at the two ends:
+    ``("#", s, a)`` = #a(s), ``("T", s, b, a)`` = ``transposition_number(s,
+    b, a)`` and ``("*", s, b, t, a)`` = #b(s)·#a(t) for a slot s left of t.
+    Counts add up over a word, and T(u·v) = T(u) + T(v) + #b(u)·#a(v), so a
+    (b, a) transposition term over a word of letters and slots is its
+    letters' term plus these features, each slot's count weighted by the
+    letters on its other side."""
 
     def __init__(self, spec: WeightSpec, p: Presentation):
         self.spec, self.p = spec, p
-        feats: dict[tuple, None] = {}
-        for terms in spec.entries.values():
-            for t in terms:
-                if t.kind in ("countL", "countR"):
-                    feats[t.kind[-1], t.args[0]] = None
-                elif t.kind in ("ctx_transp", "word_transp"):
-                    b, a = t.args
-                    feats.update(dict.fromkeys([("T", b, a), ("L", b), ("R", a)]))
-        self.feats = {k: i for i, k in enumerate(feats)}
         self.zero = (0,) * spec.dim
-        self._contexts: dict[tuple[Word, Word], tuple[int, ...]] = {}
+        self._contexts: dict[tuple[Word, Word], dict] = {}
 
     def part(self, items) -> tuple:
         """The summed weight of ``items``, steps or instances, and its
         coefficient rows; raises WeightError where ``eval_weight`` would."""
-        w, rows = self.zero, [[0] * len(self.feats) for _ in self.zero]
+        w, rows = self.zero, [Counter() for _ in self.zero]
         for item in items:
             w = tuple(map(add, w, eval_weight(self.spec, item, self.p)))
             key, left, right, body = _item_data(item, self.p)
+            left, right = (_X,) + left, right + (_Y,)
             for row, t in zip(rows, self.spec.entries[key]):
                 if t.kind in ("countL", "countR"):
-                    row[self.feats[t.kind[-1], t.args[0]]] += 1
+                    for c in left if t.kind == "countL" else right:
+                        if c in _MARKS:
+                            row["#", c, t.args[0]] += 1
                 elif t.kind in ("ctx_transp", "word_transp"):
-                    b, a = t.args
-                    c = left + right if t.kind == "ctx_transp" else left + body + right
-                    row[self.feats["T", b, a]] += 1
-                    row[self.feats["L", b]] += c.count(a)
-                    row[self.feats["R", a]] += c.count(b)
-        return w, tuple(tuple(r) if any(r) else None for r in rows)
+                    (b, a), bs, seen = t.args, 0, []
+                    for c in left + body + right if t.kind == "word_transp" else left + right:
+                        if c in _MARKS:
+                            row["T", c, b, a] += 1
+                            row["#", c, a] += bs
+                            for s in seen:
+                                row["*", s, b, c, a] += 1
+                            seen.append(c)
+                        elif c == a:
+                            for s in seen:
+                                row["#", s, b] += 1
+                        bs += c == b
+        return w, tuple(+r or None for r in rows)
 
     def at(self, part: tuple, x: Word, y: Word) -> tuple[int, ...]:
         """The weight of a part's items, each whiskered by ``x`` and ``y``."""
-        phi = self._contexts.get((x, y))
-        if phi is None:
-            phi = self._contexts[x, y] = tuple(
-                x.count(k[1]) if k[0] == "L" else y.count(k[1]) if k[0] == "R"
-                else transposition_number(x + y, k[1], k[2])
-                for k in self.feats
-            )
-        return tuple([v + sum(map(mul, r, phi)) if r else v for v, r in zip(*part)])
+        phi = self._contexts.setdefault((x, y), {})
+        words = {_X: x, _Y: y}
+        for row in filter(None, part[1]):
+            for k in row.keys() - phi.keys():
+                u = words.get(k[1], ())
+                phi[k] = (
+                    u.count(k[2]) if k[0] == "#"
+                    else transposition_number(u, k[2], k[3]) if k[0] == "T"
+                    else u.count(k[2]) * words.get(k[3], ()).count(k[4])
+                )
+        return tuple([v + sum(c * phi[k] for k, c in r.items()) if r else v for v, r in zip(*part)])
 
     def settled(self, a: tuple, b: tuple) -> bool | None:
-        """True when, whiskered by every context, part ``a``'s items weigh
-        less than ``b``'s; False when by none; None when that depends on the
-        context.  Both orders compare a - b with zero, and features are never
-        negative, so a coordinate of a - b whose coefficients all have its
-        weight's sign keeps that sign."""
-        w = tuple(map(sub, a[0], b[0]))
-        none = (0,) * len(self.feats)
-        rows = [tuple(map(sub, ra or none, rb or none)) for ra, rb in zip(a[1], b[1])]
+        """True when, whiskered by every context and with every gap word,
+        part ``a``'s items weigh less than ``b``'s; False when by none; None
+        when that depends on them.  Both orders compare a - b with zero, and
+        features are never negative, so a coordinate of a - b whose
+        coefficients all have its weight's sign keeps that sign."""
+        w, rows = tuple(map(sub, a[0], b[0])), []
+        for ra, rb in zip(a[1], b[1]):
+            r = Counter(ra)
+            r.subtract(rb or {})
+            rows.append([c for c in r.values() if c])
         if self.spec.order != "lex":
-            return weight_less(self.spec, w, self.zero) if not any(map(any, rows)) else None
+            return weight_less(self.spec, w, self.zero) if not any(rows) else None
         for v, r in zip(w, rows):
-            if any(r):
+            if r:
                 return v < 0 if v < 0 and max(r) <= 0 or v > 0 and min(r) >= 0 else None
             if v:
                 return v < 0
@@ -188,6 +208,18 @@ class _Whiskered:
 def _whisker(x: Word, item, y: Word):
     """The step or instance ``item`` whiskered by ``x`` and ``y``."""
     return replace(item, left=x + item.left, right=item.right + y)
+
+
+def _fill(item, slots: dict):
+    """A word, step, instance or path of a marked shape with its gap words in."""
+    if isinstance(item, tuple):
+        return tuple(c for letter in item for c in slots.get(letter, (letter,)))
+    if isinstance(item, Path):
+        return Path(_fill(item.source, slots), tuple(_fill(s, slots) for s in item.steps))
+    item = replace(item, left=_fill(item.left, slots), right=_fill(item.right, slots))
+    if getattr(item, "exch", None):
+        item = replace(item, exch=(item.exch[0], _fill(item.exch[1], slots), item.exch[2]))
+    return item
 
 
 def weight_less(spec: WeightSpec, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -248,19 +280,21 @@ class CheckContext:
 
     A base record ``(f, inst, x, y, top, fg)`` stands for one sampled
     trivially completable coincidence x·(f | inst)·y of a vertical step with
-    an equational-sided base, in sample order.  It holds the sample's
-    context-stripped core ``(f, inst)``, its context ``(x, y)`` and the
-    core's results: the vertical residual ``fg`` along the base's second
-    side and the top trace joining the two residuals of the base's sides
-    (``None`` when residuation fails, the residuals are not cofinal or the
-    search runs out).  Each core is closed once.  An exchange core whose
-    side residuals naturality of exchange fixes, and finds exchange-equal,
-    is built directly (``critical.close_exchange_core``); the others, named
-    bases among them, go to ``check_cylinder`` as critical cylinders do.
-    Both give the results ``check_cylinder`` gives.  A core's results,
-    whiskered by ``(x, y)``, are the sample's: the checks read them so,
-    weigh them as the core's weight plus the context's contribution
-    (``_Whiskered``), and whisker a step or instance only to print it.
+    an equational-sided base, in sample order: the sample's context-stripped
+    core ``(f, inst)``, its context ``(x, y)`` and the core's results, the
+    vertical residual ``fg`` along the base's second side and the top trace
+    joining the residuals of the base's sides (``None`` when residuation
+    fails, the residuals are not cofinal or the search runs out).  Records
+    come by shape (``critical.BaseShape``), each shape closed once: a marked
+    one by naturality of exchange (``critical.close_exchange_core``) on its
+    word of slot letters, the others as ``_close`` closes a core, by
+    naturality where it fixes the results, else by ``check_cylinder`` as
+    critical cylinders are.  A marked shape that naturality does not close
+    has each core closed by ``_close``.  The checks decide a whole shape
+    where they can, A3' when its top is all exchange cells and A4 when its
+    top weighs less than its base for every context and gap word
+    (``_Whiskered``); they build the records of the other shapes only
+    (``records``), and whisker a step or instance only to print it.
 
     This is exact because every step of the computation commutes with
     whiskering.  The residual of x·g·y after x·f·y is x·(g/f)·y: equality,
@@ -277,9 +311,12 @@ class CheckContext:
     and one with empty right context.  A side whose outer letters no step
     touches (an identity side above all) can match with its window reaching
     into the context, a move the core does not have, so a presentation with
-    such a side is sampled without stripping.  The shared ``Residuator``
-    spends its budget across the whole run rather than per call, and memo
-    hits cost nothing.
+    such a side is sampled without stripping.  Filling a marked shape's
+    gaps commutes with naturality in the same way: no step of the
+    construction touches a gap letter, and as every generator has letters,
+    the construction sees of a gap only where it lies between the steps,
+    which filling keeps.  The shared ``Residuator`` spends its budget across
+    the whole run rather than per call, and memo hits cost nothing.
     """
 
     def __init__(
@@ -296,6 +333,7 @@ class CheckContext:
         self.max_cells = max_cells
         self.budget = budget
         self.verdicts: dict[tuple, Verdict] = {}
+        self._closings: dict[int, tuple | None] = {}
 
     @cached_property
     def table(self) -> ResidualTable:
@@ -321,19 +359,49 @@ class CheckContext:
         ]
 
     @cached_property
-    def base_samples(self) -> list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]]:
+    def base_samples(self) -> BaseSamples:
         return trivial_equational_base_samples(self.p)
 
     @cached_property
     def base_records(self) -> list[BaseRecord]:
-        closed: dict[int, tuple] = {}  # by core; a core's samples share one object
-        records = []
-        for core, x, y in self.base_samples:
-            done = closed.get(id(core))
-            if done is None:
-                done = closed[id(core)] = self._close(*core)
-            records.append((*core, x, y, *done))
-        return records
+        return self.records(self.base_samples.shapes.values())
+
+    def closing(self, shape: BaseShape) -> tuple | None:
+        """``(top, fg)`` of a shape, on its word; None for a marked shape
+        that naturality does not close, whose cores are closed one by one."""
+        if id(shape) not in self._closings:
+            if shape.marked:
+                closed = close_exchange_core(shape.f, shape.base, self.residuator)
+            else:
+                closed = self._close(shape.f, shape.base)
+            self._closings[id(shape)] = closed
+        return self._closings[id(shape)]
+
+    def records(self, shapes) -> list[BaseRecord]:
+        """The records of the samples of ``shapes``, in sample order; the
+        records of a core share its objects."""
+        p, cores, out = self.p, {}, []
+        samples = [(*sample, shape) for shape in shapes for sample in shape.samples()]
+        for _, x, y, gaps, shape in sorted(samples, key=itemgetter(0)):
+            key = (id(shape), gaps) if shape.marked else id(shape)
+            core = cores.get(key)
+            if core is None:
+                closed = self.closing(shape)
+                if not shape.marked:
+                    core = (shape.f, shape.base, *closed)
+                else:
+                    slots = dict(zip(SLOTS, gaps))
+                    f, inst = _fill(shape.f, slots), _fill(shape.base, slots)
+                    if closed is None:
+                        core = (f, inst, *self._close(f, inst))
+                    else:
+                        top, fg = closed
+                        source, moves = _fill(top.source, slots), top.moves
+                        moves = [Move(at, _fill(m, slots)) for at, m in moves]
+                        core = (f, inst, trace_from_moves(p, source, moves), _fill(fg, slots))
+                cores[key] = core
+            out.append((*core[:2], x, y, *core[2:]))
+        return out
 
     def _close(self, f: RewriteStep, inst: RelationInstance) -> tuple:
         """``(top, fg)`` of a base core: by naturality for an exchange base
@@ -461,6 +529,12 @@ def check_a2(ctx: CheckContext) -> Verdict:
 # A3 / A3': cylinder property
 
 
+def _exchanges_only(closed: tuple | None) -> bool:
+    return closed is not None and closed[0] is not None and all(
+        m.inst.exch is not None for m in closed[0].moves
+    )
+
+
 def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
     p = ctx.p
     failures: list[str] = []
@@ -489,9 +563,12 @@ def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
                     f"residual of exchange base {p.fmt_instance(cyl.base)} uses "
                     "non-exchange cells"
                 )
-        for f, inst, x, y, top, _ in ctx.base_records:
-            if inst.exch is None:
-                continue
+        # a shape whose top is all exchange cells has no line to give
+        shapes = [
+            s for s in ctx.base_samples.shapes.values()
+            if s.base.exch is not None and not _exchanges_only(ctx.closing(s))
+        ]
+        for f, inst, x, y, top, _ in ctx.records(shapes):
             if top is None:
                 open_questions.append(
                     f"sampled exchange residual after {p.fmt_step(_whisker(x, f, y))} "
@@ -547,8 +624,24 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
                     f"omega2({p.fmt_instance(cyl.base)}) = {base_w} !> {top_w} = omega2(top)"
                 )
         weights = _Whiskered(w2b, p) if w2b is not None else None
+
+        def settled(shape: BaseShape) -> bool:
+            # whether no record of the shape gives a line: its top, with every
+            # gap word and context, weighs less than its base or is exempt
+            top, rv = ctx.closing(shape) or (None, None)
+            if top is None:
+                return False
+            if exempt(rv):
+                return True
+            try:
+                base, over = weights.part([shape.base]), weights.part([m.inst for m in top.moves])
+            except WeightError:
+                return False  # the first record of the shape raises it again
+            return weights.settled(over, base) is True
+
         parts: dict[int, tuple] = {}  # by top; the records of a core share one
-        for f, inst, x, y, top, rv in ctx.base_records:
+        shapes = [s for s in ctx.base_samples.shapes.values() if not settled(s)]
+        for f, inst, x, y, top, rv in ctx.records(shapes):
             if top is None:
                 inconclusive_notes.append(
                     f"sample after {p.fmt_step(_whisker(x, f, y))}: residual not reconstructed"

@@ -422,11 +422,13 @@ def _bounded_completion(p: Presentation, u: Path, g: Path, bound: int) -> bool:
 
 
 def _check_condition4(p: Presentation, words: list[Word], bound: int) -> str:
+    pairs = 0  # the parallel pairs sampled
     for w in words[: min(len(words), 6)]:
         for u, tu in islice(paths_from(p, w, min(bound, 2), equational=True), 1, None):
             by_tgt = _by_target(islice(paths_from(p, tu, min(bound, 2)), 1, None))
             for t, group in by_tgt.items():
                 for f1, f2 in combinations(group, 2):
+                    pairs += 1
                     uf1, uf2 = compose(p, u, f1), compose(p, u, f2)
                     if search_trace(p, uf1, uf2, budget=CELL_BUDGET) is None:
                         continue
@@ -440,4 +442,6 @@ def _check_condition4(p: Presentation, words: list[Word], bound: int) -> str:
                             "fail: no equalizing v for "
                             f"({p.fmt_path(f1)}, {p.fmt_path(f2)}) after {p.fmt_path(u)}"
                         )
-    return "pass (sampled co-equalizing morphisms found)"
+    if not pairs:
+        return "pass (no parallel pair sampled)"
+    return f"pass (co-equalizing morphisms found for {pairs} sampled parallel pairs)"

@@ -14,11 +14,12 @@ each offset where the two agree on their shared letters (``_placements``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import oracle
 from .core import (
     CellTrace,
+    Move,
     Path,
     Presentation,
     RelationInstance,
@@ -28,7 +29,15 @@ from .core import (
     position,
 )
 from .objects import words_upto
-from .residuation import ResidualTable, ResiduationError, Residuator, steps_disjoint, tile_key
+from .residuation import (
+    ResidualTable,
+    ResiduationError,
+    Residuator,
+    exchange_instance,
+    retype_step,
+    steps_disjoint,
+    tile_key,
+)
 
 
 @dataclass(frozen=True)
@@ -251,9 +260,29 @@ def close_exchange_core(
     h2 became, and f's residual is what f/h1 became: the zig-zag's answer.
     If the side residuals are equal or exchange-equal, the top is the trace
     ``search_trace`` returns before searching (``oracle.exchange_trace``):
-    the factor f misses, carried across the other's residual."""
+    the factor f misses, carried across the other's residual.
+
+    When f misses both factors, and f and the first factor have letters, the
+    sides' residuals are the base's sides moved past f, and f's residual is
+    f moved past both factors: the top is the base moved past f, built
+    directly (interchange).  An f without letters can land on the second
+    factor's spot once the first is applied, and the zig-zag stops there."""
     p = res.p
     w, *sides = instance_sides(p, base)
+    fs, ((h1, _), (g2, g1)) = position(f), sides
+    if (
+        p.gen(f.gen).source
+        and p.gen(h1[1]).source
+        and all(p.gen(h[1]).equational and steps_disjoint(p, fs, h) for h in (h1, g2))
+    ):
+        after_f, e1, e2 = p.step_target(f), retype_step(p, h1, fs), retype_step(p, g2, fs)
+        top = CellTrace(
+            p.path_at(after_f, [e1, retype_step(p, e2, e1)]),
+            (Move(0, exchange_instance(p, after_f, e1, e2)),),
+            p,
+        )
+        fg = [retype_step(p, retype_step(p, fs, g2), g1)]
+        return top, p.path_at(p.path_target(p.path_at(w, sides[1])), fg)
     residuals = []
     for h1, h2 in sides:
         tile = res.step_pair(position(f), h1)
@@ -279,32 +308,85 @@ def close_exchange_core(
 
 
 # ---------------------------------------------------------------------------
-# trivially completable coincidences (sampled for the weight checks)
+# trivially completable coincidences (sampled for the weight checks), by shape
+
+# the letters that stand for a shape's gap words (an object name has no space)
+SLOTS = ("<x gap>", "<mid 1>", "<mid 2>", "<y gap>")
 
 
-def trivial_equational_base_samples(
-    p: Presentation,
-) -> list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]]:
+class _Any:
+    """A window letter that agrees with every letter: a gap letter."""
+
+    def __eq__(self, other) -> bool:
+        return True
+
+
+@dataclass(eq=False)
+class BaseShape:
+    """Sampled coincidences of one vertical step with one equational-sided
+    base that close alike: ``f`` and ``base`` on one word, which has a
+    ``SLOTS`` letter for each gap word when ``marked``, else is the core of
+    every sample.  A member ``(family, (gen, d), a, b, nx, ny, mids, xs,
+    ys)`` is one placement of the step, at ``d`` on its base's window, with
+    the middle words ``(index, mid)`` and the contexts ``(index, context,
+    core part)`` it fits.  A sample's gap words are its core part of x past
+    ``nx`` letters, its middle before ``a`` and from ``b``, and its core
+    part of y but its last ``ny`` letters."""
+
+    f: RewriteStep
+    base: RelationInstance
+    marked: bool
+    members: list = field(default_factory=list)
+
+    def samples(self):
+        """``(sample order, x, y, gap words)`` of each sample."""
+        for family, gd, a, b, nx, ny, mids, xs, ys in self.members:
+            for mi, mid in mids:
+                for xi, cx, in_x in xs:
+                    for yi, cy, in_y in ys:
+                        gaps = (in_x[nx:], mid[:a], mid[b:], in_y[: len(in_y) - ny])
+                        yield (*family, mi, xi, yi, *gd), cx, cy, gaps
+
+
+class BaseSamples:
+    """The sampled coincidences, by shape in ``shapes``; ``len`` counts the samples."""
+
+    def __init__(self) -> None:
+        self.shapes: dict[tuple, BaseShape] = {}
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def trivial_equational_base_samples(p: Presentation) -> BaseSamples:
     """Sampled (vertical step, equational-sided base) coincidences of the
     trivially completable shape: the vertical does not touch both exchanged
     factors (for exchange bases) or is disjoint/nested (for named bases).
     Contexts and exchange middles range over the words up to length 2.
 
-    The sample x·(f | inst)·y comes as ``(core, x, y)`` with ``core = (f,
-    inst)``, where ``x`` and ``y`` are the context the step and the base
-    share; equal cores are one object.  Presentations that fail the strip
-    condition of ``coherence.CheckContext`` keep ``x`` and ``y`` empty.
-    Samples come by base (exchanges by e1, e2 and mid, then the named
-    relations), then by x, by y and in ``steps_on`` order.
+    The sample x·(f | inst)·y has the core ``(f, inst)``, where ``x`` and
+    ``y`` are the context the step and the base share; presentations that
+    fail the strip condition of ``coherence.CheckContext`` keep ``x`` and
+    ``y`` empty.  Samples come by base (exchanges by e1, e2 and mid, then
+    the named relations), then by x, by y and in ``steps_on`` order, the
+    order ``BaseShape.samples`` gives.  No whiskered word is scanned: a
+    step at offset ``d`` from the window reaches ``max(0, -d)`` letters into
+    x and ``max(0, d + k - n)`` into y (``k`` its source's length, ``n`` the
+    window's), and it applies when its letters match on the window and on
+    each context.  An exchange window is placed against once per middle
+    length, its middle matching any letters, and each placement keeps the
+    middles it fits.
 
-    No whiskered word is scanned.  A step at offset ``d`` from the window
-    reaches ``max(0, -d)`` letters into x and ``max(0, d + k - n)`` into y
-    (``k`` its source's length, ``n`` the window's), and it applies to
-    x·window·y when its letters match on the window and on each context.
-    The placements are listed once per base in generator order, then by
-    ``d``: ``steps_on`` order on every x·window·y.  Each x and each y marks
-    the placements it fits, and the samples of (x, y) are those both fit."""
-    out: list[tuple[tuple[RewriteStep, RelationInstance], Word, Word]] = []
+    Cores differ in gap words: the letters of the middle the step does not
+    cover, and those of x or y between the base and a step beside it.  When
+    the strip condition holds and every generator has letters, an exchange
+    core is keyed by its shape, the core with a slot letter per gap word.
+    Its step is anchored at e2 when it ends past the middle, else at e1, so
+    the shape is fixed by the step's offset from its anchor: a gap between
+    them has one length, the middle's far side any.  A named base, whose
+    cores a search closes, has one shape per core."""
+    out = BaseSamples()
     if p.mode != "monoidal":
         return out
     strip = all(
@@ -312,74 +394,94 @@ def trivial_equational_base_samples(
         for r in p.relations
         for side in (r.lhs, r.rhs)
     )
+    shaped = strip and all(g.source for g in p.generators)
     reach = 2
     words = words_upto(p, reach)
+    fits: dict = {}
+    mids_of: dict = {}
 
-    def sample(base: RelationInstance, window: Word, critical) -> None:
-        # skip a step whose interval relative to the window ``critical``
-        # flags, and a side's whiskered first step: its gen at its offset
-        n, heads = len(window), _side_heads(p, base)
-        # placements matching on the window: (gen, d, how far it reaches
-        # into x and its source's letters there, the same for y)
-        places = []
-        for g in p.generators:
+    def add(f: RewriteStep, base: RelationInstance, marked: bool, member: tuple) -> None:
+        shape = out.shapes.get((f, base))
+        if shape is None:
+            shape = out.shapes[f, base] = BaseShape(f, base, marked)
+        shape.members.append(member)
+        out.count += len(member[-3]) * len(member[-2]) * len(member[-1])
+
+    def contexts(n: int, s: Word, right: bool) -> tuple[dict, list]:
+        """The context words whose ``n`` letters next to the base start (for
+        y: end) with ``s``, as ``(index, context, core part)``: by core part,
+        and all of them."""
+        if (n, s, right) not in fits:
+            by_part: dict = {}
+            for i, w in enumerate(words):
+                cut = n if right else len(w) - n
+                part, ctx = (w[:cut], w[cut:]) if right else (w[cut:], w[:cut])
+                if len(w) < n or (part[len(part) - len(s) :] if right else part[: len(s)]) != s:
+                    continue
+                if not strip:
+                    part, ctx = w, ()
+                by_part.setdefault(part, []).append((i, ctx, part))
+            fits[n, s, right] = by_part, sum(by_part.values(), [])
+        return fits[n, s, right]
+
+    def sample(family, base: RelationInstance, window: Word, m0: int, m: int) -> None:
+        # the middle is window[m0 : m0 + m], of any letters (empty for a named
+        # base); skip a critical step, and a side's whiskered first step
+        n, exch = len(window), base.exch
+        heads = {(exch[0], 0), (exch[2], m0 + m)} if exch else _side_heads(p, base)
+        for gi, g in enumerate(p.generators):
             src, k = g.source, len(g.source)
             for d in _placements(window, src, reach):
-                if (g.name, d) in heads or critical(d, d + k):
+                if (g.name, d) in heads or (
+                    min(d + k, m0) > max(d, 0) and min(d + k, n) > max(d, m0 + m)
+                    if exch
+                    else _proper_overlap(d, d + k, 0, n)
+                ):
                     continue
                 lx, ly = max(0, -d), max(0, d + k - n)
-                places.append((g.name, d, lx, src[: min(k, lx)], ly, src[k - min(k, ly) :]))
-        # per context word and placement: (the word's part inside the core,
-        # the part left as context) if the placement fits it, else None
-        fit_x = {
-            x: [
-                ((x[len(x) - lx :], x[: len(x) - lx]) if strip else (x, ()))
-                if len(x) >= lx and x[len(x) - lx :][: len(sx)] == sx else None
-                for _, _, lx, sx, _, _ in places
-            ]
-            for x in words
-        }
-        fit_y = {
-            y: [
-                ((y[:ly], y[ly:]) if strip else (y, ()))
-                if len(y) >= ly and y[ly - len(sy) : ly] == sy else None
-                for *_, ly, sy in places
-            ]
-            for y in words
-        }
-        cores: dict = {}
-        for x in words:
-            fx = [(i, part) for i, part in enumerate(fit_x[x]) if part]
-            for y in words:
-                fy = fit_y[y]
-                for i, (in_x, ctx_x) in fx:
-                    if fy[i] is None:
-                        continue
-                    in_y, ctx_y = fy[i]
-                    key = (i, in_x, in_y)
-                    core = cores.get(key)
-                    if core is None:
-                        gen, d = places[i][:2]
-                        f = p.step_at(in_x + window + in_y, (len(in_x) + d, gen))
-                        core = cores[key] = (f, replace(base, left=in_x, right=in_y))
-                    out.append((core, ctx_x, ctx_y))
+                sx, sy = src[: min(k, lx)], src[k - min(k, ly) :]
+                (xs, x_all), (ys, y_all) = contexts(lx, sx, False), contexts(ly, sy, True)
+                # the step covers the middle from a to b, or sits before it
+                # (anchored at e1) or after it (at e2)
+                lo, hi, on_e2 = max(d, m0), min(d + k, m0 + m), d + k > m0 + m
+                a, b = (lo - m0, hi - m0) if lo < hi else (m, m) if on_e2 else (0, 0)
+                cover = src[m0 + a - d : m0 + b - d] if a < b else ()
+                if (m, a, cover) not in mids_of:
+                    mids_of[m, a, cover] = [
+                        (i, w) for i, w in enumerate(words) if len(w) == m and w[a:b] == cover
+                    ]
+                mids = mids_of[m, a, cover]
+                if exch and shaped:
+                    one = on_e2 or a > 0  # the middle has letters before the step's
+                    mid = (SLOTS[1],) * one + cover + (SLOTS[2],) * (not on_e2)
+                    in_x, in_y = sx + (SLOTS[0],) * (lx > k), (SLOTS[3],) * (ly > k) + sy
+                    # the step's offset: in x, in e1, in the middle, in e2 or in y
+                    at = (
+                        max(0, d) if d < m0
+                        else m0 + one if d < m0 + m
+                        else m0 + len(mid) + min(d, n) - m0 - m + (d > n)
+                    )
+                    f = p.step_at(in_x + window[:m0] + mid + window[m0 + m :] + in_y, (at, g.name))
+                    member = (family, (gi, d), a, b, len(sx), len(sy), mids, x_all, y_all)
+                    add(f, RelationInstance(in_x, in_y, True, exch=(exch[0], mid, exch[2])), True, member)
+                    continue
+                for mi, mid in mids:
+                    inst = replace(base, exch=(exch[0], mid, exch[2])) if exch else base
+                    core = window[:m0] + mid + window[m0 + m :]
+                    for in_x, xv in xs.items():
+                        for in_y, yv in ys.items():
+                            f = p.step_at(in_x + core + in_y, (len(in_x) + d, g.name))
+                            member = (family, (gi, d), 0, 0, 0, 0, [(mi, mid)], xv, yv)
+                            add(f, replace(inst, left=in_x, right=in_y), False, member)
 
     eq_gens = [g for g in p.generators if g.equational]
-    for e1 in eq_gens:
-        for e2 in eq_gens:
-            for mid in words:
-                c1 = (0, len(e1.source))
-                c2 = (c1[1] + len(mid), c1[1] + len(mid) + len(e2.source))
-                sample(
-                    RelationInstance((), (), True, exch=(e1.name, mid, e2.name)),
-                    e1.source + mid + e2.source,
-                    lambda a, b: min(b, c1[1]) > max(a, c1[0]) and min(b, c2[1]) > max(a, c2[0]),
-                )
-    for rel in p.relations:
+    for i1, e1 in enumerate(eq_gens):
+        for i2, e2 in enumerate(eq_gens):
+            for m in range(reach + 1):
+                base = RelationInstance((), (), True, exch=(e1.name, (), e2.name))
+                sample((i1, i2), base, e1.source + (_Any(),) * m + e2.source, len(e1.source), m)
+    for i, rel in enumerate(p.relations):
         if p.is_equational_path(rel.lhs) and p.is_equational_path(rel.rhs):
-            sample(
-                RelationInstance((), (), True, name=rel.name),
-                rel.lhs.source,
-                lambda a, b: _proper_overlap(a, b, 0, len(rel.lhs.source)),
-            )
+            base = RelationInstance((), (), True, name=rel.name)
+            sample((len(eq_gens), i), base, rel.lhs.source, 0, 0)
     return out

@@ -150,13 +150,14 @@ def derive_residual_table(p: Presentation) -> ResidualTable:
             entry = TableEntry(f[0], g[0], f[1:], g[1:], rel.name, lhs_is_first)
             key = tile_key(f[0], g[0])
             prev = table.entries.get(key)
+            tails = (entry.second_after_first, entry.first_after_second)
             if prev is None:
                 table.entries[key] = entry
                 found = True
-            elif (
-                prev.second_after_first == entry.second_after_first
-                and prev.first_after_second == entry.first_after_second
-                and {prev.first, prev.second} == {entry.first, entry.second}
+            # an equal key holds the same two heads, in swapped roles when
+            # both are equational and a relation registered them the other way
+            elif (prev.second_after_first, prev.first_after_second) == (
+                tails if prev.first == entry.first else tails[::-1]
             ):
                 found = True
                 if prev.relation != rel.name:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,30 @@ def ds2op_table(ds2op):
 @pytest.fixture(scope="session")
 def huet_table(huet):
     return derive_residual_table(huet)
+
+
+def ds_presentation(n: int) -> str:
+    """The text of ds_n: n commuting copies of the surjection PRO on the
+    letters a, b, ..., glued by the sort rules ``gij : xj xi -> xi xj`` (i <
+    j), with ds2's relations for each letter and pair and the braid relation
+    ``ybijk`` of each three letters (the critical branching of three sort
+    rules).  ds_2 is corpus ds2 without its weights, renamed."""
+    xs = "abcdefghij"[:n]
+    lines = ["mode monoidal", "objects " + " ".join(xs)]
+    lines += [f"gen m{i} : {x} {x} -> {x}" for i, x in enumerate(xs)]
+    lines += [f"eqgen g{i}{j} : {xs[j]} {xs[i]} -> {xs[i]} {xs[j]}" for i, j in combinations(range(n), 2)]
+    lines += [f"rel alpha{i} : [m{i}]{x} ; [m{i}] => {x}[m{i}] ; [m{i}]" for i, x in enumerate(xs)]
+    for i, j in combinations(range(n), 2):
+        a, b, g = xs[i], xs[j], f"g{i}{j}"
+        lines.append(f"rel gamma{i}{j} : {b}[m{i}] ; [{g}] => [{g}]{a} ; {a}[{g}] ; [m{i}]{b}")
+        lines.append(f"rel delta{i}{j} : [m{j}]{a} ; [{g}] => {b}[{g}] ; [{g}]{b} ; {a}[m{j}]")
+    for i, j, k in combinations(range(n), 3):
+        a, b, c = xs[i], xs[j], xs[k]
+        lines.append(
+            f"rel yb{i}{j}{k} : [g{j}{k}]{a} ; {b}[g{i}{k}] ; [g{i}{j}]{c}"
+            f" => {c}[g{i}{j}] ; [g{i}{k}]{b} ; {a}[g{j}{k}]"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # ``r`` is declared in left context a, which its head steps a[e] and a[h]

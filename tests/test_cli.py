@@ -15,9 +15,10 @@ from cohpres.core import parse_path, parse_presentation
 from cohpres.oracle import OracleFailure, oracle_residual_pair
 from cohpres.residuation import derive_residual_table
 
-from conftest import CONTEXT_BOUND
+from conftest import CONTEXT_BOUND, ds_presentation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -476,6 +477,25 @@ def test_noncofinal_base_core_has_no_top(capsys, tmp_path):
     assert (x, y, top) == ((), (), None)
     v = critical.check_cylinder(f, inst, ctx.residuator, 8, 20_000)
     assert v.notes == "side residuals are not cofinal"
+
+
+def test_ds3_a1_passes(capsys):
+    # yb012 registers one tile in both roles; A1 used to fail on
+    # "conflicting tiles for pair (c[g01], [g12]a): 'yb012' vs 'yb012'"
+    path = DATA / "ds3.cp"
+    text = path.read_text(encoding="utf-8")
+    assert text.split("\n", 1)[1] == ds_presentation(3)
+    code, out = run(capsys, "check", path, "--assumption", "a1", "--no-opposite")
+    assert (code, out) == (0, "a1: PASS  (7 critical pairs resolved; terminating)\n")
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 7), (4, 16), (5, 30)])
+def test_ds_critical_pairs_resolve(n, count):
+    p = parse_presentation(ds_presentation(n))
+    table = derive_residual_table(p)
+    pairs = critical.enumerate_critical_pairs(p, table)
+    assert len(pairs) == count and all(c.resolved for c in pairs)
+    assert table.conflicts == []
 
 
 def test_a4_without_weights_is_inconclusive_on_sampled_bases(capsys, tmp_path):

@@ -42,9 +42,11 @@ from cohpres.objects import steps_on, words_upto
 from cohpres.oracle import search_trace
 from cohpres.residuation import ResiduationError, Residuator
 
-from conftest import side_paths
+from conftest import ds_presentation, side_paths
+from test_cli import NONCOFINAL
 
 CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
+DATA = FsPath(__file__).resolve().parent / "data"
 
 
 def test_eval_weight_examples(ds2):
@@ -251,10 +253,11 @@ def test_pointwise_order():
     assert not weight_less(spec, (1, 1), (1, 1))
 
 
-def _whiskered_samples(p):
+def _whiskered_samples(p, exch_pairs=None):
     """The sampled (step, base) coincidences, each built whiskered, in the
     sample order of ``trivial_equational_base_samples``: an independent
-    reference for its core-first enumeration."""
+    reference for its shape-first enumeration.  ``exch_pairs``, when given,
+    keeps only the exchange bases of those (e1, e2) names."""
     out = []
     if p.mode != "monoidal":
         return out
@@ -262,6 +265,8 @@ def _whiskered_samples(p):
     eq_gens = [g for g in p.generators if g.equational]
     for e1 in eq_gens:
         for e2 in eq_gens:
+            if exch_pairs is not None and (e1.name, e2.name) not in exch_pairs:
+                continue
             for mid in words:
                 span = e1.source + mid + e2.source
                 i1 = (0, len(e1.source))
@@ -302,11 +307,11 @@ def _whiskered_samples(p):
     return out
 
 
-def _per_sample_base_records(p, table):
+def _per_sample_base_records(p, table, exch_pairs=None):
     """The sampled base records computed directly on every whiskered sample."""
     res = Residuator(p, table)
     records = []
-    for f, inst in _whiskered_samples(p):
+    for f, inst in _whiskered_samples(p, exch_pairs):
         lhs, rhs = side_paths(p, inst)
         fpath = Path(lhs.source, (f,))
         try:
@@ -317,15 +322,17 @@ def _per_sample_base_records(p, table):
             continue
         if l_res == r_res:
             top = trace_from_moves(p, l_res, ())
+        elif p.path_target(l_res) != p.path_target(r_res):
+            top = None  # not cofinal
         else:
             top = search_trace(p, l_res, r_res, max_cells=8, budget=20_000)
         records.append((f, inst, top, fg))
     return records
 
 
-def _whiskered_records(ctx):
-    """The context's core-first base records, each whiskered back into the
-    record of its sample."""
+def _whiskered_records(ctx, records=None):
+    """The context's base records (or ``records``), each whiskered back into
+    the record of its sample."""
     p = ctx.p
 
     def whisker(x, item, y):
@@ -335,7 +342,7 @@ def _whiskered_records(ctx):
         return Path(x + q.source + y, tuple(whisker(x, s, y) for s in q.steps))
 
     out = []
-    for f, inst, x, y, top, fg in ctx.base_records:
+    for f, inst, x, y, top, fg in ctx.base_records if records is None else records:
         if top is not None:
             moves = [Move(m.at, whisker(x, m.inst, y)) for m in top.moves]
             top = trace_from_moves(p, path(x, top.source, y), moves)
@@ -398,6 +405,90 @@ def test_context_base_records_strip_named_bases():
     assert _whiskered_records(ctx) == _per_sample_base_records(p, ctx.table)
     assert any(inst.name and (x or y) for _, inst, x, y, _, _ in ctx.base_records)
     assert any(top is None for *_, top, _ in ctx.base_records)
+
+
+def test_context_base_records_keep_noncofinal_cores():
+    # named-base cores with no top, next to exchange shapes
+    p = parse_presentation(NONCOFINAL)
+    ctx = CheckContext(p)
+    assert _whiskered_records(ctx) == _per_sample_base_records(p, ctx.table)
+    assert len(ctx.base_records) == 1148
+
+
+def test_context_base_records_expand_shapes_on_ds3():
+    # ds3's exchange bases of g12 then g01, and its named base yb012 (whose
+    # two sides are equational): the records expanded from the shapes'
+    # closings are the samples' own, in sample order
+    p = parse_presentation((DATA / "ds3.cp").read_text(encoding="utf-8"))
+    ctx = CheckContext(p)
+    pairs = {("g12", "g01")}
+    shapes = [s for s in ctx.base_samples.shapes.values() if s.base.name or s.base.exch[::2] in pairs]
+    assert _whiskered_records(ctx, ctx.records(shapes)) == _per_sample_base_records(p, ctx.table, pairs)
+    assert {s.marked for s in shapes} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "n, samples, shapes, closed",
+    [(2, 1029, 13, 13), (3, 59982, 222, 210), (4, 1007160, 1400, 1320)],
+)
+def test_ds_shapes_close_once(monkeypatch, tmp_path, n, samples, shapes, closed):
+    # A3' closes each exchange shape of ds_n once, by naturality, and
+    # expands no core: every top is exchange cells (ds_n fails A3' on its
+    # critical cylinders, so the check exits 1)
+    contexts, closings, expanded = [], [], []
+    real_context, real_close = coherence.CheckContext, coherence.close_exchange_core
+    real_records = real_context.records
+
+    def context(*args, **kwargs):
+        contexts.append(real_context(*args, **kwargs))
+        return contexts[-1]
+
+    def close(*args):
+        closings.append(args[:2])
+        return real_close(*args)
+
+    def records(ctx, chosen):
+        out = real_records(ctx, chosen)
+        expanded.extend(out)
+        return out
+
+    monkeypatch.setattr(coherence, "close_exchange_core", close)
+    monkeypatch.setattr(coherence, "CheckContext", context)
+    monkeypatch.setattr(real_context, "records", records)
+    path = tmp_path / f"ds{n}.cp"
+    path.write_text(ds_presentation(n), encoding="utf-8")
+    assert main(["check", str(path), "--assumption", "a3x", "--no-opposite"]) == 1
+    (ctx,) = contexts
+    assert (len(ctx.base_samples), len(ctx.base_samples.shapes)) == (samples, shapes)
+    assert len(closings) == len(set(closings)) == closed
+    assert expanded == []
+
+
+def test_a3x_names_each_sampled_exchange_residual_without_top():
+    # ASSOC's exchange cores of [m] whose overlap has no tile have no top
+    # (its A1 fails, so A3' is called directly): A3' names every sample of
+    # them in sample order, as a loop over all records does
+    p = parse_presentation(ASSOC)
+    ctx = CheckContext(p)
+    lines = [
+        f"sampled exchange residual after {p.fmt_step(replace(f, left=x + f.left, right=f.right + y))} "
+        "not reconstructed"
+        for f, inst, x, y, top, _ in ctx.base_records
+        if inst.exch is not None and top is None
+    ]
+    v = check_a3(ctx, "up_to_exchange")
+    assert v.status == "fail" and len(lines) == 294
+    assert v.witnesses[-len(lines) :] == lines
+
+
+def test_close_exchange_core_stops_where_an_empty_vertical_meets_a_factor():
+    # [h] has no letters: past [f], the vertical [h]ba lands on the spot of
+    # the base's second factor [h], where the zig-zag stops, so naturality
+    # does not close the core, although [h]ba misses both factors
+    p = parse_presentation("mode monoidal\nobjects a b\neqgen f : ba -> 0\neqgen h : 0 -> ba\n")
+    base = RelationInstance((), (), True, exch=("f", (), "h"))
+    f = RewriteStep((), "h", ("b", "a"))
+    assert close_exchange_core(f, base, CheckContext(p).residuator) is None
 
 
 def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):

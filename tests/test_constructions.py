@@ -307,8 +307,10 @@ def test_left_fractions_empty_sigma(deltas):
 
 
 def test_left_fractions_huet_condition4_sampled(huet, huet_table):
+    # huet has no parallel pair under an equational path at this bound, and
+    # the note says so rather than claiming co-equalizers were found
     out = check_left_fractions(huet, huet_table, bound=3, coherent=False)
-    assert out["condition4"].startswith("pass")
+    assert out["condition4"] == "pass (no parallel pair sampled)"
     assert out["overall"] == "pass"
 
 
@@ -327,9 +329,10 @@ def test_left_fractions_condition4_searches_for_coequalizers(monkeypatch, ds2op,
         "condition1": "pass (equational morphisms compose)",
         "condition2": "pass (identities are equational)",
         "condition3": "pass (residuation closes sampled squares)",
-        "condition4": "pass (sampled co-equalizing morphisms found)",
+        "condition4": "pass (co-equalizing morphisms found for 3 sampled parallel pairs)",
         "overall": "pass",
     }
+    # per pair, one search that u;f1 and u;f2 are equal and one for its v
     assert len(calls) == 6
 
 

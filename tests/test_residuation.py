@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -22,10 +23,12 @@ from cohpres.core import (
     check_trace,
     compose,
     parse_path,
+    parse_presentation,
     position,
     tensor_ctx,
     trace_from_moves,
 )
+from cohpres.critical import enumerate_critical_pairs
 from cohpres.objects import normalize, steps_on
 from cohpres.oracle import oracle_residual_pair
 from cohpres.residuation import (
@@ -35,7 +38,15 @@ from cohpres.residuation import (
     tile_key,
 )
 
-from conftest import all_words, load, paths_from, side_paths, tile_paths
+from conftest import (
+    all_words,
+    ds_presentation,
+    load,
+    paths_from,
+    random_presentation,
+    side_paths,
+    tile_paths,
+)
 
 
 def entry_for(table, p, f_text, g_text):
@@ -67,6 +78,45 @@ def test_alpha_not_a_tile_no_diagnostic(ds2, ds2_table):
 
 def test_huet_table(huet, huet_table):
     assert len(huet_table.entries) == 2
+
+
+def test_tile_with_two_equational_heads_agrees_with_itself():
+    # yb012's two heads are both equational, so it registers its tile in
+    # both roles; the second registration holds the first's tails swapped
+    p = parse_presentation(ds_presentation(3))
+    table = derive_residual_table(p)
+    assert (table.conflicts, table.diagnostics) == ([], [])
+    (entry,) = [e for e in table.entries.values() if e.relation == "yb012"]
+    assert all(p.gen_map[gen].equational for _, gen in (entry.first, entry.second))
+
+
+def test_no_relation_conflicts_with_itself():
+    # over the seeded random presentations no conflict names one relation
+    # twice; the 97th and the 162nd used to report 'r1' vs 'r1' and 'r0'
+    # vs 'r0', and now derive their tiles without a conflict
+    rng = random.Random(11)
+    for i in range(600):
+        p = random_presentation(rng, "path" if i % 3 == 0 else "monoidal")
+        table = derive_residual_table(p)
+        for msg in table.conflicts:
+            first, second = re.search(r"'(\w+)' vs '(\w+)'", msg).groups()
+            assert first != second, (i, msg)
+        if i in (96, 161):
+            assert table.conflicts == [] and table.entries, i
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ds_critical_pairs_match_oracle(n):
+    # engine against oracle residuals, both ways, on every critical pair of ds_n
+    p = parse_presentation(ds_presentation(n))
+    table = derive_residual_table(p)
+    res = Residuator(p, table)
+    pairs = enumerate_critical_pairs(p, table)
+    assert len(pairs) == {3: 7, 4: 16}[n]
+    for cp in pairs:
+        f, g = Path(cp.word, (cp.f,)), Path(cp.word, (cp.g,))
+        assert res.pair(g, f) == oracle_residual_pair(g, f, p)
+        assert res.pair(f, g) == oracle_residual_pair(f, g, p)
 
 
 def test_step_residual_cases(ds2, ds2_table):
