@@ -5,15 +5,21 @@ exchange canonical forms decide commutation equivalence, a bidirectional
 search decides 2-cell equality within a budget, hom-sets are enumerated in
 one walk per source and partitioned by congruence closure, and a tile-search
 oracle recomputes residuals straight from the declared relations.  Rewrites
-find relation sides as windows of generators.  The step and exchange
-geometry is this module's own, not borrowed from ``residuation``; the walks
-``Presentation.path_words`` and ``objects.paths_from`` are plumbing.
-Searches record their rewrites as moves and build an answer's trace once.
+and exchanges work on positions: a path is matched as its flat key of
+``(offset, gen)`` steps with the word after each step, and relation sides
+are found as windows of such steps.  Hom-sets are walked and partitioned on
+these keys; ``HomClasses.classes`` builds ``Path``s only when read.  The
+step and exchange geometry is this module's own, not borrowed from
+``residuation``; ``Presentation.path_words`` and ``objects.steps_on`` are
+plumbing.  Searches record their rewrites as moves and build an answer's
+trace once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .core import (
@@ -27,10 +33,11 @@ from .core import (
     Word,
     compose,
     invert_instance,
+    position,
     tensor_ctx,
     trace_from_moves,
 )
-from .objects import paths_from, steps_on, words_upto
+from .objects import steps_on, words_upto
 
 
 class ExplosionError(CohpresError):
@@ -56,49 +63,31 @@ def _intervals_independent(a1: int, b1: int, a2: int, b2: int) -> bool:
     return b1 <= a2 or b2 <= a1
 
 
-def _consecutive_independent(p: Presentation, s: RewriteStep, t: RewriteStep) -> bool:
-    """Whether the later step t commutes with s (disjoint active areas)."""
-    a_s, _ = _interval(p, s)
-    img_end = a_s + len(p.gen(s.gen).target)
-    at, bt = _interval(p, t)
-    return _intervals_independent(at, bt, a_s, img_end)
-
-
 def _rest(path: Path, p: Presentation) -> Path:
     """``path`` without its first step."""
     return Path(p.step_target(path.steps[0]), path.steps[1:])
 
 
-def _back_offset(p: Presentation, s: RewriteStep, t: RewriteStep) -> int:
-    """Where the later step t of s;t starts on the source word of s."""
-    a_s = len(s.left)
-    at, kt = len(t.left), len(p.gen(t.gen).source)
-    if at + kt <= a_s or (at <= a_s and kt == 0):
-        return at
-    return at + len(p.gen(s.gen).source) - len(p.gen(s.gen).target)
+def _exchange(p: Presentation, a_s: int, gs: str, at: int, gt: str):
+    """Consecutive steps s;t, given as ``(offset, gen)``, swapped into t';s'
+    as ``(at', a_s', left)``, or None when their active areas meet; ``left``
+    when t' is left of s, which at a gap only t's own interval tells."""
+    s, t = p.gen(gs), p.gen(gt)
+    kt = len(t.source)
+    if not _intervals_independent(at, at + kt, a_s, a_s + len(s.target)):
+        return None
+    if at + kt <= a_s:
+        return at, a_s + len(t.target) - kt, True
+    return at + len(s.source) - len(s.target), a_s, False
 
 
-def _swap_consecutive(
-    p: Presentation, s: RewriteStep, t: RewriteStep
-) -> tuple[RewriteStep, RewriteStep, RelationInstance]:
-    """Swap independent consecutive steps s;t into t';s' plus the exchange
-    cell from s;t to t';s'."""
-    w = p.step_source(s)
-    a_s, b_s = _interval(p, s)
-    at = _back_offset(p, s, t)
-    bt = at + len(p.gen(t.gen).source)
-    t_back = RewriteStep(w[:at], t.gen, w[bt:])
-    w2 = p.step_target(t_back)
-    # t' is left of s when t was: the exchange of (t', s), backwards; at a
-    # gap, where t' and s start together, only t's own interval tells
-    if len(t.left) + len(p.gen(t.gen).source) <= a_s:
-        shift = len(w2) - len(w)
-        inst = RelationInstance(w[:at], w[b_s:], False, exch=(t.gen, w[bt:a_s], s.gen))
-    else:
-        shift = 0
-        inst = RelationInstance(w[:a_s], w[bt:], True, exch=(s.gen, w[b_s:at], t.gen))
-    s_after = RewriteStep(w2[: a_s + shift], s.gen, w2[b_s + shift :])
-    return t_back, s_after, inst
+def _exchange_instance(p: Presentation, w: Word, a_s: int, gs: str, at: int, gt: str, left: bool):
+    """The cell from s;t to t';s' (see ``_exchange``) on the source word
+    ``w`` of s: when t' is left of s, the exchange of (t', s) backwards."""
+    b_s, bt = a_s + len(p.gen(gs).source), at + len(p.gen(gt).source)
+    if left:
+        return RelationInstance(w[:at], w[b_s:], False, exch=(gt, w[bt:a_s], gs))
+    return RelationInstance(w[:a_s], w[bt:], True, exch=(gs, w[b_s:at], gt))
 
 
 def exchange_canonical(path: Path, p: Presentation) -> Path:
@@ -115,93 +104,111 @@ def canonical_with_trace(path: Path, p: Presentation) -> tuple[Path, tuple[Move,
     """The exchange-canonical form and the exchange moves leading to it."""
     if p.mode == "path":
         return path, ()
-    steps = list(path.steps)
-    moves: list[Move] = []
+    steps, moves = list(path.steps), []
     changed = True
     while changed:
         changed = False
         for i in range(len(steps) - 1):
-            s, t = steps[i], steps[i + 1]
-            if not _consecutive_independent(p, s, t) or _back_offset(p, s, t) >= len(s.left):
+            (a_s, gs), (at, gt) = position(steps[i]), position(steps[i + 1])
+            swap = _exchange(p, a_s, gs, at, gt)
+            if swap is None or swap[0] >= a_s:
                 continue
-            t_back, s_after, inst = _swap_consecutive(p, s, t)
-            moves.append(Move(i, inst))
-            steps[i], steps[i + 1] = t_back, s_after
+            w, (at, a_s2, left) = p.step_source(steps[i]), swap
+            moves.append(Move(i, _exchange_instance(p, w, a_s, gs, at, gt, left)))
+            steps[i : i + 2] = p.path_at(w, ((at, gt), (a_s2, gs))).steps
             changed = True
     return Path(path.source, tuple(steps)), tuple(moves)
 
 
 # ---------------------------------------------------------------------------
-# single-cell rewriting moves
+# single-cell rewriting moves on positions
+#
+# A path is matched as its flat positional key ``(off0, gen0, off1, gen1, ...)``
+# with its words: its source, then the word after each step.
 
 
-def _windows(p: Presentation, path: Path, words: list[Word], bound: int | None = None):
-    """Every relation rewrite of ``path`` as ``(i, k, x, y, fwd, name, rhs)``:
-    the window ``steps[i : i + k]`` is ``x·lhs·y`` and becomes ``x·rhs·y``;
-    by relation, direction, then position, leaving out results of more than
-    ``bound`` steps.  A window is found from its first step by generator;
-    as ``path`` composes (``words`` is its ``path_words``), each later step
-    is checked only by generator and offset."""
-    steps, n = path.steps, len(path.steps)
-    at: dict[str, list[int]] = {}
-    for i, s in enumerate(steps):
-        at.setdefault(s.gen, []).append(i)
-    for rel in p.relations:
-        for fwd, lhs, rhs in ((True, rel.lhs, rel.rhs), (False, rel.rhs, rel.lhs)):
-            side, k = lhs.steps, len(lhs.steps)
-            if bound is not None and n - k + len(rhs.steps) > bound:
+def _flat(steps) -> tuple:
+    return tuple([v for s in steps for v in (len(s.left), s.gen)])
+
+
+@lru_cache(maxsize=4096)
+def _shift(key: tuple, d: int) -> tuple:
+    """A flat positional key with every offset moved right by ``d``."""
+    return tuple([v for off, g in zip(key[::2], key[1::2]) for v in (off + d, g)]) if d else key
+
+
+_SIDES: tuple = (None, {})  # the relations compiled last, and their sides
+
+
+def _compile_sides(p: Presentation) -> dict:
+    """Each relation side as ``(order, fwd, name, source, key, other, rhs)``
+    (its place by relation, then direction; the other side's flat key and
+    path) under the generator of its first step, or None; kept for reuse."""
+    global _SIDES
+    if _SIDES[0] is not p.relations:
+        by_gen: dict[str | None, list] = {}
+        for i, rel in enumerate(p.relations):
+            for fwd, lhs, rhs in ((True, rel.lhs, rel.rhs), (False, rel.rhs, rel.lhs)):
+                key = _flat(lhs.steps)
+                side = (2 * i + (not fwd), fwd, rel.name, lhs.source, key, _flat(rhs.steps), rhs)
+                by_gen.setdefault(key[1] if key else None, []).append(side)
+        _SIDES = p.relations, by_gen
+    return _SIDES[1]
+
+
+def _windows(by_gen: dict, key: tuple, words, bound: float = math.inf):
+    """Every ``(order, j, d, side)`` where ``side`` shifted right by ``d``
+    matches the path from step ``j`` (with no steps: at ``d`` in ``words[j]``)
+    and leaves at most ``bound`` steps; sorted, by relation, direction, place."""
+    room = 2 * bound - len(key)  # how many more key entries a result may have
+    for j in range(len(key) // 2):
+        for side in by_gen.get(key[2 * j + 1], ()):
+            source, lkey, other = side[3:6]
+            d, end = key[2 * j] - lkey[0], 2 * j + len(lkey)
+            if d < 0 or end > len(key) or words[j][d : d + len(source)] != source:
                 continue
-            if k == 0:
-                w0, m = lhs.source, len(lhs.source)
-                for i, w in enumerate(words):
-                    for cut in range(len(w) - m + 1):
-                        if w[cut : cut + m] == w0:
-                            yield i, 0, w[:cut], w[cut + m :], fwd, rel.name, rhs
-                continue
-            l0 = side[0]
-            for i in at.get(l0.gen, ()):
-                if i > n - k:
-                    break
-                s0 = steps[i]
-                dl = len(s0.left) - len(l0.left)  # dl < 0 fails the comparison below
-                if s0.left[dl:] != l0.left or s0.right[: len(l0.right)] != l0.right:
-                    continue
-                for s, l in zip(steps[i + 1 : i + k], side[1:]):
-                    if s.gen != l.gen or len(s.left) - len(l.left) != dl:
-                        break
-                else:
-                    yield i, k, s0.left[:dl], s0.right[len(l0.right) :], fwd, rel.name, rhs
+            if len(other) - len(lkey) <= room and key[2 * j : end] == _shift(lkey, d):
+                yield side[0], j, d, side
+    for side in by_gen.get(None, ()):
+        source, other = side[3], side[5]
+        if len(other) > room:
+            continue
+        for j, w in enumerate(words):
+            for d in range(len(w) - len(source) + 1):
+                if w[d : d + len(source)] == source:
+                    yield side[0], j, d, side
 
 
-def _exchanges(p: Presentation, steps: tuple[RewriteStep, ...]):
-    """Every exchange rewrite ``(i, t', s', inst)`` of a path, by position."""
+def _exchanges(p: Presentation, key: tuple):
+    """Every exchange ``(j, at', a_s', left)`` of the path ``key``, by place."""
     if p.mode == "monoidal":
-        for i in range(len(steps) - 1):
-            if _consecutive_independent(p, steps[i], steps[i + 1]):
-                yield i, *_swap_consecutive(p, steps[i], steps[i + 1])
+        for j in range(0, len(key) - 2, 2):
+            swap = _exchange(p, *key[j : j + 4])
+            if swap is not None:
+                yield (j // 2, *swap)
 
 
 def rewrite_moves(p: Presentation, path: Path) -> list[tuple[Path, Move]]:
     """All single named-relation or exchange rewrites applicable to a path,
     each as the rewritten path and its move: relations in ``_windows``
     order, then exchanges by position."""
-    out: list[tuple[Path, Move]] = []
-    steps = path.steps
-    for i, k, x, y, fwd, name, rhs in _windows(p, path, p.path_words(path)):
-        new = tensor_ctx(p, x, rhs, y).steps
-        inst = RelationInstance(x, y, fwd, name=name)
-        out.append((Path(path.source, steps[:i] + new + steps[i + k :]), Move(i, inst)))
-    for i, t2, s2, inst in _exchanges(p, steps):
-        out.append((Path(path.source, steps[:i] + (t2, s2) + steps[i + 2 :]), Move(i, inst)))
+    by_gen = _compile_sides(p)
+    steps, words = path.steps, p.path_words(path)
+    key, out = _flat(steps), []
+    for _, j, d, (_, fwd, name, source, lkey, _, rhs) in sorted(_windows(by_gen, key, words)):
+        x, y = words[j][:d], words[j][d + len(source) :]
+        new = steps[:j] + tensor_ctx(p, x, rhs, y).steps + steps[j + len(lkey) // 2 :]
+        out.append((Path(path.source, new), Move(j, RelationInstance(x, y, fwd, name=name))))
+    for j, at, a_s2, left in _exchanges(p, key):
+        a_s, gs, _, gt = key[2 * j : 2 * j + 4]
+        swapped = p.path_at(words[j], ((at, gt), (a_s2, gs))).steps
+        inst = _exchange_instance(p, words[j], a_s, gs, at, gt, left)
+        out.append((Path(path.source, steps[:j] + swapped + steps[j + 2 :]), Move(j, inst)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # bounded 2-cell search
-
-
-def _raw_key(path: Path):
-    return (path.source, path.steps)
 
 
 def _splice(p: Presentation, start: Path, moves, back) -> CellTrace:
@@ -249,52 +256,39 @@ def search_trace(
     sides: list[dict] = []
     for origin in (start, goal):
         canon, cmoves = canonical_with_trace(origin, p)
-        sides.append(
-            {
-                "moves": {_raw_key(origin): ()},
-                "canon": {_raw_key(canon): (_raw_key(origin), cmoves)},
-                "frontier": [origin],
-                "depth": 0,
-            }
-        )
+        canon_at = {canon: (origin, cmoves)}
+        sides.append({"moves": {origin: ()}, "canon": canon_at, "frontier": [origin], "depth": 0})
 
-    def stitch(akey, ca, bkey, cb) -> CellTrace:
-        return _splice(p, start, sides[0]["moves"][akey] + ca, sides[1]["moves"][bkey] + cb)
+    def stitch(a, ca, b, cb) -> CellTrace:
+        return _splice(p, start, sides[0]["moves"][a] + ca, sides[1]["moves"][b] + cb)
 
     visited = 2
     while sides[0]["frontier"] or sides[1]["frontier"]:
-        if not sides[0]["frontier"]:
-            si = 1
-        elif not sides[1]["frontier"]:
-            si = 0
-        else:
-            k0 = (sides[0]["depth"], len(sides[0]["frontier"]))
-            k1 = (sides[1]["depth"], len(sides[1]["frontier"]))
-            si = 0 if k0 <= k1 else 1
+        # a side with a frontier: the shallower, then the narrower, then start's
+        rank = [(not s["frontier"], s["depth"], len(s["frontier"])) for s in sides]
+        si = rank.index(min(rank))
         side, other = sides[si], sides[1 - si]
         if side["depth"] + other["depth"] >= max_cells:
             return None
         side["depth"] += 1
         new_frontier: list[Path] = []
         for node in side["frontier"]:
-            base = side["moves"][_raw_key(node)]
+            base = side["moves"][node]
             for new_path, move in rewrite_moves(p, node):
-                key = _raw_key(new_path)
-                if key in side["moves"]:
+                if new_path in side["moves"]:
                     continue
                 visited += 1
                 if visited > budget:
                     return None
-                side["moves"][key] = base + (move,)
+                side["moves"][new_path] = base + (move,)
                 canon, cmoves = canonical_with_trace(new_path, p)
-                ckey = _raw_key(canon)
-                if ckey not in side["canon"]:
-                    side["canon"][ckey] = (key, cmoves)
-                if ckey in other["canon"]:
-                    okey, omoves = other["canon"][ckey]
+                if canon not in side["canon"]:
+                    side["canon"][canon] = (new_path, cmoves)
+                if canon in other["canon"]:
+                    met, moves = other["canon"][canon]
                     if si == 0:
-                        return stitch(key, cmoves, okey, omoves)
-                    return stitch(okey, omoves, key, cmoves)
+                        return stitch(new_path, cmoves, met, moves)
+                    return stitch(met, moves, new_path, cmoves)
                 new_frontier.append(new_path)
         side["frontier"] = new_frontier
     return None
@@ -306,14 +300,27 @@ def search_trace(
 
 @dataclass(frozen=True)
 class HomClasses:
+    """The classes of hom(source, target) at ``bound`` as member keys in walk
+    order; ``classes`` builds them as sorted ``Path``s only when read."""
+
     source: Word
     target: Word
     bound: int
-    classes: tuple[tuple[Path, ...], ...]
+    keys: tuple[tuple[tuple, ...], ...]
+    pres: Presentation = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.keys)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Path, ...], ...]:
+        p = self.pres
+        groups = [[p.path_at(self.source, zip(k[::2], k[1::2])) for k in g] for g in self.keys]
+        return tuple(
+            tuple(sorted(g, key=lambda q: (len(q.steps), p.fmt_path(q))))
+            for g in sorted(groups, key=lambda g: (len(g[0].steps), p.fmt_path(g[0])))
+        )
 
 
 class UnionFind:
@@ -334,51 +341,61 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _classes(p: Presentation, paths: list[Path], bound: int) -> tuple[tuple[Path, ...], ...]:
-    """Parallel ``paths`` partitioned by rewrites, keyed by flat (offset, gen) tuples
-    built from lists, which size them exactly (``tuple(generator)`` over-allocates)."""
-    keys = [tuple([v for s in q.steps for v in (len(s.left), s.gen)]) for q in paths]
-    index = {key: i for i, key in enumerate(keys)}
-    uf = UnionFind(len(paths))
-    for i, (q, key) in enumerate(zip(paths, keys)):
+def _classes(p: Presentation, by_gen: dict, members: list, bound: int) -> tuple:
+    """The parallel ``(key, words)`` paths ``members`` partitioned by single
+    rewrites within ``bound``, as keys, in order of first member."""
+    index = {key: i for i, (key, _) in enumerate(members)}
+    uf = UnionFind(len(members))
+    for i, (key, words) in enumerate(members):
         new_keys = [
-            key[: 2 * j]
-            + tuple([v for s in rhs.steps for v in (len(x) + len(s.left), s.gen)])
-            + key[2 * (j + k) :]
-            for j, k, x, _y, _fwd, _name, rhs in _windows(p, q, p.path_words(q), bound)
+            key[: 2 * j] + _shift(side[5], d) + key[2 * j + len(side[4]) :]
+            for _, j, d, side in _windows(by_gen, key, words, bound)
         ]
         new_keys += [
-            key[: 2 * j] + (len(t.left), t.gen, len(s.left), s.gen) + key[2 * j + 4 :]
-            for j, t, s, _inst in _exchanges(p, q.steps)
+            key[: 2 * j] + (at, key[2 * j + 3], a_s2, key[2 * j + 1]) + key[2 * j + 4 :]
+            for j, at, a_s2, _left in _exchanges(p, key)
         ]
-        for new in new_keys:
-            j = index.get(new)
-            if j is not None:
-                uf.union(i, j)
-    groups: dict[int, list[Path]] = {}
-    for i, q in enumerate(paths):
-        groups.setdefault(uf.find(i), []).append(q)
-    return tuple(
-        tuple(sorted(g, key=lambda q: (len(q.steps), p.fmt_path(q))))
-        for g in sorted(groups.values(), key=lambda g: (len(g[0].steps), p.fmt_path(g[0])))
-    )
+        for j in {index.get(new) for new in new_keys} - {None}:
+            uf.union(i, j)
+    groups: dict[int, list[tuple]] = {}
+    for i, (key, _) in enumerate(members):
+        groups.setdefault(uf.find(i), []).append(key)
+    return tuple(map(tuple, groups.values()))
 
 
 def _hom_partition(
     src: Word, tgts: tuple[Word, ...], p: Presentation, bound: int, guard: int = 200_000
 ) -> dict[Word, HomClasses]:
-    """The hom classes to each of ``tgts`` from one walk; errors name ``tgts[0]``."""
-    by_tgt: dict[Word, list[Path]] = {t: [] for t in tgts}
+    """The hom classes to each of ``tgts`` from one walk; errors name ``tgts[0]``.
+    The walk lists positional paths in ``objects.paths_from`` order."""
+    by_tgt: dict[Word, list] = {t: [] for t in tgts}
     limit = max(guard, 1)  # the empty path is never refused
-    for generated, (q, w) in enumerate(paths_from(p, src, bound), start=1):
-        if generated > limit:
-            raise ExplosionError(
-                f"hom enumeration exceeded {guard} paths for "
-                f"{p.fmt_word(src)} -> {p.fmt_word(tgts[0])}"
-            )
-        if w in by_tgt:
-            by_tgt[w].append(q)
-    return {t: HomClasses(src, t, bound, _classes(p, qs, bound)) for t, qs in by_tgt.items()}
+    level, generated, steps_at = [((), (src,))], 1, {}
+    if src in by_tgt:
+        by_tgt[src].append(level[0])
+    for _ in range(bound):
+        nxt = []
+        for key, words in level:
+            if words[-1] not in steps_at:
+                here = steps_on(words[-1], p)
+                steps_at[words[-1]] = [(position(s), p.step_target(s)) for s in here]
+            for step, t in steps_at[words[-1]]:
+                generated += 1
+                if generated > limit:
+                    raise ExplosionError(
+                        f"hom enumeration exceeded {guard} paths for "
+                        f"{p.fmt_word(src)} -> {p.fmt_word(tgts[0])}"
+                    )
+                item = (key + step, words + (t,))
+                nxt.append(item)
+                if t in by_tgt:
+                    by_tgt[t].append(item)
+        level = nxt
+    by_gen = _compile_sides(p)
+    return {
+        t: HomClasses(src, t, bound, _classes(p, by_gen, qs, bound), p)
+        for t, qs in by_tgt.items()
+    }
 
 
 def enumerate_hom_classes(
@@ -397,15 +414,9 @@ def enumerate_hom_classes(
 
 
 def _monotone_surjections(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
     if n < k:
         return 0
-    count = 0
-    for values in combinations_with_replacement(range(k), n):
-        if len(set(values)) == k:
-            count += 1
-    return count
+    return sum(len(set(values)) == k for values in combinations_with_replacement(range(k), n))
 
 
 def surjection_count(pq: tuple[int, int], rs: tuple[int, int]) -> int:
@@ -424,25 +435,17 @@ class OracleFailure(CohpresError):
 
 def _oracle_tile(p: Presentation, f0: RewriteStep, g0: RewriteStep, word: Word):
     """Find (g0/f0, f0/g0) by scanning relation instances on the word."""
-    af, bf = _interval(p, f0)
-    ag, bg = _interval(p, g0)
+    (af, bf), (ag, bg) = _interval(p, f0), _interval(p, g0)
     if _intervals_independent(af, bf, ag, bg):
-        # recompute the exchange square from scratch on the word
-        tgt_f = p.gen(f0.gen).target
-        tgt_g = p.gen(g0.gen).target
-        if bf <= ag or (af == bf and af <= ag):
-            w_f = word[:af] + tgt_f + word[bf:]
-            g_new = RewriteStep(w_f[: ag + len(tgt_f) - (bf - af)], g0.gen, word[bg:])
-            w_g = word[:ag] + tgt_g + word[bg:]
-            f_new = RewriteStep(word[:af], f0.gen, w_g[bf:])
-        else:
-            w_f = word[:af] + tgt_f + word[bf:]
-            g_new = RewriteStep(word[:ag], g0.gen, w_f[bg:])
-            w_g = word[:ag] + tgt_g + word[bg:]
-            f_new = RewriteStep(w_g[: af + len(tgt_g) - (bg - ag)], f0.gen, word[bf:])
-        return Path(p.step_target(f0), (g_new,)), Path(p.step_target(g0), (f_new,))
-    f_eq = p.is_equational_step(f0)
-    g_eq = p.is_equational_step(g0)
+        # recompute the exchange square from scratch on the word: the step
+        # right of the other moves by how much the other changes the length
+        f_left = bf <= ag or (af == bf and af <= ag)
+        df, dg = len(p.gen(f0.gen).target) - (bf - af), len(p.gen(g0.gen).target) - (bg - ag)
+        return (
+            p.path_at(p.step_target(f0), [(ag + df if f_left else ag, g0.gen)]),
+            p.path_at(p.step_target(g0), [(af if f_left else af + dg, f0.gen)]),
+        )
+    f_eq, g_eq = p.is_equational_step(f0), p.is_equational_step(g0)
     for rel in p.relations:
         for side_a, side_b in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if side_a.source and len(side_a.source) > len(word):
@@ -457,8 +460,7 @@ def _oracle_tile(p: Presentation, f0: RewriteStep, g0: RewriteStep, word: Word):
                 if word[cut : cut + len(side_a.source)] != side_a.source:
                     continue
                 x, y = word[:cut], word[cut + len(side_a.source) :]
-                wa = tensor_ctx(p, x, side_a, y)
-                wb = tensor_ctx(p, x, side_b, y)
+                wa, wb = tensor_ctx(p, x, side_a, y), tensor_ctx(p, x, side_b, y)
                 if wa.steps[0] != f0 or wb.steps[0] != g0:
                     continue
                 rest_a, rest_b = _rest(wa, p), _rest(wb, p)
@@ -500,8 +502,7 @@ def oracle_residual_pair(
         gf1, f1g = oracle_residual_pair(g, f1, p, depth - 1)
         gff, frest_after = oracle_residual_pair(gf1, _rest(f, p), p, depth - 1)
         return gff, compose(p, f1g, frest_after)
-    gf, fg = _oracle_tile(p, f.steps[0], g.steps[0], f.source)
-    return gf, fg
+    return _oracle_tile(p, f.steps[0], g.steps[0], f.source)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +565,7 @@ def compare_constructions(
             nf = nf_counts[v]
             entry = {"src": p.fmt_word(u), "tgt": p.fmt_word(v), "nf_classes": nf}
             if oracle_family == "ds2":
-                pq = (sum(1 for c in u if c == "a"), sum(1 for c in u if c == "b"))
-                rs = (sum(1 for c in v if c == "a"), sum(1 for c in v if c == "b"))
+                pq, rs = (u.count("a"), u.count("b")), (v.count("a"), v.count("b"))
                 expected = surjection_count(pq, rs)
                 entry["surjection_count"] = expected
                 if expected != nf:

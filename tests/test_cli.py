@@ -563,22 +563,36 @@ def test_check_on_growing_rule_runs_in_bounded_memory():
     assert proc.stdout.splitlines()[0] == "a1: FAIL"
 
 
+# Runs ``python ARGV...`` under the limits of ``_limit_child`` and writes
+# its ru_maxrss (KiB) to the file named by the first argument.  A process
+# exec'd straight from pytest would start with pytest's high-water mark, since
+# exec keeps the peak of the memory it replaces; a child forked from this small
+# launcher starts from the launcher's.
+_MEASURED_LAUNCHER = """import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+resource.setrlimit(resource.RLIMIT_CPU, (300, 300))
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as f:
+    f.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def test_nf_on_growing_rule_runs_in_bounded_memory(tmp_path):
     # normalization rewrites a, aa, aaa, ... until its 10,000 steps run out;
     # steps that kept their context words would hold 5 * 10^7 letters in all
-    with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cohpres.cli", "nf", str(GROW), "a"],
-            stdout=out,
-            stderr=err,
-            env=_child_env(),
-            preexec_fn=_limit_child,
-        )
-        # the child's own rusage, not that of every child this process reaped
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        assert (proc.returncode, out.read()) == (2, "")
-        assert err.read() == "error: normalization of a did not finish within 10000 steps\n"
-    assert usage.ru_maxrss <= 60 * 1024  # KiB
+    rss = tmp_path / "maxrss"
+    argv = ["-m", "cohpres.cli", "nf", str(GROW), "a"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED_LAUNCHER, str(rss), *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,  # a safety net; the limit on memory is the assertion
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: normalization of a did not finish within 10000 steps\n"
+    assert int(rss.read_text()) <= 60 * 1024  # KiB

@@ -39,6 +39,11 @@ CASES = {
     "enumerate-ds2op-aab-aab-3": ["enumerate", "ds2op", "aab", "aab", "--max-steps", "3"],
     "enumerate-huet-x-y-4": ["enumerate", "huet", "x", "y", "--max-steps", "4"],
     "enumerate-deltas-aaaa-a-3": ["enumerate", "deltas", "aaaa", "a", "--max-steps", "3"],
+    # a hom-set of the compare benchmark where both relation windows and
+    # exchanges merge paths: 18 classes of 24 paths
+    "enumerate-ds2-aaaaabbbb-aaabb-5": [
+        "enumerate", "ds2", "aaaaabbbb", "aaabb", "--max-steps", "5"
+    ],
     **{f"critical-{n}": ["critical", n] for n in ("ds2", "ds2op", "huet", "deltas")},
     **{f"check-{n}": ["check", n] for n in ("ds2", "ds2op", "huet", "deltas")},
     "check-ds2op-a3x-strong": ["check", "ds2op", "--assumption", "a3x", "--strong"],

@@ -16,15 +16,14 @@ from cohpres.core import (
     check_trace,
     parse_path,
     parse_presentation,
+    position,
     tensor_ctx,
     trace_from_moves,
 )
 from cohpres.objects import steps_on
 from cohpres.oracle import (
     ExplosionError,
-    _consecutive_independent,
     _hom_partition,
-    _swap_consecutive,
     canonical_with_trace,
     compare_constructions,
     enumerate_hom_classes,
@@ -170,6 +169,13 @@ def test_hom_classes_counts(ds2):
     assert h.count == 1 and h.classes[0][0].steps == ()
 
 
+def test_hom_count_builds_no_path(ds2):
+    # compare reads only counts; the classes' paths are built when read
+    h = enumerate_hom_classes(tuple("aaaaabbbb"), tuple("aaabb"), ds2, 5)
+    assert h.count == 18 and "classes" not in vars(h)
+    assert [len(c) for c in h.classes] == [24] * 18 and "classes" in vars(h)
+
+
 def test_hom_classes_monotone_in_bound(ds2):
     prev = 0
     for bound in (1, 2, 3, 4, 5):
@@ -265,7 +271,7 @@ def test_identity_on_empty_word(ds2):
 #
 # The reference slices each candidate sub-path out of the path and compares
 # it with the relation side whiskered by the candidate's contexts; exchanges
-# come from the oracle's own swap, as in ``rewrite_moves``.
+# are read off the words around the two steps (``whisker_exchange``).
 
 
 def slice_rewrite_moves(p, path):
@@ -314,13 +320,34 @@ def slice_rewrite_moves(p, path):
                 out.append((Path(path.source, new_steps), Move(i, inst)))
     if p.mode == "monoidal":
         for i in range(n - 1):
-            s, t = path.steps[i], path.steps[i + 1]
-            if not _consecutive_independent(p, s, t):
-                continue
-            t_back, s_after, inst = _swap_consecutive(p, s, t)
-            new_steps = path.steps[:i] + (t_back, s_after) + path.steps[i + 2 :]
-            out.append((Path(path.source, new_steps), Move(i, inst)))
+            swap = whisker_exchange(p, path.steps[i], path.steps[i + 1])
+            if swap is not None:
+                t_back, s_after, inst = swap
+                new_steps = path.steps[:i] + (t_back, s_after) + path.steps[i + 2 :]
+                out.append((Path(path.source, new_steps), Move(i, inst)))
     return out
+
+
+def whisker_exchange(p, s, t):
+    """The swap of consecutive steps s;t as ``(t', s', cell)``, from words:
+    t acts inside the context left of what s wrote, or inside the context
+    right of it; None when it touches it.  Where both act on no letters at
+    the same gap they do not commute."""
+    (src_s, tgt_s), (src_t, tgt_t) = ((p.gen(g).source, p.gen(g).target) for g in (s.gen, t.gen))
+    a_s, at = len(s.left), len(t.left)
+    if not src_t and not tgt_s and at == a_s:
+        return None
+    if at + len(src_t) <= a_s:  # s.left = t.left + src_t + mid
+        mid = s.left[at + len(src_t) :]
+        t_back = RewriteStep(t.left, t.gen, mid + src_s + s.right)
+        s_after = RewriteStep(t.left + tgt_t + mid, s.gen, s.right)
+        return t_back, s_after, RelationInstance(t.left, s.right, False, exch=(t.gen, mid, s.gen))
+    if at >= a_s + len(tgt_s):  # t.left = s.left + tgt_s + mid
+        mid = t.left[a_s + len(tgt_s) :]
+        t_back = RewriteStep(s.left + src_s + mid, t.gen, t.right)
+        s_after = RewriteStep(s.left, s.gen, mid + tgt_t + t.right)
+        return t_back, s_after, RelationInstance(s.left, t.right, True, exch=(s.gen, mid, t.gen))
+    return None
 
 
 def _presentation(name):
@@ -385,9 +412,11 @@ def test_window_matching_equals_slicing_on_random_paths(name, word, choices):
 # one walk per source
 
 
-def slice_hom_classes(src, tgt, p, bound):
-    """The hom classes with the slicing matcher, keyed on whole step tuples."""
-    paths = [q for q in paths_from(p, src, bound) if p.path_target(q) == tgt]
+def slice_hom_partition(p, paths, moves):
+    """The hom classes of ``paths``, all from one source in walk order, by
+    target: merged along ``moves`` (``slice_rewrite_moves`` of each path, by
+    steps) by a union-find of its own.  Each class keeps walk order, and the
+    classes come in order of their first member."""
     index = {q.steps: i for i, q in enumerate(paths)}
     parent = list(range(len(paths)))
 
@@ -397,15 +426,15 @@ def slice_hom_classes(src, tgt, p, bound):
         return i
 
     for i, q in enumerate(paths):
-        for new_path, _move in slice_rewrite_moves(p, q):
+        for new_path, _move in moves[q.steps]:
             j = index.get(new_path.steps)
             if j is not None:
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(len(paths)):
-        groups.setdefault(find(i), set()).add(paths[i].steps)
-    return {frozenset(g) for g in groups.values()}
+    by_tgt = {}
+    for i, q in enumerate(paths):
+        by_tgt.setdefault(p.path_target(q), {}).setdefault(find(i), []).append(q)
+    return {t: list(groups.values()) for t, groups in by_tgt.items()}
 
 
 def _compare_walks(p, max_word):
@@ -436,12 +465,15 @@ def test_partition_equals_per_target_enumeration(name, max_word, bound):
     for pres, u, tgts in _compare_walks(p, max_word):
         homs = _hom_partition(u, tgts, pres, bound)
         assert list(homs) == list(dict.fromkeys(tgts))
+        paths = paths_from(pres, u, bound)
+        moves = {q.steps: slice_rewrite_moves(pres, q) for q in paths}
+        want = slice_hom_partition(pres, paths, moves)
         for v in tgts:
             h = enumerate_hom_classes(u, v, pres, bound)
             assert homs[v] == h
-            assert {frozenset(q.steps for q in c) for c in h.classes} == slice_hom_classes(
-                u, v, pres, bound
-            )
+            assert {frozenset(q.steps for q in c) for c in h.classes} == {
+                frozenset(q.steps for q in g) for g in want.get(v, ())
+            }
             pairs += 1
     assert pairs >= 16
 
@@ -456,6 +488,51 @@ def test_partition_guard_counts_every_generated_path(ds2):
         enumerate_hom_classes(tuple("aaaaaa"), v, ds2, 3, guard=86) for v in tgts
     ]
     assert homs[tuple("aaa")].count == 10
+
+
+# ---------------------------------------------------------------------------
+# the positional partition against the slicing partition, on more inputs
+
+
+def _differential_cases():
+    for name in PRESENTATIONS:
+        p = _presentation(name)
+        yield name, p, _sources(p, 3), 4
+    rng = random.Random(11)
+    for i in range(150):
+        p = random_presentation(rng, "path" if i % 3 == 0 else "monoidal")
+        yield f"random {i}", p, _sources(p, 2), 2
+
+
+def test_partition_equals_slice_partition():
+    # every target of every source: the classes as keys in walk order, and
+    # as the sorted paths that ``classes`` builds; the partition meets each
+    # window from both of its ends, so a side that the matcher misses in one
+    # direction shows only in ``rewrite_moves``
+    calls = classes = 0
+    for name, p, sources, bound in _differential_cases():
+
+        def order(q):
+            return len(q.steps), p.fmt_path(q)
+
+        for u in sources:
+            paths = paths_from(p, u, bound)
+            moves = {q.steps: slice_rewrite_moves(p, q) for q in paths}
+            for q in paths:
+                assert rewrite_moves(p, q) == moves[q.steps], (name, p.fmt_path(q))
+            want = slice_hom_partition(p, paths, moves)
+            homs = _hom_partition(u, tuple(want), p, bound)
+            assert list(homs) == list(want)
+            for v, groups in want.items():
+                h, where = homs[v], (name, p.fmt_word(u), p.fmt_word(v))
+                flat = [[tuple(x for s in q.steps for x in position(s)) for q in g] for g in groups]
+                assert h.keys == tuple(map(tuple, flat)), where
+                assert h.classes == tuple(
+                    tuple(sorted(g, key=order)) for g in sorted(groups, key=lambda g: order(g[0]))
+                ), where
+                classes += h.count
+            calls += 1
+    assert (calls, classes) == (895, 15202)
 
 
 # ---------------------------------------------------------------------------
