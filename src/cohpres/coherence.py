@@ -26,7 +26,6 @@ from .core import (
     RewriteStep,
     WeightSpec,
     Word,
-    instance_sides,
     trace_from_moves,
 )
 from .critical import (
@@ -37,7 +36,7 @@ from .critical import (
     CriticalPair,
     CylinderVerdict,
     check_cylinder,
-    close_exchange_core,
+    close_coincidence,
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
     trivial_equational_base_samples,
@@ -48,6 +47,7 @@ from .residuation import (
     Residuator,
     TableEntry,
     derive_residual_table,
+    retype_step,
     steps_disjoint,
 )
 
@@ -259,7 +259,7 @@ class CheckReport:
 
 BaseRecord = tuple[RewriteStep, RelationInstance, Word, Word, CellTrace | None, Path | None]
 
-# bounds of the top search of each sampled base core left to check_cylinder
+# bounds of the top search of each sampled base core closed by itself
 BASE_MAX_CELLS, BASE_BUDGET = 8, 20_000
 
 
@@ -276,7 +276,7 @@ class CheckContext:
     ``term_budget`` and ``max_len`` bound the termination exploration of A1;
     ``max_cells`` and ``budget`` bound each critical cylinder's top-trace
     search, and ``BASE_MAX_CELLS`` and ``BASE_BUDGET`` that of each base
-    core left to ``check_cylinder``.
+    core closed by itself.
 
     A base record ``(f, inst, x, y, top, fg)`` stands for one sampled
     trivially completable coincidence x·(f | inst)·y of a vertical step with
@@ -285,12 +285,12 @@ class CheckContext:
     vertical residual ``fg`` along the base's second side and the top trace
     joining the residuals of the base's sides (``None`` when residuation
     fails, the residuals are not cofinal or the search runs out).  Records
-    come by shape (``critical.BaseShape``), each shape closed once: a marked
-    one by naturality of exchange (``critical.close_exchange_core``) on its
-    word of slot letters, the others as ``_close`` closes a core, by
-    naturality where it fixes the results, else by ``check_cylinder`` as
-    critical cylinders are.  A marked shape that naturality does not close
-    has each core closed by ``_close``.  The checks decide a whole shape
+    come by shape (``critical.BaseShape``), each shape closed once by
+    ``critical.close_coincidence``, as critical cylinders are: a marked one
+    on its word of slot letters and with no search cells, so by interchange
+    or by the exchange trace of its side residuals only, the others within
+    the base bounds.  A marked shape that does not close so has each core
+    closed by itself within the base bounds.  The checks decide a whole shape
     where they can, A3' when its top is all exchange cells and A4 when its
     top weighs less than its base for every context and gap word
     (``_Whiskered``); they build the records of the other shapes only
@@ -299,7 +299,7 @@ class CheckContext:
     This is exact because every step of the computation commutes with
     whiskering.  The residual of x·g·y after x·f·y is x·(g/f)·y: equality,
     disjointness, retyping and tile lookup only see the positions relative
-    to the shared context, in the zig-zag and in the construction alike, and
+    to the shared context, in the zig-zag and in the interchange alike, and
     a tile's relation holds in every context (``TableEntry``).
     Exchange-canonical forms and their moves whisker move for move, so the
     exchange trace of two whiskered paths is the whiskered trace.  The
@@ -312,11 +312,15 @@ class CheckContext:
     touches (an identity side above all) can match with its window reaching
     into the context, a move the core does not have, so a presentation with
     such a side is sampled without stripping.  Filling a marked shape's
-    gaps commutes with naturality in the same way: no step of the
-    construction touches a gap letter, and as every generator has letters,
-    the construction sees of a gap only where it lies between the steps,
-    which filling keeps.  The shared ``Residuator`` spends its budget across
-    the whole run rather than per call, and memo hits cost nothing.
+    gaps commutes with its closing in the same way.  The engine compares,
+    overlaps and retypes steps by their positions relative to each other
+    (``Residuator._solve``), and the interchange and the exchange trace move
+    steps past each other by the same rules.  No step touches a gap letter,
+    and as every generator has letters, a gap shows only as lying between
+    two steps, which filling keeps: a gap filled with the empty word leaves
+    the steps on its two sides disjoint.  The shared ``Residuator`` spends
+    its budget across the whole run rather than per call, and memo hits
+    cost nothing.
     """
 
     def __init__(
@@ -333,7 +337,7 @@ class CheckContext:
         self.max_cells = max_cells
         self.budget = budget
         self.verdicts: dict[tuple, Verdict] = {}
-        self._closings: dict[int, tuple | None] = {}
+        self._closings: dict[int, tuple] = {}
 
     @cached_property
     def table(self) -> ResidualTable:
@@ -366,52 +370,39 @@ class CheckContext:
     def base_records(self) -> list[BaseRecord]:
         return self.records(self.base_samples.shapes.values())
 
-    def closing(self, shape: BaseShape) -> tuple | None:
-        """``(top, fg)`` of a shape, on its word; None for a marked shape
-        that naturality does not close, whose cores are closed one by one."""
+    def closing(self, shape: BaseShape) -> tuple:
+        """``(top, fg)`` of a shape, on its word: a marked one closes only by
+        interchange or by the exchange trace of its side residuals."""
         if id(shape) not in self._closings:
-            if shape.marked:
-                closed = close_exchange_core(shape.f, shape.base, self.residuator)
-            else:
-                closed = self._close(shape.f, shape.base)
-            self._closings[id(shape)] = closed
+            bounds = (0, 0) if shape.marked else (BASE_MAX_CELLS, BASE_BUDGET)
+            closed = close_coincidence(shape.f, shape.base, self.residuator, *bounds)
+            self._closings[id(shape)] = closed[:2]
         return self._closings[id(shape)]
 
     def records(self, shapes) -> list[BaseRecord]:
         """The records of the samples of ``shapes``, in sample order; the
-        records of a core share its objects."""
+        records of a core share its objects.  A marked shape that does not
+        close has each core closed by itself."""
         p, cores, out = self.p, {}, []
         samples = [(*sample, shape) for shape in shapes for sample in shape.samples()]
         for _, x, y, gaps, shape in sorted(samples, key=itemgetter(0)):
             key = (id(shape), gaps) if shape.marked else id(shape)
             core = cores.get(key)
             if core is None:
-                closed = self.closing(shape)
-                if not shape.marked:
-                    core = (shape.f, shape.base, *closed)
-                else:
+                f, inst, (top, fg) = shape.f, shape.base, self.closing(shape)
+                if shape.marked:
                     slots = dict(zip(SLOTS, gaps))
-                    f, inst = _fill(shape.f, slots), _fill(shape.base, slots)
-                    if closed is None:
-                        core = (f, inst, *self._close(f, inst))
+                    f, inst = _fill(f, slots), _fill(inst, slots)
+                    if top is None:
+                        bounds = BASE_MAX_CELLS, BASE_BUDGET
+                        top, fg = close_coincidence(f, inst, self.residuator, *bounds)[:2]
                     else:
-                        top, fg = closed
-                        source, moves = _fill(top.source, slots), top.moves
-                        moves = [Move(at, _fill(m, slots)) for at, m in moves]
-                        core = (f, inst, trace_from_moves(p, source, moves), _fill(fg, slots))
-                cores[key] = core
+                        moves = [Move(at, _fill(m, slots)) for at, m in top.moves]
+                        top = trace_from_moves(p, _fill(top.source, slots), moves)
+                        fg = _fill(fg, slots)
+                core = cores[key] = (f, inst, top, fg)
             out.append((*core[:2], x, y, *core[2:]))
         return out
-
-    def _close(self, f: RewriteStep, inst: RelationInstance) -> tuple:
-        """``(top, fg)`` of a base core: by naturality for an exchange base
-        where it fixes them, else from ``check_cylinder``."""
-        if inst.exch is not None:
-            built = close_exchange_core(f, inst, self.residuator)
-            if built is not None:
-                return built
-        v = check_cylinder(f, inst, self.residuator, BASE_MAX_CELLS, BASE_BUDGET)
-        return v.top, None if v.vertical_residuals is None else v.vertical_residuals[1]
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +493,15 @@ def check_a2(ctx: CheckContext) -> Verdict:
                     continue
                 for h in p.generators:
                     for mid in mids:
-                        # on e·mid·h and h·mid·e, from-sides applying e first
-                        for inst in (
-                            RelationInstance((), (), True, exch=(e.name, mid, h.name)),
-                            RelationInstance((), (), False, exch=(h.name, mid, e.name)),
+                        # e, then h moved past it, on e·mid·h and on h·mid·e
+                        for word, f, g in (
+                            (e.source + mid + h.source, (0, e.name), (len(e.source + mid), h.name)),
+                            (h.source + mid + e.source, (len(h.source + mid), e.name), (0, h.name)),
                         ):
-                            word, (f, g_after), (g, _) = instance_sides(p, inst)
                             if not steps_disjoint(p, f, g):
                                 continue
                             fs, gs = p.step_at(word, f), p.step_at(word, g)
-                            res = p.step_at(p.step_target(fs), g_after)
+                            res = p.step_at(p.step_target(fs), retype_step(p, g, f))
                             strict(
                                 eval_weight(w1, res, p),
                                 eval_weight(w1, gs, p),
@@ -529,10 +519,8 @@ def check_a2(ctx: CheckContext) -> Verdict:
 # A3 / A3': cylinder property
 
 
-def _exchanges_only(closed: tuple | None) -> bool:
-    return closed is not None and closed[0] is not None and all(
-        m.inst.exch is not None for m in closed[0].moves
-    )
+def _exchanges_only(top: CellTrace | None) -> bool:
+    return top is not None and all(m.inst.exch is not None for m in top.moves)
 
 
 def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
@@ -566,7 +554,7 @@ def check_a3(ctx: CheckContext, mode: str = "strict") -> Verdict:
         # a shape whose top is all exchange cells has no line to give
         shapes = [
             s for s in ctx.base_samples.shapes.values()
-            if s.base.exch is not None and not _exchanges_only(ctx.closing(s))
+            if s.base.exch is not None and not _exchanges_only(ctx.closing(s)[0])
         ]
         for f, inst, x, y, top, _ in ctx.records(shapes):
             if top is None:
@@ -628,7 +616,7 @@ def check_a4(ctx: CheckContext, strong: bool = False) -> Verdict:
         def settled(shape: BaseShape) -> bool:
             # whether no record of the shape gives a line: its top, with every
             # gap word and context, weighs less than its base or is exempt
-            top, rv = ctx.closing(shape) or (None, None)
+            top, rv = ctx.closing(shape)
             if top is None:
                 return False
             if exempt(rv):

@@ -25,6 +25,7 @@ from .core import (
     RelationInstance,
     RewriteStep,
     Word,
+    check_trace,
     instance_sides,
     position,
 )
@@ -208,103 +209,80 @@ def enumerate_critical_cylinders(
 
 
 # ---------------------------------------------------------------------------
-# cylinder check
+# closing a coincidence
+
+
+def close_coincidence(
+    f: RewriteStep, base: RelationInstance, res: Residuator, max_cells: int, budget: int
+) -> tuple[CellTrace | None, Path | None, str, tuple[Path, Path] | None]:
+    """Close the coincidence of the vertical step ``f`` with the relation
+    instance ``base``: ``(top, fg, notes, sides)``.  ``top`` joins the
+    residuals ``sides`` of the base's two sides after f, which only
+    ``check_cylinder`` reads, ``fg`` is the vertical residual along the
+    second side and ``notes`` says why there is no top.  fg and sides are
+    None when residuation fails, sides also when the interchange builds the
+    top.  The presentation and the residual table are those of ``res``,
+    whose memo several closings may share.
+
+    When ``base`` is an exchange whose factors f misses, and f and the first
+    factor have letters, the sides' residuals are the base's sides moved
+    past f, and f's residual is f moved past both factors: the top is the
+    base moved past f, built directly (interchange).  An f without letters
+    can land on the second factor's spot once the first is applied.
+    Otherwise the residuals come from ``Residuator.residuals``, and the top
+    from ``oracle.search_trace`` within ``max_cells`` and ``budget``: it
+    returns the exchange trace of exchange-equal residuals before it
+    searches, and at ``max_cells`` 0 only that."""
+    p = res.p
+    w, side1, side2 = instance_sides(p, base)
+    fs, after_f, end = position(f), p.step_target(f), w
+    for s in side2:  # the sides' common end word
+        end = p.step_target(p.step_at(end, s))
+    if (
+        base.exch
+        and p.gen(f.gen).source
+        and p.gen(side1[0][1]).source
+        and all(p.gen(h[1]).equational and steps_disjoint(p, fs, h) for h in (side1[0], side2[0]))
+    ):
+        (h1, _), (g2, g1) = side1, side2
+        e1, e2 = retype_step(p, h1, fs), retype_step(p, g2, fs)
+        top = CellTrace(
+            p.path_at(after_f, [e1, retype_step(p, e2, e1)]),
+            (Move(0, exchange_instance(p, after_f, e1, e2)),),
+            p,
+        )
+        return top, p.path_at(end, [retype_step(p, retype_step(p, fs, g2), g1)]), "", None
+    try:
+        (_, r1, _), (f2, r2, _) = (res.residuals(w, [fs], side) for side in (side1, side2))
+    except ResiduationError as exc:
+        return None, None, f"residuation failed: {exc}", None
+    fg, sides = p.path_at(end, f2), (p.path_at(after_f, r1), p.path_at(after_f, r2))
+    if p.path_target(sides[0]) != p.path_target(sides[1]):
+        return None, fg, "side residuals are not cofinal", sides
+    top = oracle.search_trace(p, *sides, max_cells=max_cells, budget=budget)
+    return top, fg, "top search exhausted (inconclusive)" if top is None else "", sides
 
 
 def check_cylinder(
     f: RewriteStep, base: RelationInstance, res: Residuator, max_cells: int, budget: int
 ) -> CylinderVerdict:
-    """Close the coincidence of the vertical step ``f`` with the relation
-    instance ``base``: compare the vertical's residuals along the base's two
-    sides and search for the top connecting the sides' residuals.  The
-    presentation and the residual table are those of ``res``, whose memo
-    several checks may share."""
+    """The closing of a critical cylinder (``close_coincidence``) with the
+    verdict on its two vertical residuals: equal, equal up to exchange, or
+    unequal."""
     p = res.p
-    w, side1, side2 = instance_sides(p, base)
-    g1, g2 = p.path_at(w, side1), p.path_at(w, side2)
-    fpath = Path(w, (f,))
-    try:
-        fg1, g1f = res.pair(fpath, g1)
-        fg2, g2f = res.pair(fpath, g2)
-    except ResiduationError as exc:
-        return CylinderVerdict("unequal", None, notes=f"residuation failed: {exc}")
+    top, fg2, notes, sides = close_coincidence(f, base, res, max_cells, budget)
+    if fg2 is None:
+        return CylinderVerdict("unequal", None, notes)
+    w, side1, _ = instance_sides(p, base)
+    fg1 = res.pair(Path(w, (f,)), p.path_at(w, side1))[0]  # a memo hit unless interchanged
     if fg1 == fg2:
         verdict = "equal"
     elif oracle.exchange_canonical(fg1, p) == oracle.exchange_canonical(fg2, p):
         verdict = "exchange_equal"
     else:
         verdict = "unequal"
-    top = None
-    notes = ""
-    if p.path_target(g1f) == p.path_target(g2f):
-        top = oracle.search_trace(p, g1f, g2f, max_cells=max_cells, budget=budget)
-        if top is None:
-            notes = "top search exhausted (inconclusive)"
-    else:
-        notes = "side residuals are not cofinal"
-    return CylinderVerdict(verdict, top, notes, (fg1, fg2), (g1f, g2f))
-
-
-def close_exchange_core(
-    f: RewriteStep, base: RelationInstance, res: Residuator
-) -> tuple[CellTrace, Path] | None:
-    """The top and the vertical residual along the second side of the
-    coincidence of ``f`` with the forward exchange ``base``, as
-    ``check_cylinder`` finds them, built by naturality of exchange; None
-    when naturality does not fix them.
-
-    Each side is a step h1, then a step h2.  f meets h1 in a tile or an
-    exchange (``Residuator.step_pair``), giving h1/f and f/h1; h2 is then
-    carried across each step of f/h1 the same way while it stays one step
-    distinct from that step.  The side's residual is h1/f followed by what
-    h2 became, and f's residual is what f/h1 became: the zig-zag's answer.
-    If the side residuals are equal or exchange-equal, the top is the trace
-    ``search_trace`` returns before searching (``oracle.exchange_trace``):
-    the factor f misses, carried across the other's residual.
-
-    When f misses both factors, and f and the first factor have letters, the
-    sides' residuals are the base's sides moved past f, and f's residual is
-    f moved past both factors: the top is the base moved past f, built
-    directly (interchange).  An f without letters can land on the second
-    factor's spot once the first is applied, and the zig-zag stops there."""
-    p = res.p
-    w, *sides = instance_sides(p, base)
-    fs, ((h1, _), (g2, g1)) = position(f), sides
-    if (
-        p.gen(f.gen).source
-        and p.gen(h1[1]).source
-        and all(p.gen(h[1]).equational and steps_disjoint(p, fs, h) for h in (h1, g2))
-    ):
-        after_f, e1, e2 = p.step_target(f), retype_step(p, h1, fs), retype_step(p, g2, fs)
-        top = CellTrace(
-            p.path_at(after_f, [e1, retype_step(p, e2, e1)]),
-            (Move(0, exchange_instance(p, after_f, e1, e2)),),
-            p,
-        )
-        fg = [retype_step(p, retype_step(p, fs, g2), g1)]
-        return top, p.path_at(p.path_target(p.path_at(w, sides[1])), fg)
-    residuals = []
-    for h1, h2 in sides:
-        tile = res.step_pair(position(f), h1)
-        if tile is None:
-            return None
-        h, f_after = [h2], []
-        for s in tile[1]:
-            if len(h) != 1 or h[0] == s:
-                return None
-            tile2 = res.step_pair(s, h[0])
-            if tile2 is None:
-                return None
-            h = tile2[0]
-            f_after += tile2[1]
-        residuals.append((tile[0] + h, f_after))
-    after_f = p.step_target(f)
-    top = oracle.exchange_trace(
-        p, p.path_at(after_f, residuals[0][0]), p.path_at(after_f, residuals[1][0])
-    )
-    if top is None:
-        return None
-    return top, p.path_at(p.path_target(p.path_at(w, sides[1])), residuals[1][1])
+    # an interchange's top joins the sides' residuals
+    return CylinderVerdict(verdict, top, notes, (fg1, fg2), sides or (top.source, check_trace(p, top)))
 
 
 # ---------------------------------------------------------------------------

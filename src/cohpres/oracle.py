@@ -243,12 +243,13 @@ def search_trace(
 
     Visited states are deduplicated on raw paths; the two searches meet on
     exchange-canonical forms, with the connecting exchange cells spliced in.
-    Exchange-equal paths meet before any search (``exchange_trace``).
+    Exchange-equal paths meet before any search (``exchange_trace``), the
+    only meeting at ``max_cells`` 0.
     """
     if start.source != goal.source or p.path_target(start) != p.path_target(goal):
         raise CohpresError("search_trace requires parallel paths")
     met = exchange_trace(p, start, goal)
-    if met is not None:
+    if met is not None or max_cells <= 0:
         return met
 
     # per side: the moves from its origin to each visited path, and for each
@@ -391,7 +392,9 @@ def _hom_partition(
                 if t in by_tgt:
                     by_tgt[t].append(item)
         level = nxt
-    by_gen = _compile_sides(p)
+    # one direction of each relation: a window found forward on A, giving B,
+    # is the one found backward on B; exchanges keep both directions
+    by_gen = {g: [side for side in sides if side[1]] for g, sides in _compile_sides(p).items()}
     return {
         t: HomClasses(src, t, bound, _classes(p, by_gen, qs, bound), p)
         for t, qs in by_tgt.items()

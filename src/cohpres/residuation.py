@@ -249,7 +249,7 @@ class Residuator:
 
     # -- the zig-zag engine ----------------------------------------------------
 
-    def step_pair(self, f: Step, g: Step):
+    def _step_pair(self, f: Step, g: Step):
         """(g/f, f/g, tile) for distinct coinitial steps, or None when the
         residual is undefined; tile is None for an exchange and ``(entry,
         f_is_first)`` for a table tile."""
@@ -337,7 +337,7 @@ class Residuator:
                     stack.append([tails[g], tails[f], 0])
                     continue
                 else:
-                    tile = self.step_pair(f1, g1)
+                    tile = self._step_pair(f1, g1)
                     if tile is None:
                         raise self._undefined(src, stack, f1, g1)
                     fr[2:] = 2, *tile
@@ -387,20 +387,22 @@ class Residuator:
                     stack.append((t3, depth + 1, p.step_target(p.step_at(w, f1))))
         return moves
 
-    def _path_seq(self, q: Path) -> int:
-        return self._seq([position(s) for s in q.steps])
-
-    def _residuals(self, g: Path, f: Path) -> tuple[Path, Path]:
-        """(g/f, f/g) without ``_check``; each input is checked as it is walked."""
-        p = self.p
-        g_end, f_end = p.path_target(g), p.path_target(f)
-        e, dh, _ = self._solve(g.source, self._path_seq(g), self._path_seq(f))
-        return p.path_at(f_end, self._steps(e)), p.path_at(g_end, self._steps(dh))
+    def residuals(self, src: Word, g, f) -> tuple[list[Step], list[Step], tuple]:
+        """(g/f, f/g, witness tree) for the coinitial positional step
+        sequences ``g`` and ``f`` at ``src``, unchecked: the engine's one
+        entry for step sequences, through which ``pair``,
+        ``pair_with_witness``, ``cell_residual`` and the closing of a
+        coincidence (``critical.close_coincidence``) reach it."""
+        e, dh, tree = self._solve(src, self._seq(g), self._seq(f))
+        return self._steps(e), self._steps(dh), tree
 
     def pair(self, g: Path, f: Path) -> tuple[Path, Path]:
         """(g/f, f/g)."""
         self._check(g, f)
-        return self._residuals(g, f)
+        p = self.p
+        g_end, f_end = p.path_target(g), p.path_target(f)
+        gf, fg, _ = self.residuals(g.source, *([position(s) for s in q.steps] for q in (g, f)))
+        return p.path_at(f_end, gf), p.path_at(g_end, fg)
 
     def nf_residual(self, g: Path, u: NormalizationResult) -> Path:
         """g/u for the normalization u of g's source: ``pair(g, u.path)[0]``
@@ -409,16 +411,16 @@ class Residuator:
         if g.source != u.input:
             self._check(g, u.path)  # raises: not coinitial
         self.p.path_words(g)
-        e = self._solve(g.source, self._path_seq(g), self._seq(u.steps))[0]
+        e = self._solve(g.source, self._seq([position(s) for s in g.steps]), self._seq(u.steps))[0]
         return self.p.path_at(u.normal, self._steps(e))
 
     # -- witnesses -----------------------------------------------------------
 
     def pair_with_witness(self, g: Path, f: Path) -> tuple[Path, Path, CellTrace]:
         """(g/f, f/g, trace) with trace : f;(g/f)  =>*  g;(f/g): ``pair``,
-        then the tree of the memo entry it leaves flattened from g's source."""
+        then the tree its memo entry holds flattened from g's source."""
         gf, fg = self.pair(g, f)
-        tree = self._memo[self._path_seq(g), self._path_seq(f)][2]
+        tree = self.residuals(g.source, *([position(s) for s in q.steps] for q in (g, f)))[2]
         moves = self._witness_moves(tree, g.source)
         return gf, fg, trace_from_moves(self.p, Path(f.source, f.steps + gf.steps), moves)
 
@@ -443,12 +445,12 @@ class Residuator:
         """
         p = self.p
         cur = alpha
-        for w, step in zip(p.path_words(f), f.steps):
-            step_path = Path(w, (step,))
-            src = cur.source.source
-            states = [cur.source]
-            states += (p.path_at(src, steps) for _, steps, _ in replay(p, cur.source, cur.moves))
-            residuals = [self._residuals(s, step_path)[0] for s in states]
+        p.path_words(f)  # raises if f does not compose
+        for step in f.steps:
+            src, fs, after = cur.source.source, [position(step)], p.step_target(step)
+            states = [[position(s) for s in cur.source.steps]]
+            states += (list(steps) for _, steps, _ in replay(p, cur.source, cur.moves))
+            residuals = [p.path_at(after, self.residuals(src, s, fs)[0]) for s in states]
             moves: list[Move] = []
             for i in range(len(residuals) - 1):
                 if residuals[i] == residuals[i + 1]:
@@ -459,7 +461,7 @@ class Residuator:
                 if top is None:
                     raise ResiduationError(
                         "no connecting trace found while residuating a 2-cell "
-                        f"(cell {i}, after {p.fmt_path(step_path)})"
+                        f"(cell {i}, after {p.fmt_step(step)})"
                     )
                 moves.extend(top.moves)
             cur = trace_from_moves(p, residuals[0], moves)

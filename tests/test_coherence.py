@@ -37,7 +37,7 @@ from cohpres.core import (
     parse_presentation,
     trace_from_moves,
 )
-from cohpres.critical import _proper_overlap, close_exchange_core
+from cohpres.critical import _proper_overlap
 from cohpres.objects import steps_on, words_upto
 from cohpres.oracle import search_trace
 from cohpres.residuation import ResiduationError, Residuator
@@ -134,6 +134,17 @@ def test_a2_verdicts(ds2):
         f"omega1 not decreasing on exchange residual {r} of {g} after {f}: (0,) !< (0,)"
         for r, g, f in zip(exchanges[::3], exchanges[1::3], exchanges[2::3])
     ]
+
+
+def test_a2_exchange_residuals_move_past_a_shrinking_step():
+    # [e] shortens the word, so a step right of it moves one letter left
+    p = parse_presentation("mode monoidal\nobjects a b\neqgen e : a a -> a\ngen h : b -> b b\n")
+    zero = WeightSpec("omega1", "steps", "lex", 1, {g.name: (parse_zero(),) for g in p.generators})
+    v = check_a2(CheckContext(type(p)(p.mode, p.objects, p.generators, p.relations, {"omega1": zero})))
+    lines = [w.split(" residual ")[1].split(":")[0] for w in v.witnesses]
+    assert (v.status, len(lines)) == ("fail", 28)
+    assert lines[:2] == ["a[e] of aa[e] after [e]aa", "[e]a of [e]aa after aa[e]"]
+    assert lines[14:16] == ["a[h] of aa[h] after [e]b", "[h]a of [h]aa after b[e]"]
 
 
 def parse_zero():
@@ -432,11 +443,11 @@ def test_context_base_records_expand_shapes_on_ds3():
     [(2, 1029, 13, 13), (3, 59982, 222, 210), (4, 1007160, 1400, 1320)],
 )
 def test_ds_shapes_close_once(monkeypatch, tmp_path, n, samples, shapes, closed):
-    # A3' closes each exchange shape of ds_n once, by naturality, and
-    # expands no core: every top is exchange cells (ds_n fails A3' on its
-    # critical cylinders, so the check exits 1)
+    # A3' closes each exchange shape of ds_n once, on its word of slot
+    # letters, and expands no core: every top is exchange cells (ds_n fails
+    # A3' on its critical cylinders, so the check exits 1)
     contexts, closings, expanded = [], [], []
-    real_context, real_close = coherence.CheckContext, coherence.close_exchange_core
+    real_context, real_close = coherence.CheckContext, coherence.close_coincidence
     real_records = real_context.records
 
     def context(*args, **kwargs):
@@ -452,7 +463,7 @@ def test_ds_shapes_close_once(monkeypatch, tmp_path, n, samples, shapes, closed)
         expanded.extend(out)
         return out
 
-    monkeypatch.setattr(coherence, "close_exchange_core", close)
+    monkeypatch.setattr(coherence, "close_coincidence", close)
     monkeypatch.setattr(coherence, "CheckContext", context)
     monkeypatch.setattr(real_context, "records", records)
     path = tmp_path / f"ds{n}.cp"
@@ -460,7 +471,9 @@ def test_ds_shapes_close_once(monkeypatch, tmp_path, n, samples, shapes, closed)
     assert main(["check", str(path), "--assumption", "a3x", "--no-opposite"]) == 1
     (ctx,) = contexts
     assert (len(ctx.base_samples), len(ctx.base_samples.shapes)) == (samples, shapes)
-    assert len(closings) == len(set(closings)) == closed
+    marked = {(s.f, s.base) for s in ctx.base_samples.shapes.values() if s.marked}
+    assert len(closings) == len(set(closings)) == len(marked) == closed
+    assert set(closings) == marked
     assert expanded == []
 
 
@@ -481,14 +494,17 @@ def test_a3x_names_each_sampled_exchange_residual_without_top():
     assert v.witnesses[-len(lines) :] == lines
 
 
-def test_close_exchange_core_stops_where_an_empty_vertical_meets_a_factor():
+def test_context_base_records_of_an_empty_vertical_beside_a_factor():
     # [h] has no letters: past [f], the vertical [h]ba lands on the spot of
-    # the base's second factor [h], where the zig-zag stops, so naturality
-    # does not close the core, although [h]ba misses both factors
+    # the base's second factor [h], so although it misses both factors no
+    # interchange closes it; the engine finds side residuals that are not
+    # cofinal, as the per-sample loop does
     p = parse_presentation("mode monoidal\nobjects a b\neqgen f : ba -> 0\neqgen h : 0 -> ba\n")
-    base = RelationInstance((), (), True, exch=("f", (), "h"))
-    f = RewriteStep((), "h", ("b", "a"))
-    assert close_exchange_core(f, base, CheckContext(p).residuator) is None
+    ctx = CheckContext(p)
+    assert _whiskered_records(ctx) == _per_sample_base_records(p, ctx.table)
+    core = (RewriteStep((), "h", ("b", "a")), RelationInstance((), (), True, exch=("f", (), "h")))
+    assert {r[4] for r in ctx.base_records if r[:2] == core} == {None}
+    assert len(ctx.base_records) == 9522
 
 
 def test_check_all_samples_each_presentation_once(monkeypatch, ds2op):
@@ -544,33 +560,49 @@ def test_check_assumption_gates(ds2op, huet):
 
 
 def _checked_cores(monkeypatch, p):
-    """A context whose critical cylinders and base records were computed, the
-    ``check_cylinder`` calls made on the way, the distinct base cores and
-    those that naturality leaves to the search."""
-    checked = []
-    real = coherence.check_cylinder
+    """A context whose critical cylinders and base records were computed,
+    its distinct base cores, and those whose closing searches (expands a
+    path) or fails to residuate, in sample order.  ``check_cylinder`` runs
+    for the critical cylinders only, each once."""
+    checked, closing, left = [], [], []
+    real_check, real_close = coherence.check_cylinder, coherence.close_coincidence
+    real_moves = oracle.rewrite_moves
 
-    def counting(f, base, *args):
+    def check(f, base, *args):
         checked.append((f, base))
-        return real(f, base, *args)
+        return real_check(f, base, *args)
 
-    monkeypatch.setattr(coherence, "check_cylinder", counting)
+    def close(f, inst, *args):
+        closing.append((f, inst))
+        try:
+            out = real_close(f, inst, *args)
+        finally:
+            closing.pop()
+        if out[1] is None:  # residuation failed
+            left.append((f, inst))
+        return out
+
+    def moves(*args):
+        left.extend(closing[-1:])
+        return real_moves(*args)
+
+    monkeypatch.setattr(coherence, "check_cylinder", check)
+    monkeypatch.setattr(coherence, "close_coincidence", close)
+    monkeypatch.setattr(oracle, "rewrite_moves", moves)
     ctx = CheckContext(p)
     ctx.cylinder_verdicts
     ctx.base_records
+    assert checked == [(c.f, c.base) for c in ctx.cylinders]
     cores = list(dict.fromkeys((f, inst) for f, inst, *_ in ctx.base_records))
-    left = [
-        (f, inst)
-        for f, inst in cores
-        if inst.exch is None or close_exchange_core(f, inst, ctx.residuator) is None
-    ]
-    assert checked == [(c.f, c.base) for c in ctx.cylinders] + left
+    left = [c for c in dict.fromkeys(left) if c in cores]
+    assert left == [c for c in cores if c in left]
     return ctx, cores, left
 
 
 def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
-    # one check per critical cylinder; every sampled base core is closed by
-    # naturality, so none of the 137 is checked
+    # one check per critical cylinder; every sampled base core closes by
+    # interchange or by the exchange trace of its residuals, so none of the
+    # 137 searches
     ctx, cores, left = _checked_cores(monkeypatch, ds2op)
     assert (len(cores), left) == (137, [])
     assert check_a3(ctx, "strict").status == "fail"
@@ -579,8 +611,8 @@ def test_context_checks_each_cylinder_once(monkeypatch, ds2op):
 
 
 def test_context_checks_named_and_untiled_base_cores(monkeypatch):
-    # named bases, and exchange cores of [m] whose overlap has no tile, are
-    # checked after the critical cylinders, once each, in sample order
+    # named bases search, and exchange cores of [m] whose overlap has no
+    # tile fail to residuate; no other core does either
     _, cores, left = _checked_cores(monkeypatch, parse_presentation(ASSOC))
     named = [c for c in cores if c[1].name]
     assert set(named) < set(left) < set(cores)
@@ -590,14 +622,16 @@ def test_context_checks_named_and_untiled_base_cores(monkeypatch):
     "argv", [["ds2"], ["ds2op", "--assumption", "a3x", "--strong"]], ids=["ds2", "ds2op-a3x"]
 )
 def test_check_searches_only_critical_cylinders(monkeypatch, argv):
-    # a full check searches for the tops of critical cylinders only: every
-    # sampled base core of the corpus is closed by naturality
+    # a full check lets the top search go past the exchange trace for
+    # critical cylinders only: every sampled base shape of the corpus is
+    # marked, and a marked shape's closing stops there (no cells)
     searched, inside = [], []
     real_search, real_check = oracle.search_trace, coherence.check_cylinder
 
-    def search(*args, **kwargs):
-        searched.append(inside[-1] if inside else None)
-        return real_search(*args, **kwargs)
+    def search(p, start, goal, max_cells=12, budget=20_000):
+        if max_cells:
+            searched.append(inside[-1] if inside else None)
+        return real_search(p, start, goal, max_cells, budget)
 
     def check(f, base, *args):
         inside.append((f, base))

@@ -4,7 +4,8 @@ import random
 from collections import Counter
 
 from cohpres.constructions import opposite
-from cohpres.core import RelationInstance, RewriteStep, position
+from cohpres.coherence import CheckContext
+from cohpres.core import Path, RelationInstance, RewriteStep, check_trace, instance_sides, position
 from cohpres.critical import (
     CriticalCylinder,
     CriticalPair,
@@ -12,6 +13,7 @@ from cohpres.critical import (
     _named_cylinders,
     _proper_overlap,
     check_cylinder,
+    close_coincidence,
     enumerate_critical_cylinders,
     enumerate_critical_pairs,
 )
@@ -139,6 +141,23 @@ def test_ds2op_cylinder_exchange_equal(ds2op, ds2op_table):
     assert ds2op.fmt_path(r2) == "a[g]b ; [g]ab ; ba[g] ; b[g]a"
     assert v.top is not None and len(v.top.cells) == 1
     assert v.top.cells[0].inst.exch is not None
+
+
+def test_check_cylinder_reports_residuals_of_interchanged_cores(ds2op):
+    # where the interchange builds the top, check_cylinder still reports the
+    # residuals that residuation gives, and the top joins the side residuals
+    ctx = CheckContext(ds2op)
+    interchanged = 0
+    for f, inst in dict.fromkeys(r[:2] for r in ctx.base_records):
+        v = check_cylinder(f, inst, ctx.residuator, 8, 20_000)
+        w, *sides = instance_sides(ds2op, inst)
+        pairs = [ctx.residuator.pair(Path(w, (f,)), ds2op.path_at(w, s)) for s in sides]
+        assert v.vertical_residuals == tuple(q[0] for q in pairs)
+        assert v.side_residuals == tuple(q[1] for q in pairs)
+        assert (v.top.source, check_trace(ds2op, v.top)) == v.side_residuals
+        closed = close_coincidence(f, inst, ctx.residuator, 0, 0)
+        interchanged += closed[1] is not None and closed[3] is None
+    assert interchanged > 0
 
 
 def test_cylinder_enumeration_complete_on_small_words(ds2, ds2_table):

@@ -23,6 +23,8 @@ from cohpres.core import (
 from cohpres.objects import steps_on
 from cohpres.oracle import (
     ExplosionError,
+    _classes,
+    _compile_sides,
     _hom_partition,
     canonical_with_trace,
     compare_constructions,
@@ -506,9 +508,9 @@ def _differential_cases():
 
 def test_partition_equals_slice_partition():
     # every target of every source: the classes as keys in walk order, and
-    # as the sorted paths that ``classes`` builds; the partition meets each
-    # window from both of its ends, so a side that the matcher misses in one
-    # direction shows only in ``rewrite_moves``
+    # as the sorted paths that ``classes`` builds; the partition matches each
+    # relation forward only, so a side that the matcher misses backward
+    # shows only in ``rewrite_moves``
     calls = classes = 0
     for name, p, sources, bound in _differential_cases():
 
@@ -533,6 +535,25 @@ def test_partition_equals_slice_partition():
                 classes += h.count
             calls += 1
     assert (calls, classes) == (895, 15202)
+
+
+def test_forward_sides_partition_as_both_directions():
+    # the walk matches each relation forward only: the window that a backward
+    # match finds on a path B is found forward on the path A it gives, and
+    # both are members when both fit the bound
+    calls = 0
+    for name, p, sources, bound in _differential_cases():
+        both = _compile_sides(p)
+        for u in sources:
+            members: dict = {}
+            for q in paths_from(p, u, bound):
+                key = tuple(x for s in q.steps for x in position(s))
+                members.setdefault(p.path_target(q), []).append((key, tuple(p.path_words(q))))
+            homs = _hom_partition(u, tuple(members), p, bound)
+            for v, ms in members.items():
+                assert homs[v].keys == _classes(p, both, ms, bound), (name, u, v)
+            calls += 1
+    assert calls == 895
 
 
 # ---------------------------------------------------------------------------
